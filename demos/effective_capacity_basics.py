@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Tour of the analytic building blocks: Lambert-W, the incomplete gamma
 with arbitrary real parameter, and the effective capacity / bandwidth of a
-Rayleigh-faded link.
+Rayleigh-faded link.  It checks the closed forms against the quadrature
+oracle, which calls scipy, so it needs the test extra
+(``pip install -e .[test]``).
 
 Run:  python demos/effective_capacity_basics.py
 """

@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy import optimize
-
 from .effcap import (
     LinkModel,
     effective_bandwidth_service_rayleigh,  # noqa: F401  perfbench traces this lookup site
@@ -61,7 +59,10 @@ POWER_BRACKET_LO = 1e-6
 POWER_BRACKET_HI = 1.0
 DEFAULT_POWER_CEILING = 1e6
 
+# Root-solver tolerances: the tightest that SciPy's brentq accepts.
+_ROOT_XTOL = 1e-300
 _ROOT_RTOL = 4.0 * 2.220446049250313e-16
+_ROOT_MAXITER = 300
 
 
 class InfeasibleError(RuntimeError):
@@ -143,12 +144,68 @@ def _hop2_link(kappa: float, scenario: Scenario) -> LinkModel:
     return LinkModel(kappa, scenario.hop2_mean_gain, scenario.bt_product)
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
+    """Root of f between xpre and xcur, given f at both ends with opposite signs.
+
+    Brent's method (Brent 1973, ch. 4) as a line-for-line port of SciPy's
+    ``brentq.c`` with the same operations in the same order, so it returns
+    the float ``scipy.optimize.brentq(f, xpre, xcur, xtol=_ROOT_XTOL,
+    rtol=_ROOT_RTOL, maxiter=_ROOT_MAXITER)`` returns.  Unlike that wrapper
+    it takes the end values the caller already has instead of evaluating f
+    there again.  f must return finite floats.
+    """
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_ROOT_MAXITER} iterations, value is {xcur}")
+
+
 def _solve_power(step: str, f, ceiling: float) -> float:
     """Root of a strictly increasing f(kappa) via geometric bracket growth.
 
     The bracket starts at [POWER_BRACKET_LO, POWER_BRACKET_HI]; the high end
     grows toward ``ceiling`` until the sign changes, the low end shrinks for
-    vanishing targets.
+    vanishing targets.  Brent's method then refines the bracket, reusing the
+    end values already computed.
     """
     lo, hi = POWER_BRACKET_LO, POWER_BRACKET_HI
     f_lo = f(lo)
@@ -164,7 +221,7 @@ def _solve_power(step: str, f, ceiling: float) -> float:
             raise InfeasibleError(
                 step, f"no solution below the power ceiling {ceiling:g}")
         f_hi = f(hi)
-    return optimize.brentq(f, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300)
+    return _brentq(f, lo, hi, f_lo, f_hi)
 
 
 def solve_theta1(scenario: Scenario) -> float:

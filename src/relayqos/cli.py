@@ -25,7 +25,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,18 +214,15 @@ def _sweep_point(profile: RadioProfile, axis: str, value: float) -> SweepRow:
 def sweep(profile: RadioProfile, axis: str, grid) -> list[SweepRow]:
     """Re-solve the allocation at each grid point of one axis.
 
-    Points are dispatched to a thread pool; rows come back in ascending axis
-    order regardless of completion order.  Infeasible points are reported in
-    their row, never raised.
+    Rows come back in ascending axis order.  Infeasible points are reported
+    in their row, never raised.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = sorted(float(v) for v in grid)
     if not values:
         raise ConfigError("sweep grid is empty")
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(profile, axis, v), values))
-    return rows
+    return [_sweep_point(profile, axis, v) for v in values]
 
 
 def write_sweep_csv(rows, stream) -> None:

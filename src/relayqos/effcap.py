@@ -5,7 +5,9 @@ with ``h`` exponentially distributed (Rayleigh power gain), i.i.d. across
 frames.  For a QoS exponent theta > 0 the log-moment generating function of
 that rate has a closed form in the upper incomplete gamma function; this
 module provides the closed forms, the constant-arrival special case, and an
-independent adaptive-quadrature oracle used to cross-check them.
+independent adaptive-quadrature oracle used to cross-check them.  The
+oracles call SciPy, which only they and the tests need (the ``test`` extra);
+the closed forms need nothing beyond the standard library.
 
 The mean gain is absorbed into an effective SNR ``kappa * mean_gain``: for an
 exponential gain this substitution is exact, so all formulas below are
@@ -16,9 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import integrate
 
 from .specfun import _upper_cf_factor, log_upper_incomplete_gamma, upper_incomplete_gamma
 
@@ -156,6 +155,8 @@ def _log_rate_moment_quadrature(s: float, snr: float) -> float:
     The integrand is rescaled by its peak value so arbitrarily large moments
     are integrated without overflow.
     """
+    from scipy import integrate
+
     def log_integrand(h: float) -> float:
         return s * math.log1p(snr * h) - h
 
@@ -163,7 +164,7 @@ def _log_rate_moment_quadrature(s: float, snr: float) -> float:
     g_star = log_integrand(h_star)
     out = integrate.quad(
         lambda h: math.exp(log_integrand(h) - g_star),
-        0.0, np.inf, epsabs=0.0, epsrel=_QUAD_TOL, limit=400, full_output=1)
+        0.0, math.inf, epsabs=0.0, epsrel=_QUAD_TOL, limit=400, full_output=1)
     value, abserr = out[0], out[1]
     if not value > 0.0 or abserr > 1e-9 * value:
         raise RuntimeError(
@@ -173,7 +174,10 @@ def _log_rate_moment_quadrature(s: float, snr: float) -> float:
 
 
 def effective_capacity_oracle(theta: float, link: LinkModel) -> float:
-    """Quadrature-based effective capacity; independent of the closed form."""
+    """Quadrature-based effective capacity; independent of the closed form.
+
+    Needs SciPy, which is installed with the ``test`` extra only.
+    """
     _require_positive_theta(theta)
     if theta < THETA_ERGODIC_LIMIT:
         return ergodic_rate(link)
@@ -182,7 +186,10 @@ def effective_capacity_oracle(theta: float, link: LinkModel) -> float:
 
 
 def effective_bandwidth_oracle(theta: float, link: LinkModel) -> float:
-    """Quadrature-based effective bandwidth; independent of the closed form."""
+    """Quadrature-based effective bandwidth; independent of the closed form.
+
+    Needs SciPy, which is installed with the ``test`` extra only.
+    """
     _require_positive_theta(theta)
     if theta < THETA_ERGODIC_LIMIT:
         return ergodic_rate(link)
@@ -191,14 +198,19 @@ def effective_bandwidth_oracle(theta: float, link: LinkModel) -> float:
 
 
 def ergodic_rate_oracle(link: LinkModel) -> float:
-    """Quadrature-based mean service rate; independent of the closed form."""
+    """Quadrature-based mean service rate; independent of the closed form.
+
+    Needs SciPy, which is installed with the ``test`` extra only.
+    """
+    from scipy import integrate
+
     snr = link.effective_snr
     # for small snr integrate log1p(snr*h)/snr, an O(1) quantity, so the
     # relative convergence check stays meaningful
     scale = min(snr, 1.0)
     out = integrate.quad(
         lambda h: math.log1p(snr * h) / scale * math.exp(-h),
-        0.0, np.inf, epsabs=0.0, epsrel=_QUAD_TOL, limit=400, full_output=1)
+        0.0, math.inf, epsabs=0.0, epsrel=_QUAD_TOL, limit=400, full_output=1)
     value, abserr = out[0], out[1]
     if not value > 0.0 or abserr > 1e-9 * value:
         raise RuntimeError(

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from relayqos import allocator
 from relayqos.allocator import (
     InfeasibleError,
     Scenario,
@@ -237,3 +240,98 @@ class TestAllocate:
         with pytest.raises(InfeasibleError) as err:
             allocate(heavy, power_ceiling=100.0)
         assert "solve_kappa1" in str(err.value)
+
+
+def scipy_brentq(f, a, b):
+    """SciPy's Brent solve at the allocator's tolerances: the reference."""
+    return optimize.brentq(f, a, b, xtol=allocator._ROOT_XTOL,
+                           rtol=allocator._ROOT_RTOL, maxiter=allocator._ROOT_MAXITER)
+
+
+def wide_scenarios(n, seed):
+    """Scenarios over a range wide enough to reach infeasible points."""
+    rng = np.random.default_rng(seed)
+    return [Scenario(
+        traffic_load=float(10.0 ** rng.uniform(-1.0, 3.5)),
+        delay_bound=float(10.0 ** rng.uniform(0.0, 3.0)),
+        violation_prob=float(10.0 ** rng.uniform(-9.0, -0.5)),
+        hop1_mean_gain=float(10.0 ** rng.uniform(-2.0, 2.0)),
+        hop2_mean_gain=float(10.0 ** rng.uniform(-2.0, 2.0)),
+        bt_product=float(10.0 ** rng.uniform(1.0, 3.0)),
+    ) for _ in range(n)]
+
+
+class TestBrentq:
+    """The in-house Brent solver returns exactly what scipy.optimize.brentq does."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x ** 3 - 2.0, 0.0, 3.0),
+        (lambda x: math.exp(x) - 5.0, -4.0, 10.0),
+        (lambda x: x - math.cos(x), -1.0, 1.0),
+        (lambda x: math.log(x) + 0.3, 1e-6, 1.0),
+        (lambda x: math.tanh(40.0 * (x - 0.123)), 0.0, 1e3),
+        (lambda x: 1.0 - x * x, 0.0, 7.0),                 # decreasing
+        (lambda x: 1e-12 * (x - math.pi), -1e6, 1e6),       # tiny values
+        (lambda x: math.atan(x) - 1.5, 0.0, 1e3),           # flat far end
+    ])
+    def test_analytic_monotone_functions(self, f, a, b):
+        assert allocator._brentq(f, a, b, f(a), f(b)) == scipy_brentq(f, a, b)
+
+    def test_root_at_either_bracket_end(self):
+        def f(x):
+            return x - 2.0
+        assert allocator._brentq(f, 2.0, 5.0, f(2.0), f(5.0)) == 2.0 == scipy_brentq(f, 2.0, 5.0)
+        assert allocator._brentq(f, -1.0, 2.0, f(-1.0), f(2.0)) == 2.0 == scipy_brentq(f, -1.0, 2.0)
+
+    def test_same_iterate_when_out_of_iterations(self):
+        def f(x):
+            return math.atan(x) - 1.5  # root near 14.1, bracket reaching 1e300
+        ref = optimize.brentq(f, 0.0, 1e300, xtol=allocator._ROOT_XTOL,
+                              rtol=allocator._ROOT_RTOL, maxiter=allocator._ROOT_MAXITER,
+                              full_output=True, disp=False)[1]
+        assert not ref.converged
+        with pytest.raises(RuntimeError, match=re.escape(f"value is {float(ref.root)!r}")):
+            allocator._brentq(f, 0.0, 1e300, f(0.0), f(1e300))
+
+    def test_power_gap_functions(self, monkeypatch):
+        calls = []
+        solve = allocator._brentq
+
+        def recording(f, lo, hi, f_lo, f_hi):
+            calls.append((f, lo, hi, f_lo, f_hi))
+            return solve(f, lo, hi, f_lo, f_hi)
+
+        monkeypatch.setattr(allocator, "_brentq", recording)
+        for scenario in wide_scenarios(150, seed=3):
+            try:
+                allocate(scenario)
+            except InfeasibleError:
+                pass
+        steps = {f.__qualname__.split(".")[0] for f, *_ in calls}
+        assert steps == {"solve_kappa1", "solve_kappa2"}
+        for f, lo, hi, f_lo, f_hi in calls:
+            # the end values handed over are the gap function's own
+            assert (f_lo, f_hi) == (f(lo), f(hi))
+            assert solve(f, lo, hi, f_lo, f_hi) == scipy_brentq(f, lo, hi)
+
+    def test_allocate_matches_scipy_backed_solve(self, monkeypatch):
+        def outcome(scenario):
+            try:
+                return allocate(scenario)
+            except InfeasibleError as exc:
+                return str(exc)
+
+        scenarios = random_scenarios(40, seed=11) + wide_scenarios(150, seed=12)
+        ours = [outcome(s) for s in scenarios]
+        monkeypatch.setattr(allocator, "_brentq",
+                            lambda f, lo, hi, f_lo, f_hi: scipy_brentq(f, lo, hi))
+        reference = [outcome(s) for s in scenarios]
+        assert any(isinstance(r, str) for r in reference)
+        for mine, ref in zip(ours, reference):
+            if isinstance(ref, str):
+                assert mine == ref
+                continue
+            # == on floats: bit-identical, not merely close
+            assert (mine.kappa1, mine.kappa2, mine.theta1, mine.theta2) == \
+                (ref.kappa1, ref.kappa2, ref.theta1, ref.theta2)
+            assert mine.residuals == ref.residuals

@@ -6,10 +6,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relayqos
 from relayqos import cli
 from relayqos.allocator import allocate
 from relayqos.cli import (
@@ -247,3 +252,17 @@ class TestMain:
         code = main(["validate", "--frames", "1000", "--warmup", "0"])
         assert code == 3
         assert "unstable" in capsys.readouterr().err
+
+
+class TestRuntimeImports:
+    def test_no_scipy_on_import(self):
+        # scipy is a test-only dependency: the library and CLI must not load it
+        src = str(Path(relayqos.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import relayqos, relayqos.cli, sys; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"
