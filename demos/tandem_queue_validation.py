@@ -3,7 +3,7 @@
 fluid tandem queue under a solved allocation and compare the measured delay
 tails with the exponential laws the solver assumes.
 
-Run:  python demos/tandem_queue_validation.py            (about 10 s)
+Run:  python demos/tandem_queue_validation.py            (about 1 s)
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ print(f"simulated {cfg.n_frames:,} frames (seed {cfg.seed}, "
 print(f"end-to-end P(D > {report.scenario.delay_bound:.0f} frames):")
 print(f"  analytic law: {report.analytic_violation:.4e}")
 print(f"  measured:     {report.empirical_violation:.4e} "
-      f"(+/- {report.empirical_halfwidth:.1e})")
+      f"(+/- {report.empirical_halfwidth:.1e}, 95% batch-means half-width)")
 print(f"  ratio:        {report.violation_ratio:.3f}")
 print()
 print(f"per-hop fitted tail slopes (analytic law predicts u = {u:.4f}):")

@@ -1,17 +1,25 @@
 """Tests for the tandem-queue simulator.
 
 The vectorized queue recursion and delay tagging are checked exactly against
-a straightforward per-frame Python reference simulator, and the tail-slope
-estimator against synthetic exponential samples with a known rate.
+a straightforward per-frame Python reference simulator that tags bits by
+binary search, the O(n) tagging helper against that binary search on
+adversarial curves, the batch-means half-width against a Markov series of
+known asymptotic variance, and the tail-slope estimator against synthetic
+exponential samples with a known rate.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
+    _T975,
+    _frames_waited,
     InsufficientTailData,
     SimConfig,
     StabilityError,
@@ -92,6 +100,38 @@ def reference_delays(scenario, allocation, cfg):
     return np.asarray(out1), np.asarray(out2), np.asarray(oute)
 
 
+def searchsorted_waits(curve, load, first, last):
+    """Frames waited per tagged bit, by binary search of each bit's target."""
+    dep = np.concatenate(curve)
+    tagged = np.arange(first, last, dtype=np.int64)
+    targets = load * (tagged + 1).astype(np.float64) - 1e-6 * load
+    return np.searchsorted(dep, targets, side="left") - tagged
+
+
+def near_targets(load, cs, where):
+    """Curve values at, one ulp below or above, or half a frame past targets."""
+    t = load * np.asarray(cs, dtype=np.float64) - 1e-6 * load
+    return {"at": t, "below": np.nextafter(t, -np.inf),
+            "above": np.nextafter(t, np.inf), "mid": t + 0.5 * load}[where]
+
+
+@st.composite
+def tagging_cases(draw):
+    load = draw(st.sampled_from([LOAD_100KBPS, 0.1, 1.0 / 3.0, 1.0, 7.3e-3, 2.5e3])
+                | st.floats(1e-3, 1e4))
+    last = draw(st.integers(1, 60))
+    first = draw(st.sampled_from([0, last - 1]) | st.integers(0, last - 1))
+    points = draw(st.lists(
+        st.tuples(st.integers(0, last + 2),
+                  st.sampled_from(["at", "below", "above", "mid"]),
+                  st.integers(1, 4)),  # repeats make flat runs
+        min_size=1, max_size=120))
+    dep = np.sort(np.concatenate([np.repeat(near_targets(load, [c], where), k)
+                                  for c, where, k in points]))
+    cut = draw(st.integers(0, dep.size))  # main horizon | drain extension
+    return load, (dep[:cut], dep[cut:]), first, last
+
+
 @pytest.fixture(scope="module")
 def headline_allocation():
     return allocate(SCENARIO)
@@ -107,6 +147,43 @@ class TestSimConfig:
             SimConfig(n_frames=10, relay_forwarding="warp")
 
 
+class TestFramesWaited:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tagging_cases())
+    def test_matches_searchsorted(self, case):
+        load, curve, first, last = case
+        waits = _frames_waited(curve, load, first, last)
+        assert waits.dtype == np.int64
+        assert np.array_equal(waits, searchsorted_waits(curve, load, first, last))
+
+    @pytest.mark.parametrize("load", [LOAD_100KBPS, 0.1, 1.0 / 3.0, 7.3e-3, 2.5e3])
+    @pytest.mark.parametrize("where", ["at", "below", "above"])
+    def test_values_on_and_beside_every_target(self, load, where):
+        # a floor estimate alone is wrong on some of these; the correction
+        # step must bring every count back to the binary search's.  The
+        # curve spans several chunks, is split mid-chunk into a main part
+        # and an extension, and runs on well past the last target.
+        last = 20_000
+        dep = near_targets(load, np.arange(2 * last), where)
+        curve = (dep[:25_001], dep[25_001:])
+        for first in (0, 7, last - 1):
+            assert np.array_equal(_frames_waited(curve, load, first, last),
+                                  searchsorted_waits(curve, load, first, last))
+
+    def test_curve_ending_below_last_target(self):
+        load, last = 2.0, 40
+        dep = np.sort(near_targets(load, np.arange(0, 30, 3), "above"))
+        waits = _frames_waited((dep[:4], dep[4:]), load, 0, last)
+        assert np.array_equal(waits, searchsorted_waits((dep,), load, 0, last))
+        # bits past the curve's end wait until one past its last frame
+        assert waits[-1] + (last - 1) == dep.size
+
+    def test_single_tagged_frame(self):
+        # five values lie below the one target T(1), even one ulp below
+        dep = near_targets(1.0, [0, 0, 1, 1, 1, 2], "below")
+        assert list(_frames_waited((dep,), 1.0, 0, 1)) == [5]
+
+
 class TestSimulateTandem:
     @pytest.mark.parametrize("forwarding", ["store-and-forward", "cut-through"])
     def test_matches_reference_simulator(self, headline_allocation, forwarding):
@@ -117,6 +194,32 @@ class TestSimulateTandem:
         assert np.array_equal(stats.hop1_delays, ref1)
         assert np.array_equal(stats.hop2_delays, ref2)
         assert np.array_equal(stats.e2e_delays, refe)
+
+    @pytest.mark.parametrize("forwarding", ["store-and-forward", "cut-through"])
+    @pytest.mark.parametrize("n,warmup", [(1, 0), (2, 1), (60, 0), (60, 59)])
+    def test_matches_reference_at_horizon_edges(self, headline_allocation,
+                                                forwarding, n, warmup):
+        cfg = SimConfig(n_frames=n, warmup_frames=warmup, seed=8,
+                        relay_forwarding=forwarding)
+        stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        for got, want in zip((stats.hop1_delays, stats.hop2_delays,
+                              stats.e2e_delays),
+                             reference_delays(SCENARIO, headline_allocation, cfg)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_per_frame(self, headline_allocation):
+        # at most five frame-length float64 arrays are live at once (40 B per
+        # frame) plus fixed-size scratch; the bound allows one array more
+        n = 200_000
+        cfg = SimConfig(n_frames=n, seed=2)
+        tracemalloc.start()
+        try:
+            simulate_tandem(SCENARIO, headline_allocation, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 48.0
 
     @pytest.mark.parametrize("forwarding,offset",
                              [("store-and-forward", 1), ("cut-through", 0)])
@@ -223,9 +326,39 @@ class TestEmpiricalCcdf:
         assert type(p) is float and type(hw) is float
 
     def test_halfwidth(self):
+        # 30 contiguous batches: ten of 4 samples (0..39), then twenty of 3;
+        # the batch 49..51 has two samples above 49
         p, hw = empirical_ccdf(np.arange(100), 49)
         assert p == pytest.approx(0.5)
-        assert hw == pytest.approx(1.96 * math.sqrt(0.25 / 100))
+        means = [0.0] * 13 + [2.0 / 3.0] + [1.0] * 16
+        t = scipy_stats.t.ppf(0.975, 29)
+        assert hw == pytest.approx(t * np.std(means, ddof=1) / math.sqrt(30))
+
+    def test_halfwidth_with_fewer_samples_than_batches(self):
+        p, hw = empirical_ccdf([1, 2, 3], 2)
+        t = scipy_stats.t.ppf(0.975, 2)
+        assert hw == pytest.approx(t * np.std([0, 0, 1], ddof=1) / math.sqrt(3))
+        assert empirical_ccdf([7], 1) == (1.0, math.inf)
+
+    def test_t_quantiles(self):
+        assert len(_T975) == 29
+        for df, q in enumerate(_T975, start=1):
+            assert q == pytest.approx(scipy_stats.t.ppf(0.975, df), rel=1e-12)
+
+    def test_halfwidth_allows_for_correlation(self):
+        # 0/1 Markov chain that flips state w.p. a per sample: mean 1/2,
+        # lag-1 autocorrelation rho = 1 - 2a, and n * Var(sample mean) ->
+        # (1/4)(1 + rho)/(1 - rho) = 4.75 at a = 0.05, 19 times the i.i.d.
+        # value, so an i.i.d. half-width would come out ~4.4 times too narrow
+        a, n = 0.05, 60_000
+        sigma = math.sqrt(0.25 * (1.0 - a) / a)
+        ratios = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            chain = (rng.integers(2) + np.cumsum(rng.random(n) < a)) % 2
+            _, hw = empirical_ccdf(chain, 0.5)
+            ratios.append(hw / (1.96 * sigma / math.sqrt(n)))
+        assert 0.8 <= np.median(ratios) <= 1.3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
