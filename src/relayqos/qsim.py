@@ -15,8 +15,21 @@ the next frame ("store-and-forward", the default) or within the same frame
 The Lindley recursion is evaluated in vectorized form (cumulative sums plus a
 running minimum), and gains come from a counter-based Philox generator, so a
 run is reproducible from its seed and replications with different seeds are
-independent.  Gain draws and scans run in place in a few frame-length
-buffers: at most five float64 arrays (40 B per frame) are live at once.
+independent.  Hop 1 takes draws 0..n-1 of the Philox(seed) stream, hop 2
+draws n..2n-1 and the drain the draws after that; hop 2's generator is a
+second Philox(seed) moved on by n // 4 counter steps (four draws each) and
+n % 4 single draws.
+
+The main horizon is streamed in chunks of _SIM_CHUNK frames: each chunk's
+gains are drawn, both hops scanned and both departure curves tagged in a
+few chunk-sized buffers, so the only memory that grows with the horizon is
+the three int64 delay arrays returned (24 B per frame).  Each hop carries
+its cumulative net input, the running minimum of that sum and its departure
+curve's running maximum across a chunk boundary, and hop 2 its last
+cumulative arrival.  Every carry is folded into element 0 of the next
+chunk before its cumulative sum or accumulate, so each float operation is
+the one a single scan over the whole horizon makes and the delays do not
+depend on the chunk size.
 
 Delay tagging in O(n).  The bit tagged in frame c - 1 has the float target
 T(c) = c*load - off, off = _INDEX_SLACK*load, and departs in frame tau(c),
@@ -28,11 +41,18 @@ to within rounding; the estimate is then corrected one step at a time while
 T(c + 1) <= dep or T(c) > dep, comparing against T computed by the same
 float expression as the target itself, so the corrected count is exact, not
 approximate.  A value precedes T(c) exactly when m < c, so tau(c) is the
-running sum of a histogram of m.  The curve is processed in fixed-size
-chunks, each histogrammed over the short range of m it spans, so tagging
-costs O(n) time and no frame-length memory beyond its output, and its output
-equals the binary search's bit for bit (tests/test_qsim.py keeps the binary
-search as the reference).
+running sum of a histogram of m.  The curve is fed in as it is made and
+processed in fixed-size chunks, each histogrammed over the short range of m
+it spans, so tagging costs O(n) time and no frame-length memory beyond its
+output, and its output equals the binary search's bit for bit
+(tests/test_qsim.py keeps the binary search as the reference).
+
+Tail statistics in O(n + max delay).  :func:`suggest_fit_window` and
+:func:`tail_slope` count exceedances #{s > x} at integer x from one
+histogram of the samples (float samples ceil'd first) over 1..max and over
+the fit window respectively; for integer x, s > x exactly when
+ceil(s) > x, so the counts, and with them the windows and slopes, equal
+those of a sort and binary search.
 """
 
 from __future__ import annotations
@@ -83,9 +103,19 @@ _INDEX_SLACK = 1e-6
 
 _MAX_DRAIN_FRAMES = 1_000_000
 
+# Frames simulated per chunk of the main horizon: the gain draws, both
+# Lindley scans and the tagging of one chunk run in a handful of buffers of
+# this length, which stay in cache and fix the scratch memory whatever the
+# horizon.
+_SIM_CHUNK = 1 << 16
+
 # Departure-curve values tagged per vectorized step; keeps the step's
 # temporaries in cache and their memory independent of the horizon.
 _TAG_CHUNK = 1 << 14
+
+# Samples read per step of the tail statistics' histogram; fixes the memory
+# of the clipped bin indices whatever the number of samples.
+_HIST_CHUNK = 1 << 16
 
 # The floor estimate of a value's target count is off by at most one in
 # practice; the correction loop stops with an error if it ever needs more.
@@ -147,15 +177,15 @@ class DelayStats:
 
 
 def _draw_service(rng: np.random.Generator, bt: float, kappa: float,
-                  mean_gain: float, n: int) -> np.ndarray:
+                  mean_gain: float, out: np.ndarray) -> np.ndarray:
     """Per-frame Shannon service bt*log1p(kappa*h) under exponential gains h.
 
-    The gain is drawn by inverse-CDF sampling, h = -mean_gain*log1p(-U); every
-    step runs in place in the one buffer the generator fills.  The constants
-    are applied one at a time, not folded, so each value is rounded exactly
-    as in bt*log1p(kappa*(-mean_gain*log1p(-U))).
+    The gain is drawn by inverse-CDF sampling, h = -mean_gain*log1p(-U); the
+    generator fills ``out`` and every step runs in place there.  The
+    constants are applied one at a time, not folded, so each value is rounded
+    exactly as in bt*log1p(kappa*(-mean_gain*log1p(-U))).
     """
-    s = rng.random(n)
+    s = rng.random(out=out)
     np.negative(s, out=s)
     np.log1p(s, out=s)
     np.multiply(-mean_gain, s, out=s)
@@ -165,51 +195,106 @@ def _draw_service(rng: np.random.Generator, bt: float, kappa: float,
     return s
 
 
-def _queue_after_frames(cum: np.ndarray, work: np.ndarray) -> None:
-    """Turn per-frame net input into Q[t+1], in place in ``cum``.
+def _hop2_generator(seed: int, n: int) -> np.random.Generator:
+    """Generator positioned at draw n of the Philox(seed) stream.
 
-    Q[0] = 0 and Q[t+1] = max(Q[t] + net[t], 0), evaluated as the cumulative
-    sum minus its running minimum (floored at 0); ``work`` is scratch of the
-    same length.
+    Hop 1 takes draws 0..n-1 of the stream and hop 2 draws n..2n-1, as if
+    both came from one generator; the drain continues from draw 2n.  Philox
+    makes four 64-bit draws per counter step, and each double takes one draw.
     """
-    np.cumsum(cum, out=cum)
-    np.minimum.accumulate(cum, out=work)
+    bits = np.random.Philox(key=seed)
+    bits.advance(n // 4)
+    bits.random_raw(n % 4)
+    return np.random.Generator(bits)
+
+
+def _queue_after_frames(net: np.ndarray, work: np.ndarray,
+                        cum: float, low: float) -> tuple[float, float]:
+    """Turn per-frame net input into Q[t+1], in place in ``net``.
+
+    Q[t+1] = max(Q[t] + net[t], 0) with Q = 0 before the first chunk, as the
+    cumulative sum minus its running minimum (floored at 0).  ``cum`` and
+    ``low`` are that sum and that minimum carried from the previous chunk
+    (0 and +inf before the first); each is folded into element 0 before its
+    scan, so every float operation is the one a single scan over the whole
+    horizon makes.  Returns the carries for the next chunk; ``work`` is
+    scratch of the same length.
+    """
+    net[0] += cum
+    np.cumsum(net, out=net)
+    first = net[0]
+    net[0] = min(low, first)
+    # fmin and minimum differ only on NaN, and the scan sees none (gains and
+    # so services are finite); fmin's accumulate is the faster of the two
+    np.fmin.accumulate(net, out=work)
+    net[0] = first
+    cum, low = float(net[-1]), float(work[-1])
     np.minimum(work, 0.0, out=work)
-    np.subtract(cum, work, out=cum)
+    np.subtract(net, work, out=net)
+    return cum, low
 
 
-def _tandem_curves(load: float, s1: np.ndarray, s2: np.ndarray,
-                   forwarding: str):
-    """Cumulative departure curves of both hops over the main horizon.
+class _TandemScan:
+    """Both hops' Lindley scans over successive chunks of the main horizon.
 
-    Returns (dep1, dep2, arr2, q1_end, q2_end) where arr2 is hop 2's
-    cumulative arrival curve and the q's are the final backlogs.  The inputs
-    are left unchanged; dep1 and arr2 are views of one buffer that holds a
-    leading zero, so store-and-forward's one-frame shift copies nothing.
+    :meth:`step` takes the next chunk's per-frame services and returns that
+    chunk's cumulative departure curves.  Across the chunk boundary it
+    carries each hop's cumulative net input, its running minimum and its
+    departure curve's running maximum (which is the curve's last value), and
+    hop 2's last cumulative arrival; with these folded into element 0 the
+    curves equal those of one scan over the whole horizon bit for bit.
     """
-    n = len(s1)
-    curve1 = np.empty(n + 1)
-    curve1[0] = 0.0
-    dep1 = curve1[1:]
-    dep2 = np.empty(n)
 
-    np.subtract(load, s1, out=dep1)
-    _queue_after_frames(dep1, dep2)
-    q1_end = float(dep1[-1])
-    np.multiply(load, np.arange(1, n + 1), out=dep2)  # hop 1's arrival curve
-    np.subtract(dep2, dep1, out=dep1)
-    np.maximum.accumulate(dep1, out=dep1)
+    def __init__(self, load: float, forwarding: str, size: int):
+        self.load = load
+        self.store_and_forward = forwarding == "store-and-forward"
+        self.frames = 0
+        self.cum1 = self.cum2 = 0.0  # cumulative net input of each hop
+        self.low1 = self.low2 = math.inf  # running minimum of that sum
+        # last departure-curve values; the curves start at 0 and never fall
+        self.dep1 = self.dep2 = 0.0
+        self.arr2 = 0.0  # last value of hop 2's cumulative arrival curve
+        self.q1 = self.q2 = 0.0  # backlogs after the last frame
+        self._frame_number = np.arange(1.0, size + 1.0)
+        # hop 1's curve after a leading slot for the previous chunk's last
+        # value, so store-and-forward's one-frame shift copies nothing
+        self._curve1 = np.empty(size + 1)
+        self._curve2 = np.empty(size)
 
-    arr2 = curve1[:-1] if forwarding == "store-and-forward" else dep1
-    q2 = np.empty(n)  # hop 2's arrivals per frame, then its net input, then Q2
-    q2[0] = arr2[0]
-    np.subtract(arr2[1:], arr2[:-1], out=q2[1:])
-    np.subtract(q2, s2, out=q2)
-    _queue_after_frames(q2, dep2)
-    q2_end = float(q2[-1])
-    np.subtract(arr2, q2, out=dep2)
-    np.maximum.accumulate(dep2, out=dep2)
-    return dep1, dep2, arr2, q1_end, q2_end
+    def step(self, s1: np.ndarray, s2: np.ndarray):
+        """Curves (dep1, dep2, arr2) of the next ``s1.size`` frames.
+
+        ``s1`` and ``s2`` are overwritten as scratch.  The curves are views of
+        buffers the next step reuses; dep1 and arr2 share one.
+        """
+        k = s1.size
+        curve1 = self._curve1[:k + 1]
+        curve1[0] = self.dep1
+        dep1 = curve1[1:]
+        np.subtract(self.load, s1, out=dep1)
+        self.cum1, self.low1 = _queue_after_frames(dep1, s1, self.cum1, self.low1)
+        self.q1 = float(dep1[-1])
+        np.add(self._frame_number[:k], self.frames, out=s1)
+        np.multiply(self.load, s1, out=s1)  # hop 1's arrival curve
+        np.subtract(s1, dep1, out=dep1)
+        dep1[0] = max(self.dep1, dep1[0])
+        np.fmax.accumulate(dep1, out=dep1)  # exact: see _queue_after_frames
+
+        arr2 = curve1[:-1] if self.store_and_forward else dep1
+        q2 = self._curve2[:k]  # hop 2's arrivals per frame, net input, Q2
+        q2[0] = arr2[0] - self.arr2
+        np.subtract(arr2[1:], arr2[:-1], out=q2[1:])
+        np.subtract(q2, s2, out=q2)
+        self.cum2, self.low2 = _queue_after_frames(q2, s2, self.cum2, self.low2)
+        self.q2 = float(q2[-1])
+        dep2 = np.subtract(arr2, q2, out=q2)
+        dep2[0] = max(self.dep2, dep2[0])
+        np.fmax.accumulate(dep2, out=dep2)
+
+        self.frames += k
+        self.dep1, self.dep2 = float(dep1[-1]), float(dep2[-1])
+        self.arr2 = float(arr2[-1])
+        return dep1, dep2, arr2
 
 
 def _drain(rng: np.random.Generator, scenario: Scenario, allocation: Allocation,
@@ -252,48 +337,61 @@ def _drain(rng: np.random.Generator, scenario: Scenario, allocation: Allocation,
     return np.asarray(dep1_ext), np.asarray(dep2_ext)
 
 
-def _frames_waited(curve, load: float, first: int, last: int) -> np.ndarray:
-    """Whole frames the bits tagged in frames first..last-1 wait for ``curve``.
+class _Tagger:
+    """Whole frames the bits tagged in frames first..last-1 wait for a curve.
 
-    ``curve`` is a sequence of arrays that together form one non-decreasing
-    cumulative departure curve.  Entry k is tau_k - (first + k), where tau_k
-    is the number of curve values below bit k's target
+    The non-decreasing cumulative departure curve is fed piece by piece as
+    the simulation makes it.  Entry k of the result is tau_k - (first + k),
+    where tau_k is the number of curve values below bit k's target
     T(c) = c*load - _INDEX_SLACK*load with c = first + k + 1, i.e.
     ``searchsorted(curve, T, "left")`` (see the module docstring).
     """
-    n_tagged = last - first
-    off = _INDEX_SLACK * load
-    # waits[j] = (curve values with exactly j tagged targets at or below
-    # them) - 1, except that waits[0] starts at -first rather than -1, so its
-    # running sum is tau_k - (first + k) with no frame-length index array
-    waits = np.full(n_tagged, -1, dtype=np.int64)
-    waits[0] = -first
-    chunks = (part[i:i + _TAG_CHUNK] for part in curve
-              for i in range(0, part.size, _TAG_CHUNK))
-    for d in chunks:
-        # c = number of targets T(1), T(2), ... at or below each value;
-        # m = number of tagged targets T(first + 1), ..., T(last) among them
-        c = np.floor(d / load + _INDEX_SLACK)
-        for _ in range(_MAX_TAG_CORRECTIONS):
-            too_low = load * (c + 1.0) - off <= d
-            too_high = load * c - off > d
-            if not (too_low.any() or too_high.any()):
-                break
-            c += too_low
-            c -= too_high
-        else:
-            raise RuntimeError("delay tagging did not converge")
-        m = c.astype(np.int64)
-        m -= first
-        np.clip(m, 0, n_tagged, out=m)
-        lo = int(m[0])
-        if lo == n_tagged:
-            break  # this value, and every later one, is past the last target
-        counts = np.bincount(m - lo)
-        hi = min(lo + counts.size, n_tagged)
-        waits[lo:hi] += counts[:hi - lo]
-    np.cumsum(waits, out=waits)
-    return waits
+
+    def __init__(self, load: float, first: int, last: int):
+        self.load = load
+        self.first = first
+        self.n_tagged = last - first
+        # waits[j] = (curve values with exactly j tagged targets at or below
+        # them) - 1, except that waits[0] starts at -first rather than -1, so
+        # its running sum is tau_k - (first + k) with no frame-length index
+        self.waits = np.full(self.n_tagged, -1, dtype=np.int64)
+        self.waits[0] = -first
+        self.done = False  # a value past the last target has been fed
+
+    def feed(self, part: np.ndarray) -> None:
+        """Count the next piece of the non-decreasing departure curve."""
+        load, n_tagged = self.load, self.n_tagged
+        off = _INDEX_SLACK * load
+        for i in range(0, part.size, _TAG_CHUNK):
+            if self.done:
+                return
+            d = part[i:i + _TAG_CHUNK]
+            # c = number of targets T(1), T(2), ... at or below each value;
+            # m = number of tagged targets T(first + 1), ..., T(last) among them
+            c = np.floor(d / load + _INDEX_SLACK)
+            for _ in range(_MAX_TAG_CORRECTIONS):
+                too_low = load * (c + 1.0) - off <= d
+                too_high = load * c - off > d
+                if not (too_low.any() or too_high.any()):
+                    break
+                c += too_low
+                c -= too_high
+            else:
+                raise RuntimeError("delay tagging did not converge")
+            m = c.astype(np.int64)
+            m -= self.first
+            np.clip(m, 0, n_tagged, out=m)
+            lo = int(m[0])
+            # this value, and every later one, is past the last target
+            self.done = lo == n_tagged
+            if not self.done:
+                counts = np.bincount(m - lo)
+                hi = min(lo + counts.size, n_tagged)
+                self.waits[lo:hi] += counts[:hi - lo]
+
+    def result(self) -> np.ndarray:
+        """Frames waited per tagged bit, once the whole curve has been fed."""
+        return np.cumsum(self.waits, out=self.waits)
 
 
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
@@ -323,27 +421,33 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
             f"hop 2 unstable: mean service {mean2:.6g} <= arrival {load:.6g} nats/frame")
 
     n = int(cfg.n_frames)
-    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
+    chunk = min(_SIM_CHUNK, n)
     bt = scenario.bt_product
-    s1 = _draw_service(rng, bt, allocation.kappa1, scenario.hop1_mean_gain, n)
-    s2 = _draw_service(rng, bt, allocation.kappa2, scenario.hop2_mean_gain, n)
+    forwarding = cfg.relay_forwarding
+    rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
+    rng2 = _hop2_generator(int(cfg.seed), n)
+    tag1 = _Tagger(load, cfg.warmup_frames, n)
+    tag2 = _Tagger(load, cfg.warmup_frames, n)
+    scan = _TandemScan(load, forwarding, chunk)
+    s1, s2 = np.empty(chunk), np.empty(chunk)
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
+        dep1, dep2, _ = scan.step(
+            _draw_service(rng1, bt, allocation.kappa1, scenario.hop1_mean_gain, s1[:k]),
+            _draw_service(rng2, bt, allocation.kappa2, scenario.hop2_mean_gain, s2[:k]))
+        tag1.feed(dep1)
+        tag2.feed(dep2)
+    del s1, s2, dep1, dep2  # the chunk buffers go before hop2's array comes
 
-    dep1, dep2, arr2, q1_end, q2_end = _tandem_curves(
-        load, s1, s2, cfg.relay_forwarding)
-    del s1, s2
-
-    pending = float(dep1[-1] - arr2[-1]) if cfg.relay_forwarding == "store-and-forward" else 0.0
-    del arr2  # shares dep1's buffer, which `del dep1` below then frees
-    dep1_ext, dep2_ext = _drain(rng, scenario, allocation, cfg.relay_forwarding,
-                                q1_end, q2_end, pending,
-                                float(dep1[-1]), float(dep2[-1]))
-
-    hop1 = _frames_waited((dep1, dep1_ext), load, cfg.warmup_frames, n)
-    del dep1
-    e2e = _frames_waited((dep2, dep2_ext), load, cfg.warmup_frames, n)
-    del dep2
+    pending = scan.dep1 - scan.arr2 if forwarding == "store-and-forward" else 0.0
+    dep1_ext, dep2_ext = _drain(rng2, scenario, allocation, forwarding,
+                                scan.q1, scan.q2, pending, scan.dep1, scan.dep2)
+    del scan
+    tag1.feed(dep1_ext)
+    tag2.feed(dep2_ext)
+    hop1, e2e = tag1.result(), tag2.result()
     hop2 = np.subtract(e2e, hop1)
-    if cfg.relay_forwarding == "store-and-forward":
+    if forwarding == "store-and-forward":
         hop2 -= 1
     return DelayStats(hop1, hop2, e2e, n, cfg.warmup_frames)
 
@@ -362,14 +466,42 @@ def empirical_ccdf(samples, x: float) -> tuple[float, float]:
     n = samples.size
     if n == 0:
         raise ValueError("empirical_ccdf needs at least one sample")
-    batches = np.array_split(samples > x, min(_CCDF_BATCHES, n))
-    exceed = [int(np.count_nonzero(b)) for b in batches]
+    batches = np.array_split(samples, min(_CCDF_BATCHES, n))
+    exceed = [int(np.count_nonzero(b > x)) for b in batches]
     p = sum(exceed) / n
     b = len(batches)
     if b == 1:
         return p, math.inf
     means = [e / batch.size for e, batch in zip(exceed, batches)]
     return p, _T975[b - 2] * float(np.std(means, ddof=1)) / math.sqrt(b)
+
+
+def _exceedances(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Number of samples strictly above x, for every integer x in lo..hi.
+
+    The samples are read _HIST_CHUNK at a time into one int64 buffer, ceil'd
+    if they are floats (for an integer x, s > x exactly when ceil(s) > x, so
+    the counts are exact for floats too), clipped to lo - (hi - lo + 1)..
+    hi + 1 and counted in one histogram: O(n + hi - lo) time and O(hi - lo)
+    memory beside the buffer, with no copy of the samples.  Samples at or
+    below lo exceed no x counted; the bins below lo only spread them out,
+    since np.bincount slows down when most samples land in one bin, as they
+    do for a window high in the tail.
+    """
+    base = 2 * lo - hi - 1
+    hist = np.zeros(hi - base + 2, dtype=np.int64)
+    bins = np.empty(min(_HIST_CHUNK, samples.size), dtype=np.int64)
+    for i in range(0, samples.size, _HIST_CHUNK):
+        part = samples[i:i + _HIST_CHUNK]
+        if part.dtype.kind == "f":
+            part = np.ceil(part)
+        b = bins[:part.size]
+        # int64 bounds, so a negative base is never cast to an unsigned dtype
+        np.clip(part, np.int64(base), np.int64(hi + 1), out=b, casting="unsafe")
+        b -= base
+        hist += np.bincount(b, minlength=hist.size)
+    # samples at or below x, for x = lo..hi
+    return samples.size - np.cumsum(hist)[lo - base:hi - base + 1]
 
 
 def tail_slope(samples, x_lo: float, x_hi: float) -> float:
@@ -379,13 +511,14 @@ def tail_slope(samples, x_lo: float, x_hi: float) -> float:
     least ``MIN_TAIL_EXCEEDANCES`` samples beyond x_hi so the deepest point
     of the fit is statistically meaningful.
     """
-    xs = np.arange(math.ceil(x_lo), math.floor(x_hi) + 1, dtype=np.float64)
+    lo = math.ceil(x_lo)
+    xs = np.arange(lo, math.floor(x_hi) + 1, dtype=np.float64)
     if xs.size < 2:
         raise ValueError(
             f"fit window [{x_lo:g}, {x_hi:g}] holds fewer than two integer points")
-    ordered = np.sort(np.asarray(samples))
-    n = ordered.size
-    exceed = n - np.searchsorted(ordered, xs, side="right")
+    samples = np.asarray(samples)
+    n = samples.size
+    exceed = _exceedances(samples, lo, lo + xs.size - 1)
     if exceed[-1] < MIN_TAIL_EXCEEDANCES:
         raise InsufficientTailData(int(exceed[-1]), MIN_TAIL_EXCEEDANCES, float(xs[-1]))
     ccdf = exceed / n
@@ -405,21 +538,28 @@ def suggest_fit_window(samples, min_exceedances: int = MIN_TAIL_EXCEEDANCES,
     CCDF still exceeds ``tail_ccdf`` and whose exceedance count is at least
     ``min_exceedances``.  The CCDF floor matters on long runs: below ~1e-3
     the tail of a single correlated sample path is dominated by a handful of
-    busy-period excursions and the fitted slope turns noisy.
+    busy-period excursions and the fitted slope turns noisy.  The counts
+    come from one histogram over 1..max(samples), so the cost is
+    O(n + max(samples)), made for delays counted in frames.
     """
-    ordered = np.sort(np.asarray(samples))
-    n = ordered.size
+    samples = np.asarray(samples)
+    n = samples.size
     if n == 0:
         raise ValueError("no samples")
     floor = max(min_exceedances, tail_ccdf * n)
-    x_lo = 1
-    while n - np.searchsorted(ordered, x_lo, side="right") > body_ccdf * n:
-        x_lo += 1
-    x_hi = int(ordered[-1])
-    while x_hi > x_lo and n - np.searchsorted(ordered, x_hi, side="right") < floor:
-        x_hi -= 1
+    top = samples.max()
+    x_top = int(top)
+    # exceed[x - 1] = samples above x, for x = 1, 2, ...; it never rises with
+    # x, so the entries above a level form a prefix, and counting them gives
+    # the last x above the level
+    exceed = _exceedances(samples, 1, max(1, math.ceil(top)))
+    x_lo = 1 + int(np.count_nonzero(exceed > body_ccdf * n))
+    if x_top > x_lo:
+        # the last x <= x_top still holding `floor` exceedances, not below x_lo
+        x_hi = max(x_lo, min(x_top, int(np.count_nonzero(exceed >= floor))))
+    else:
+        x_hi = x_top
     if x_hi < x_lo + 4:
-        raise InsufficientTailData(
-            int(n - np.searchsorted(ordered, x_hi, side="right")),
-            min_exceedances, float(x_hi))
+        achieved = exceed[x_hi - 1] if x_hi >= 1 else _exceedances(samples, x_hi, x_hi)[0]
+        raise InsufficientTailData(int(achieved), min_exceedances, float(x_hi))
     return x_lo, x_hi

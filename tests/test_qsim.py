@@ -1,25 +1,36 @@
 """Tests for the tandem-queue simulator.
 
-The vectorized queue recursion and delay tagging are checked exactly against
-a straightforward per-frame Python reference simulator that tags bits by
-binary search, the O(n) tagging helper against that binary search on
-adversarial curves, the batch-means half-width against a Markov series of
-known asymptotic variance, and the tail-slope estimator against synthetic
-exponential samples with a known rate.
+The chunked queue recursion and delay tagging are checked exactly against a
+straightforward per-frame Python reference simulator that tags bits by
+binary search, at chunk sizes down to one frame; the O(n) tagging helper
+against that binary search on adversarial curves; the histogram tail
+statistics against the sort-based originals kept here; the batch-means
+half-width against a Markov series of known asymptotic variance; and the
+tail-slope estimator against synthetic exponential samples with a known rate.
 """
 
+import ast
+import inspect
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from relayqos import qsim
 from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
+    _HIST_CHUNK,
+    _SIM_CHUNK,
     _T975,
-    _frames_waited,
+    _TAG_CHUNK,
+    _Tagger,
+    _TandemScan,
+    _hop2_generator,
+    MIN_TAIL_EXCEEDANCES,
     InsufficientTailData,
     SimConfig,
     StabilityError,
@@ -100,6 +111,14 @@ def reference_delays(scenario, allocation, cfg):
     return np.asarray(out1), np.asarray(out2), np.asarray(oute)
 
 
+def tagger_waits(curve, load, first, last):
+    """Frames waited per tagged bit, by the O(n) tagger fed part by part."""
+    tagger = _Tagger(load, first, last)
+    for part in curve:
+        tagger.feed(part)
+    return tagger.result()
+
+
 def searchsorted_waits(curve, load, first, last):
     """Frames waited per tagged bit, by binary search of each bit's target."""
     dep = np.concatenate(curve)
@@ -113,6 +132,72 @@ def near_targets(load, cs, where):
     t = load * np.asarray(cs, dtype=np.float64) - 1e-6 * load
     return {"at": t, "below": np.nextafter(t, -np.inf),
             "above": np.nextafter(t, np.inf), "mid": t + 0.5 * load}[where]
+
+
+def sorted_tail_slope(samples, x_lo, x_hi):
+    """tail_slope's sort-based original: exceedances by binary search."""
+    xs = np.arange(math.ceil(x_lo), math.floor(x_hi) + 1, dtype=np.float64)
+    if xs.size < 2:
+        raise ValueError(
+            f"fit window [{x_lo:g}, {x_hi:g}] holds fewer than two integer points")
+    ordered = np.sort(np.asarray(samples))
+    n = ordered.size
+    exceed = n - np.searchsorted(ordered, xs, side="right")
+    if exceed[-1] < MIN_TAIL_EXCEEDANCES:
+        raise InsufficientTailData(int(exceed[-1]), MIN_TAIL_EXCEEDANCES, float(xs[-1]))
+    ccdf = exceed / n
+    if ccdf.min() == ccdf.max():
+        raise ValueError("degenerate CCDF: constant over the fit window")
+    return float(np.polyfit(xs, -np.log(ccdf), 1)[0])
+
+
+def sorted_suggest_fit_window(samples, min_exceedances=MIN_TAIL_EXCEEDANCES,
+                              body_ccdf=0.2, tail_ccdf=1e-3):
+    """suggest_fit_window's sort-based original: one integer step at a time."""
+    ordered = np.sort(np.asarray(samples))
+    n = ordered.size
+    if n == 0:
+        raise ValueError("no samples")
+    floor = max(min_exceedances, tail_ccdf * n)
+    x_lo = 1
+    while n - np.searchsorted(ordered, x_lo, side="right") > body_ccdf * n:
+        x_lo += 1
+    x_hi = int(ordered[-1])
+    while x_hi > x_lo and n - np.searchsorted(ordered, x_hi, side="right") < floor:
+        x_hi -= 1
+    if x_hi < x_lo + 4:
+        raise InsufficientTailData(
+            int(n - np.searchsorted(ordered, x_hi, side="right")),
+            min_exceedances, float(x_hi))
+    return x_lo, x_hi
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's value, or its exception's type, message and shortfall."""
+    try:
+        return fn(*args, **kwargs)
+    except (InsufficientTailData, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "achieved", None)
+
+
+@st.composite
+def tail_samples(draw):
+    """Delay-like samples: integers, or floats on and one ulp beside them."""
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    points = draw(st.lists(
+        st.tuples(st.integers(-6, 60),
+                  st.sampled_from(["at", "below", "above", "half"]),
+                  st.integers(1, 400)),
+        max_size=12))
+    parts = []
+    for value, where, count in points:
+        v = np.full(count, float(value))
+        if dtype is np.float64:
+            v = {"at": v, "below": np.nextafter(v, -np.inf),
+                 "above": np.nextafter(v, np.inf), "half": v + 0.5}[where]
+        parts.append(v.astype(dtype))
+    samples = np.concatenate(parts) if parts else np.empty(0, dtype)
+    return np.random.default_rng(draw(st.integers(0, 99))).permutation(samples)
 
 
 @st.composite
@@ -152,7 +237,7 @@ class TestFramesWaited:
     @given(tagging_cases())
     def test_matches_searchsorted(self, case):
         load, curve, first, last = case
-        waits = _frames_waited(curve, load, first, last)
+        waits = tagger_waits(curve, load, first, last)
         assert waits.dtype == np.int64
         assert np.array_equal(waits, searchsorted_waits(curve, load, first, last))
 
@@ -167,13 +252,13 @@ class TestFramesWaited:
         dep = near_targets(load, np.arange(2 * last), where)
         curve = (dep[:25_001], dep[25_001:])
         for first in (0, 7, last - 1):
-            assert np.array_equal(_frames_waited(curve, load, first, last),
+            assert np.array_equal(tagger_waits(curve, load, first, last),
                                   searchsorted_waits(curve, load, first, last))
 
     def test_curve_ending_below_last_target(self):
         load, last = 2.0, 40
         dep = np.sort(near_targets(load, np.arange(0, 30, 3), "above"))
-        waits = _frames_waited((dep[:4], dep[4:]), load, 0, last)
+        waits = tagger_waits((dep[:4], dep[4:]), load, 0, last)
         assert np.array_equal(waits, searchsorted_waits((dep,), load, 0, last))
         # bits past the curve's end wait until one past its last frame
         assert waits[-1] + (last - 1) == dep.size
@@ -181,7 +266,7 @@ class TestFramesWaited:
     def test_single_tagged_frame(self):
         # five values lie below the one target T(1), even one ulp below
         dep = near_targets(1.0, [0, 0, 1, 1, 1, 2], "below")
-        assert list(_frames_waited((dep,), 1.0, 0, 1)) == [5]
+        assert list(tagger_waits((dep,), 1.0, 0, 1)) == [5]
 
 
 class TestSimulateTandem:
@@ -208,18 +293,54 @@ class TestSimulateTandem:
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
+    @pytest.mark.parametrize("forwarding", ["store-and-forward", "cut-through"])
+    @pytest.mark.parametrize("n,warmup", [(1, 0), (8, 3), (50, 8), (4100, 4097),
+                                          (8195, 100)])
+    def test_chunk_boundaries(self, headline_allocation, monkeypatch,
+                              chunk, forwarding, n, warmup):
+        # horizons that are not a multiple of the chunk, and warm-ups that
+        # end just past a chunk boundary, give the per-frame reference's
+        # delays and the default chunk's, bit for bit
+        cfg = SimConfig(n_frames=n, warmup_frames=warmup, seed=6,
+                        relay_forwarding=forwarding)
+        whole = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
+        chunked = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        for got, default, want in zip(
+                (chunked.hop1_delays, chunked.hop2_delays, chunked.e2e_delays),
+                (whole.hop1_delays, whole.hop2_delays, whole.e2e_delays),
+                reference_delays(SCENARIO, headline_allocation, cfg)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, default)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 1001])
+    def test_hop2_generator_continues_hop1_stream(self, n):
+        # hop 2's gains, and the drain after them, are draws n, n + 1, ...
+        # of the one stream a single Philox(seed) generator would give
+        want = np.random.Generator(np.random.Philox(key=3)).random(2 * n + 5)
+        assert np.array_equal(_hop2_generator(3, n).random(n + 5), want[n:])
+
     def test_peak_memory_per_frame(self, headline_allocation):
-        # at most five frame-length float64 arrays are live at once (40 B per
-        # frame) plus fixed-size scratch; the bound allows one array more
-        n = 200_000
-        cfg = SimConfig(n_frames=n, seed=2)
-        tracemalloc.start()
-        try:
-            simulate_tandem(SCENARIO, headline_allocation, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / n <= 48.0
+        # the three int64 delay arrays returned (24 B per frame) are the only
+        # memory that grows with the horizon: the gain draws, both scans and
+        # the tagging run in chunk-sized buffers, bounded here by six float64
+        # arrays of _SIM_CHUNK values and eight of _TAG_CHUNK.  A first short
+        # run imports numpy.random, which is no part of a run's scratch.
+        simulate_tandem(SCENARIO, headline_allocation, SimConfig(n_frames=2))
+        for n in (200_000, 1_000_000):
+            cfg = SimConfig(n_frames=n, seed=2)
+            tracemalloc.start()
+            try:
+                stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            returned = (stats.hop1_delays.nbytes + stats.hop2_delays.nbytes
+                        + stats.e2e_delays.nbytes)
+            assert peak / n <= 48.0
+            assert peak - returned <= 8 * (6 * _SIM_CHUNK + 8 * _TAG_CHUNK)
 
     @pytest.mark.parametrize("forwarding,offset",
                              [("store-and-forward", 1), ("cut-through", 0)])
@@ -241,22 +362,47 @@ class TestSimulateTandem:
         assert stats.hop1_delays.size == stats.hop2_delays.size == 4250
 
     def test_flow_conservation(self, headline_allocation):
-        from relayqos.qsim import _tandem_curves
         rng = np.random.default_rng(2)
-        n = 3000
+        n, chunk = 3000, 700  # five chunks, the last one short
         s1 = SCENARIO.bt_product * np.log1p(
             headline_allocation.kappa1 * rng.exponential(1.0, n))
         s2 = SCENARIO.bt_product * np.log1p(
             headline_allocation.kappa2 * rng.exponential(1.0, n))
         for forwarding in ("store-and-forward", "cut-through"):
-            dep1, dep2, arr2, _, _ = _tandem_curves(
-                SCENARIO.traffic_load, s1, s2, forwarding)
+            scan = _TandemScan(SCENARIO.traffic_load, forwarding, chunk)
+            parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
+                                                  s2[i:i + chunk].copy())]
+                     for i in range(0, n, chunk)]
+            dep1, dep2, arr2 = (np.concatenate(c) for c in zip(*parts))
             arr1 = SCENARIO.traffic_load * np.arange(1, n + 1)
             assert (dep1 <= arr1 + 1e-6).all()
             assert (arr2 <= dep1 + 1e-6).all()
             assert (dep2 <= arr2 + 1e-6).all()
             assert (np.diff(dep1) >= 0).all()
             assert (np.diff(dep2) >= 0).all()
+            # one chunk over the whole horizon gives the same curves
+            whole = _TandemScan(SCENARIO.traffic_load, forwarding, n).step(
+                s1.copy(), s2.copy())
+            for got, want in zip((dep1, dep2, arr2), whole):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("forwarding", ["store-and-forward", "cut-through"])
+    def test_chunk_step_matches_whole_scan(self, chunk, forwarding):
+        # frames without service grow a backlog by one load each, so the
+        # float departure curve load*(t + 1) - Q[t + 1] wobbles by an ulp
+        # and its running maximum, carried across every boundary, matters
+        rng = np.random.default_rng(4)
+        n, load = 400, LOAD_100KBPS
+        s1 = np.where(rng.random(n) < 0.4, 0.0, rng.exponential(2.5 * load, n))
+        s2 = np.where(rng.random(n) < 0.4, 0.0, rng.exponential(2.5 * load, n))
+        whole = _TandemScan(load, forwarding, n).step(s1.copy(), s2.copy())
+        scan = _TandemScan(load, forwarding, chunk)
+        parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
+                                              s2[i:i + chunk].copy())]
+                 for i in range(0, n, chunk)]
+        for got, want in zip((np.concatenate(c) for c in zip(*parts)), whole):
+            assert np.array_equal(got, want)
 
     def test_overwhelming_power_means_no_queueing(self):
         generous = Allocation(kappa1=1e9, kappa2=1e9, theta1=1e-3, theta2=1e-3,
@@ -388,6 +534,33 @@ class TestTailSlope:
         with pytest.raises(ValueError, match="fewer than two"):
             tail_slope(np.arange(1000), 5.0, 5.5)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(samples=tail_samples(),
+           x_lo=st.sampled_from([-3, 0, 1, 2]) | st.floats(-5.0, 30.0),
+           width=st.sampled_from([1, 4]) | st.floats(0.0, 40.0),
+           min_exceedances=st.sampled_from([MIN_TAIL_EXCEEDANCES, 1, 5]),
+           body_ccdf=st.sampled_from([0.2, 0.0, 0.5]),
+           tail_ccdf=st.sampled_from([1e-3, 0.05]),
+           chunk=st.sampled_from([_HIST_CHUNK, 3, 64]))
+    def test_histogram_counts_match_sorting(self, samples, x_lo, width,
+                                            min_exceedances, body_ccdf,
+                                            tail_ccdf, chunk):
+        # windows, slopes and exceptions (with their shortfall) are those of
+        # the sort-based originals, on integer and float samples on and
+        # beside integers, read in chunks of any size
+        with mock.patch.object(qsim, "_HIST_CHUNK", chunk):
+            assert (outcome(suggest_fit_window, samples, min_exceedances,
+                            body_ccdf, tail_ccdf)
+                    == outcome(sorted_suggest_fit_window, samples,
+                               min_exceedances, body_ccdf, tail_ccdf))
+            assert (outcome(tail_slope, samples, x_lo, x_lo + width)
+                    == outcome(sorted_tail_slope, samples, x_lo, x_lo + width))
+            if samples.size:
+                window = outcome(sorted_suggest_fit_window, samples, 1, 0.2, 0.0)
+                if type(window) is tuple and len(window) == 2:
+                    assert (outcome(tail_slope, samples, *window)
+                            == outcome(sorted_tail_slope, samples, *window))
+
     def test_suggest_window_brackets_body_and_tail(self):
         rng = np.random.default_rng(2)
         samples = rng.exponential(5.0, 500_000)
@@ -396,3 +569,12 @@ class TestTailSlope:
         assert (samples > x_lo).sum() <= 0.2 * n
         assert (samples > x_hi).sum() >= max(100, 1e-3 * n)
         assert tail_slope(samples, x_lo, x_hi) == pytest.approx(0.2, rel=0.05)
+
+
+def test_no_sorting_in_simulator():
+    # the simulator and its tail statistics run in O(n) time; a sort or a
+    # binary search creeping back into qsim's code fails here
+    tree = ast.parse(inspect.getsource(qsim))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"sort", "argsort", "searchsorted", "sorted"}
