@@ -11,6 +11,7 @@ from .allocator import (
     InfeasibleError,
     Scenario,
     allocate,
+    departure_burstiness,
     relay_arrival_bandwidth,
     solve_kappa1,
     solve_kappa2,
@@ -66,6 +67,7 @@ __all__ = [
     "SimConfig",
     "StabilityError",
     "allocate",
+    "departure_burstiness",
     "effective_bandwidth_constant",
     "effective_bandwidth_oracle",
     "effective_bandwidth_service_rayleigh",

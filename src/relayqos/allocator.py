@@ -24,9 +24,9 @@ QoS target and proceeds in two steps:
    solved in closed form; kappa2 then equates hop 2's effective capacity at
    theta2 to A_D(theta2).
 
-The power equations are solved by bracketed root finding on maps that the
-effective-capacity properties guarantee to be strictly monotone, so the
-procedure is globally convergent and deterministic.
+Each power equation C(theta, kappa) = target rises strictly in kappa and is
+solved by safeguarded Newton in ln(kappa), from a start at or below the root;
+a power is infeasible exactly when the capacity at the ceiling falls short.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 from .effcap import (
     LinkModel,
+    _capacity_log_slope,
     effective_bandwidth_service_rayleigh,  # noqa: F401  perfbench traces this lookup site
     effective_capacity_rayleigh,
     ergodic_rate,
@@ -50,23 +51,21 @@ __all__ = [
     "solve_kappa1",
     "solve_theta2",
     "solve_kappa2",
+    "departure_burstiness",
     "relay_arrival_bandwidth",
     "allocate",
 ]
 
-# Initial power bracket, grown geometrically up to the ceiling.
-POWER_BRACKET_LO = 1e-6
-POWER_BRACKET_HI = 1.0
 DEFAULT_POWER_CEILING = 1e6
 
-# Root-solver tolerances: the tightest that SciPy's brentq accepts.
-_ROOT_XTOL = 1e-300
-_ROOT_RTOL = 4.0 * 2.220446049250313e-16
-_ROOT_MAXITER = 300
+# A converging Newton step in ln(kappa) this short leaves an error of order
+# its square, 1e-14.
+_NEWTON_XTOL = 1e-7
+_MAX_ITER = 200
 
 
 class InfeasibleError(RuntimeError):
-    """No feasible power within the configured bracket ceiling."""
+    """No feasible power up to the configured power ceiling."""
 
     def __init__(self, step: str, message: str):
         super().__init__(f"{step}: {message}")
@@ -136,100 +135,81 @@ class Allocation:
         return self.kappa1 + self.kappa2
 
 
-def _hop1_link(kappa: float, scenario: Scenario) -> LinkModel:
-    return LinkModel(kappa, scenario.hop1_mean_gain, scenario.bt_product)
+def _newton_root(f, x: float, x_max: float) -> float | None:
+    """Root in [x, x_max] of a strictly increasing f, or None if f(x_max) < 0.
 
-
-def _hop2_link(kappa: float, scenario: Scenario) -> LinkModel:
-    return LinkModel(kappa, scenario.hop2_mean_gain, scenario.bt_product)
-
-
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
-    """Root of f between xpre and xcur, given f at both ends with opposite signs.
-
-    Brent's method (Brent 1973, ch. 4) as a line-for-line port of SciPy's
-    ``brentq.c`` with the same operations in the same order, so it returns
-    the float ``scipy.optimize.brentq(f, xpre, xcur, xtol=_ROOT_XTOL,
-    rtol=_ROOT_RTOL, maxiter=_ROOT_MAXITER)`` returns.  Unlike that wrapper
-    it takes the end values the caller already has instead of evaluating f
-    there again.  f must return finite floats.
+    f maps a point to (value, slope); x must not lie above the root (a
+    positive f(x), as rounding can give, returns x).  [lo, hi] keeps the
+    signs of f: an iterate outside it, or one not halving the step before
+    last, bisects instead, or probes x_max while no positive value is known.
+    The solve ends on a Newton step under _NEWTON_XTOL whose slope agrees
+    with the last secant well enough to leave an error below 1e-12.
     """
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    if x > x_max:
+        return None
+    lo, hi = x, x_max
+    hi_known = False
+    x_prev = value_prev = math.nan
+    dx_prev = dx_older = math.inf
+    for _ in range(_MAX_ITER):
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        if value > 0.0:
+            hi, hi_known = x, True
+        elif x == x_max:
+            return None
         else:
-            spre = scur = sbis
+            lo = x
+        secant = (value - value_prev) / (x - x_prev)
+        dx = value / slope if slope > 0.0 else math.nan
+        x_new = x - dx
+        if (abs(dx) <= _NEWTON_XTOL and lo <= x_new <= hi
+                and abs(secant - slope) * abs(dx) <= 1e-12 * secant):
+            return x_new
+        if not (lo < x_new < hi and abs(dx) <= 0.5 * dx_older):
+            if not hi_known:
+                x_new = x_max
+            else:
+                x_new = 0.5 * (lo + hi)
+                if not lo < x_new < hi:
+                    return x_new
+        dx_older, dx_prev = dx_prev, abs(x_new - x)
+        x_prev, value_prev, x = x, value, x_new
+    raise RuntimeError(f"Newton solve did not converge, last iterate {x!r}")
 
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(
-        f"Failed to converge after {_ROOT_MAXITER} iterations, value is {xcur}")
 
+def _solve_power(step: str, theta: float, target: float, mean_gain: float,
+                 bt: float, ceiling: float) -> float:
+    """Power at which a hop's effective capacity at theta equals target.
 
-def _solve_power(step: str, f, ceiling: float) -> float:
-    """Root of a strictly increasing f(kappa) via geometric bracket growth.
-
-    The bracket starts at [POWER_BRACKET_LO, POWER_BRACKET_HI]; the high end
-    grows toward ``ceiling`` until the sign changes, the low end shrinks for
-    vanishing targets.  Brent's method then refines the bracket, reusing the
-    end values already computed.
+    Newton runs in x = ln(kappa) with the slope from the capacity value.
+    Jensen's inequality, C <= BT*ln(1 + snr), puts the start snr =
+    expm1(target/BT) at or below the root.
     """
-    lo, hi = POWER_BRACKET_LO, POWER_BRACKET_HI
-    f_lo = f(lo)
-    while f_lo > 0.0:
-        lo /= 32.0
-        if lo < 1e-280:
-            raise InfeasibleError(step, "required power underflows to zero")
-        f_lo = f(lo)
-    f_hi = f(hi)
-    while f_hi < 0.0:
-        hi *= 8.0
-        if hi > ceiling:
-            raise InfeasibleError(
-                step, f"no solution below the power ceiling {ceiling:g}")
-        f_hi = f(hi)
-    return _brentq(f, lo, hi, f_lo, f_hi)
+
+    def gap(x: float) -> tuple[float, float]:
+        link = LinkModel(math.exp(x), mean_gain, bt)
+        capacity = effective_capacity_rayleigh(theta, link)
+        return capacity - target, _capacity_log_slope(theta, link, capacity)
+
+    t = target / bt
+    # ln(expm1(t)) in a form that cannot overflow
+    x = t + math.log(-math.expm1(-t)) - math.log(mean_gain)
+    x_max = math.log(ceiling)
+    if x <= x_max and math.exp(x) == 0.0:
+        raise InfeasibleError(step, "required power underflows to zero")
+    root = _newton_root(gap, x, x_max)
+    if root is None:
+        raise InfeasibleError(step, f"no solution below the power ceiling {ceiling:g}")
+    return math.exp(root)
 
 
-def solve_theta1(scenario: Scenario) -> float:
-    """Hop-1 QoS exponent: the target delay rate per nat of offered load."""
+def solve_theta1(u: float, scenario: Scenario) -> float:
+    """Hop-1 QoS exponent: the target delay rate u per nat of offered load."""
     if scenario.traffic_load == 0.0:
         raise ValueError("cannot allocate power for zero traffic load")
-    return qos_rate_target(scenario.delay_bound,
-                           scenario.violation_prob) / scenario.traffic_load
+    return u / scenario.traffic_load
 
 
 def solve_kappa1(theta1: float, scenario: Scenario,
@@ -237,79 +217,73 @@ def solve_kappa1(theta1: float, scenario: Scenario,
     """Hop-1 power: effective capacity at theta1 equals the traffic load."""
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be > 0, got {theta1!r}")
-    load = scenario.traffic_load
-
-    def gap(kappa: float) -> float:
-        return effective_capacity_rayleigh(theta1, _hop1_link(kappa, scenario)) - load
-
-    return _solve_power("solve_kappa1", gap, power_ceiling)
+    return _solve_power("solve_kappa1", theta1, scenario.traffic_load,
+                        scenario.hop1_mean_gain, scenario.bt_product, power_ceiling)
 
 
-def _departure_burstiness(kappa1: float, scenario: Scenario) -> float:
+def departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
     """b in A_D(theta) = A + theta * b: Var[D(0, t*)] / (2 t*), nats^2/frame.
 
-    With Var[Q1] = 1/theta1^2, t* = A*D / (2*m1) and t*/t0 = u*D/4 this is
-    2*m1*(1 - c(u*D/4)) / (theta1*u*D).  A rounding-level negative spare
-    rate (theta1 in the ergodic limit) counts as zero.
+    u is the target delay rate.  With Var[Q1] = 1/theta1^2, t* = A*D / (2*m1)
+    and t*/t0 = u*D/4 this is 2*m1*(1 - c(u*D/4)) / (theta1*u*D).  A
+    rounding-level negative spare rate (theta1 in the ergodic limit) counts
+    as zero.
     """
-    u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
     theta1 = u / scenario.traffic_load
-    spare = max(ergodic_rate(_hop1_link(kappa1, scenario)) - scenario.traffic_load, 0.0)
+    link1 = LinkModel(kappa1, scenario.hop1_mean_gain, scenario.bt_product)
+    spare = max(ergodic_rate(link1) - scenario.traffic_load, 0.0)
     ud = u * scenario.delay_bound
     return 2.0 * spare * rbm_decorrelation(0.25 * ud) / (theta1 * ud)
 
 
-def relay_arrival_bandwidth(theta: float, kappa1: float, scenario: Scenario) -> float:
+def relay_arrival_bandwidth(theta: float, b: float, scenario: Scenario) -> float:
     """Hop 2's arrival law: effective bandwidth of hop 1's departures, nats/frame.
 
-    A_D(theta) = A + theta * Var[D(0, t*)] / (2 t*), the Gaussian t*-frame
-    effective bandwidth of hop 1's departure process at hop 2's dominant
-    time scale (see the module docstring).  It exceeds the load by theta*b
-    and, for theta up to theta1, stays below hop 1's service bandwidth.
+    A_D(theta) = A + theta * b with b = :func:`departure_burstiness`, the
+    Gaussian t*-frame effective bandwidth of hop 1's departure process at
+    hop 2's dominant time scale (see the module docstring).  It exceeds the
+    load by theta*b and, for theta up to theta1, stays below hop 1's service
+    bandwidth.
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be > 0, got {theta!r}")
-    return scenario.traffic_load + theta * _departure_burstiness(kappa1, scenario)
+    return scenario.traffic_load + theta * b
 
 
-def solve_theta2(kappa1: float, scenario: Scenario) -> float:
-    """Hop-2 QoS exponent: root of theta * A_D(theta, kappa1) = u.
+def solve_theta2(u: float, b: float, scenario: Scenario) -> float:
+    """Hop-2 QoS exponent: root of theta * A_D(theta) = u.
 
     theta * A_D(theta) = A*theta + b*theta^2 is zero at theta = 0 and strictly
     increasing, so the root is unique: 2u / (A + sqrt(A^2 + 4*b*u)), written
     without cancellation.  It lies at or below theta1 = u/A.
     """
-    u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
     load = scenario.traffic_load
-    b = _departure_burstiness(kappa1, scenario)
     return 2.0 * u / (load + math.sqrt(load * load + 4.0 * b * u))
 
 
-def solve_kappa2(theta2: float, kappa1: float, scenario: Scenario,
+def solve_kappa2(theta2: float, b: float, scenario: Scenario,
                  power_ceiling: float = DEFAULT_POWER_CEILING) -> float:
     """Hop-2 power: effective capacity at theta2 matches hop 2's arrival law."""
     if not theta2 > 0.0:
         raise ValueError(f"theta2 must be > 0, got {theta2!r}")
-    target = relay_arrival_bandwidth(theta2, kappa1, scenario)
-
-    def gap(kappa: float) -> float:
-        return effective_capacity_rayleigh(theta2, _hop2_link(kappa, scenario)) - target
-
-    return _solve_power("solve_kappa2", gap, power_ceiling)
+    return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, b, scenario),
+                        scenario.hop2_mean_gain, scenario.bt_product, power_ceiling)
 
 
 def allocate(scenario: Scenario,
              power_ceiling: float = DEFAULT_POWER_CEILING) -> Allocation:
     """Run the two-step procedure and report constraint-closure residuals."""
     u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
-    theta1 = solve_theta1(scenario)
+    theta1 = solve_theta1(u, scenario)
     kappa1 = solve_kappa1(theta1, scenario, power_ceiling)
-    theta2 = solve_theta2(kappa1, scenario)
-    kappa2 = solve_kappa2(theta2, kappa1, scenario, power_ceiling)
+    b = departure_burstiness(u, kappa1, scenario)
+    theta2 = solve_theta2(u, b, scenario)
+    kappa2 = solve_kappa2(theta2, b, scenario, power_ceiling)
 
-    c_sr = effective_capacity_rayleigh(theta1, _hop1_link(kappa1, scenario))
-    c_rd = effective_capacity_rayleigh(theta2, _hop2_link(kappa2, scenario))
-    a_d = relay_arrival_bandwidth(theta2, kappa1, scenario)
+    bt = scenario.bt_product
+    c_sr = effective_capacity_rayleigh(theta1, LinkModel(kappa1, scenario.hop1_mean_gain, bt))
+    c_rd = effective_capacity_rayleigh(theta2, LinkModel(kappa2, scenario.hop2_mean_gain, bt))
+    a_d = relay_arrival_bandwidth(theta2, b, scenario)
     residuals = {
         "load": abs(c_sr - scenario.traffic_load) / scenario.traffic_load,
         "rate_match": abs(theta1 * c_sr - theta2 * c_rd) / u,

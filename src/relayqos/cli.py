@@ -27,8 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .allocator import Allocation, InfeasibleError, Scenario, allocate
 from .delaymodel import (
     HopDelayLaw,

@@ -60,8 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .allocator import Allocation, Scenario
 from .effcap import LinkModel, ergodic_rate
 

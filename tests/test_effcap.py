@@ -14,6 +14,7 @@ import pytest
 from relayqos.effcap import (
     THETA_ERGODIC_LIMIT,
     LinkModel,
+    _capacity_log_slope,
     effective_bandwidth_constant,
     effective_bandwidth_oracle,
     effective_bandwidth_service_rayleigh,
@@ -169,3 +170,45 @@ class TestLimitsAndMonotonicity:
             effective_capacity_rayleigh(0.0, link())
         with pytest.raises(ValueError):
             effective_bandwidth_service_rayleigh(-1e-3, link())
+
+
+class TestCapacityLogSlope:
+    """dC/d ln(kappa) from C alone, against mpmath's derivative of the exact C."""
+
+    # (beta = BT*theta, snr); a = 1 - beta and z = 1/snr pick the branch of
+    # log E[(1 + h/z)^-beta] that effective_capacity_rayleigh takes
+    @pytest.mark.parametrize("beta, snr", [
+        (2.0, 0.1),      # continued fraction, a <= 0
+        (0.5, 0.2),      # continued fraction, a > 0
+        (0.7, 2.0),      # small-a series, 0 < a <= 0.5, z < 1.5
+        (0.2, 1.0),      # lower regularized series, a > 0.5, z < a + 1
+        (3.5, 10.0),     # downward recurrence, a <= 0, z < 1.5
+        (501.0, 100.0),  # recurrence overflows: continued fraction, z < 1.5
+    ])
+    def test_matches_exact_derivative(self, beta, snr):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        theta = beta / BT
+        lk = link(snr)
+        got = _capacity_log_slope(theta, lk, effective_capacity_rayleigh(theta, lk))
+
+        def capacity(x):
+            z = mpmath.exp(-x)
+            moment = z ** beta * mpmath.exp(z) * mpmath.gammainc(1 - beta, z)
+            return -mpmath.log(moment) / theta
+
+        assert got == pytest.approx(float(mpmath.diff(capacity, math.log(snr))), rel=1e-9)
+
+    def test_ergodic_limit(self):
+        # below THETA_ERGODIC_LIMIT C is the ergodic rate BT*e^z*E1(z); the
+        # expression is that rate's slope up to a relative O(theta*C)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        theta = THETA_ERGODIC_LIMIT / 2
+        for snr in (0.05, 1.0, 30.0):
+            lk = link(snr)
+            got = _capacity_log_slope(theta, lk, effective_capacity_rayleigh(theta, lk))
+            exact = mpmath.diff(
+                lambda x: BT * mpmath.exp(mpmath.exp(-x)) * mpmath.e1(mpmath.exp(-x)),
+                math.log(snr))
+            assert got == pytest.approx(float(exact), rel=1e-6)
