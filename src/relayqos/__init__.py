@@ -22,13 +22,11 @@ from .delaymodel import (
     HopDelayLaw,
     invert_equal_rate_ccdf,
     single_hop_ccdf,
-    single_hop_pdf,
     two_hop_ccdf,
     two_hop_tail_exponent,
 )
 from .effcap import (
     LinkModel,
-    effective_bandwidth_constant,
     effective_bandwidth_oracle,
     effective_bandwidth_service_rayleigh,
     effective_capacity_oracle,
@@ -68,7 +66,6 @@ __all__ = [
     "StabilityError",
     "allocate",
     "departure_burstiness",
-    "effective_bandwidth_constant",
     "effective_bandwidth_oracle",
     "effective_bandwidth_service_rayleigh",
     "effective_capacity_oracle",
@@ -84,7 +81,6 @@ __all__ = [
     "relay_arrival_bandwidth",
     "simulate_tandem",
     "single_hop_ccdf",
-    "single_hop_pdf",
     "solve_kappa1",
     "solve_kappa2",
     "solve_theta1",

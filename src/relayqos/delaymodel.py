@@ -17,7 +17,6 @@ from .specfun import qos_rate_target
 __all__ = [
     "HopDelayLaw",
     "single_hop_ccdf",
-    "single_hop_pdf",
     "two_hop_ccdf",
     "two_hop_tail_exponent",
     "invert_equal_rate_ccdf",
@@ -44,13 +43,6 @@ def single_hop_ccdf(law: HopDelayLaw, x: float) -> float:
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x!r}")
     return math.exp(-law.rate * x)
-
-
-def single_hop_pdf(law: HopDelayLaw, x: float) -> float:
-    """Delay density rate * exp(-rate * x) of one hop."""
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    return law.rate * math.exp(-law.rate * x)
 
 
 def two_hop_ccdf(law1: HopDelayLaw, law2: HopDelayLaw, x: float) -> float:

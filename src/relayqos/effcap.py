@@ -4,10 +4,10 @@ A hop transmits at the Shannon rate ``BT * ln(1 + kappa * h)`` nats per frame
 with ``h`` exponentially distributed (Rayleigh power gain), i.i.d. across
 frames.  For a QoS exponent theta > 0 the log-moment generating function of
 that rate has a closed form in the upper incomplete gamma function; this
-module provides the closed forms, the constant-arrival special case, and an
-independent adaptive-quadrature oracle used to cross-check them.  The
-oracles call SciPy, which only they and the tests need (the ``test`` extra);
-the closed forms need nothing beyond the standard library.
+module provides the closed forms and an independent adaptive-quadrature
+oracle used to cross-check them.  The oracles call SciPy, which only they
+and the tests need (the ``test`` extra); the closed forms need nothing
+beyond the standard library.
 
 The mean gain is absorbed into an effective SNR ``kappa * mean_gain``: for an
 exponential gain this substitution is exact, so all formulas below are
@@ -19,22 +19,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import _upper_cf_factor, log_upper_incomplete_gamma, upper_incomplete_gamma
+from .specfun import (
+    _log_gamma_parts,
+    log_upper_incomplete_gamma,  # noqa: F401  perfbench traces this lookup site
+)
 
 __all__ = [
     "LinkModel",
     "effective_capacity_rayleigh",
     "effective_bandwidth_service_rayleigh",
-    "effective_bandwidth_constant",
     "effective_capacity_oracle",
     "effective_bandwidth_oracle",
     "ergodic_rate",
     "ergodic_rate_oracle",
 ]
 
-# Below this theta the closed forms are ill-conditioned (log of a moment that
-# is 1 + O(theta)); both closed forms and oracles return the ergodic limit.
+# Below this theta the quadrature oracles return the ergodic limit: their
+# log of a moment that is 1 + O(theta) loses the relative O(theta) term.
 THETA_ERGODIC_LIMIT = 1e-8
+
+# The log-moment is formed as log1p(s*H) where |s|*ln(1 + snr), which bounds
+# it for the capacity (Jensen), is below this.
+_LOG1P_MOMENT = 0.05
 
 _QUAD_TOL = 1e-12
 
@@ -76,29 +82,33 @@ def _require_positive_theta(theta: float) -> None:
         raise ValueError(f"theta must be > 0, got {theta!r}")
 
 
+def _log_scaled_gamma(a: float, z: float) -> float:
+    """ln H(a, z) with H = e^z * z^-a * G(a, z), never forming e^z or z^a."""
+    v, split = _log_gamma_parts(a, z)
+    return v if split else z - a * math.log(z) + v
+
+
 def _log_rate_moment(s: float, z: float) -> float:
     """log E[(1 + h/z)^s] for unit-mean exponential h, with z = 1/effective_snr.
 
-    Equals ``z - s*ln z + ln G(1+s, z)``.  When the continued fraction
-    applies the e^z factor cancels exactly against the gamma prefactor, so
-    the value is assembled as ``ln z + ln H`` and never overflows.
+    DLMF 8.8.2 gives E[(1 + h/z)^s] = 1 + s*H(s, z), so a moment near 1 is
+    log1p(s*H(s, z)), which tends to s*e^z*E1(z) without cancellation as
+    s -> 0.  Elsewhere it is z - s*ln z + ln G(1+s, z); where the gamma
+    branch returns ln H(1+s, z) the e^z factor cancels exactly and the
+    value is ln z + ln H, which never overflows.
     """
-    a = 1.0 + s
-    if z >= max(1.5, a + 1.0):
-        return math.log(z) + math.log(_upper_cf_factor(a, z))
-    return z - s * math.log(z) + log_upper_incomplete_gamma(a, z)
+    if abs(s) * math.log1p(1.0 / z) < _LOG1P_MOMENT:
+        return math.log1p(s * math.exp(_log_scaled_gamma(s, z)))
+    v, split = _log_gamma_parts(1.0 + s, z)
+    return (math.log(z) if split else z - s * math.log(z)) + v
 
 
 def ergodic_rate(link: LinkModel) -> float:
     """Mean service rate BT * E[ln(1 + snr*h)] = BT * e^z * E1(z), z = 1/snr.
 
-    E1(z) = G(0, z); where the continued fraction applies e^z * G(0, z) is
-    its factor H alone, so e^z is never formed for large z.
+    E1(z) = G(0, z), so the rate is BT * H(0, z) and e^z is never formed.
     """
-    z = 1.0 / link.effective_snr
-    if z >= 1.5:
-        return link.bt_product * _upper_cf_factor(0.0, z)
-    return link.bt_product * math.exp(z) * upper_incomplete_gamma(0.0, z)
+    return link.bt_product * math.exp(_log_scaled_gamma(0.0, 1.0 / link.effective_snr))
 
 
 def effective_capacity_rayleigh(theta: float, link: LinkModel) -> float:
@@ -109,8 +119,6 @@ def effective_capacity_rayleigh(theta: float, link: LinkModel) -> float:
     and bounded above by the ergodic rate.
     """
     _require_positive_theta(theta)
-    if theta < THETA_ERGODIC_LIMIT:
-        return ergodic_rate(link)
     beta = link.bt_product * theta
     value = -_log_rate_moment(-beta, 1.0 / link.effective_snr) / theta
     if not math.isfinite(value):
@@ -125,8 +133,7 @@ def _capacity_log_slope(theta: float, link: LinkModel, capacity: float) -> float
     With M_s = E[(1 + snr*h)^-s], beta = BT*theta and z = 1/snr,
     d M_beta / d ln(kappa) = -beta*(M_beta - M_(beta+1)), and DLMF 8.8.2
     gives M_(beta+1) = z*(1 - M_beta)/beta.  As M_beta = exp(-theta*C), no
-    special function is needed.  In the ergodic limit the result is off by a
-    relative O(theta*C).
+    special function is needed.
     """
     return link.bt_product - math.expm1(theta * capacity) / (theta * link.effective_snr)
 
@@ -139,22 +146,12 @@ def effective_bandwidth_service_rayleigh(theta: float, link: LinkModel) -> float
     the ergodic rate.
     """
     _require_positive_theta(theta)
-    if theta < THETA_ERGODIC_LIMIT:
-        return ergodic_rate(link)
     beta = link.bt_product * theta
     value = _log_rate_moment(beta, 1.0 / link.effective_snr) / theta
     if not math.isfinite(value):
         raise OverflowError(
             f"effective bandwidth not representable at theta={theta!r}, link={link!r}")
     return value
-
-
-def effective_bandwidth_constant(theta: float, rate: float) -> float:
-    """Effective bandwidth of a constant-rate arrival process: the rate itself."""
-    _require_positive_theta(theta)
-    if rate < 0.0:
-        raise ValueError(f"rate must be >= 0, got {rate!r}")
-    return rate
 
 
 # ---------------------------------------------------------------------------

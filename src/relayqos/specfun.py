@@ -1,10 +1,13 @@
 """Real-valued special functions used by the closed-form rate expressions.
 
 Provides both real branches of the Lambert-W function, the upper incomplete
-gamma function for arbitrary real first argument (including a <= 0, where
-most libraries give up), the inversion of the equal-rate two-hop delay
-tail that turns a (delay bound, violation probability) pair into a decay
-rate, and the stationary autocorrelation of reflected Brownian motion.
+gamma function and its logarithm for arbitrary real first argument
+(including a <= 0, where most libraries give up), the inversion of the
+equal-rate two-hop delay tail that turns a (delay bound, violation
+probability) pair into a decay rate, and the stationary autocorrelation of
+reflected Brownian motion.  One private function, ``_log_gamma_parts``,
+chooses the incomplete-gamma branch for both public gamma functions and
+for the rate moments in ``effcap``.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.
@@ -153,7 +156,8 @@ def lambert_w(x: float, branch: int = 0) -> float:
 def _upper_cf_factor(a: float, z: float) -> float:
     """Modified-Lentz continued fraction H with G(a, z) = exp(-z + a*ln z) * H.
 
-    Converges for z >= a + 1 when a > 0 and for z >= ~1 for any a <= 0.
+    Converges for z >= a + 1 when a > 0, for z >= ~1 for any a <= 0, and
+    for every z > 0 once a <= -10.
     """
     b = z + 1.0 - a
     c = 1.0 / _FPMIN
@@ -200,12 +204,20 @@ def _log_lower_reg_series(a: float, z: float) -> float:
 
 
 def _gamma1p_frac(a: float) -> float:
-    """(Gamma(1 + a) - 1) / a, finite and accurate through a = 0."""
-    if abs(a) < 1e-3:
-        # Taylor coefficients of Gamma(1 + a) about a = 0
-        return (-0.5772156649015329 + a * (0.9890559953279725
-                + a * (-0.9074790760808862 + a * 0.9817280868344001)))
-    return math.expm1(math.lgamma(1.0 + a)) / a
+    """(Gamma(1 + a) - 1) / a for |a| <= 0.5, finite and accurate through a = 0.
+
+    g = (1/Gamma(1 + a) - 1) / a is summed from the Taylor series of
+    1/Gamma(1 + a), which converges fast enough on |a| <= 0.5 to need no
+    other form; the value is then -g / (1 + a*g).
+    """
+    g = (0.5772156649015329 + a * (-0.6558780715202539 + a * (-0.04200263503409524
+         + a * (0.16653861138229148 + a * (-0.04219773455554433 + a * (-0.009621971527876973
+         + a * (0.0072189432466631 + a * (-0.0011651675918590652 + a * (-0.00021524167411495098
+         + a * (0.0001280502823881162 + a * (-2.013485478078824e-05 + a * (-1.2504934821426706e-06
+         + a * (1.133027231981696e-06 + a * (-2.056338416977607e-07 + a * (6.116095104481416e-09
+         + a * (5.002007644469223e-09 + a * (-1.18127457048702e-09
+         + a * 1.0434267116911005e-10)))))))))))))))))
+    return -g / (1.0 + a * g)
 
 
 def _powm1_frac(log_z: float, a: float) -> float:
@@ -235,33 +247,49 @@ def _small_a_series(a: float, z: float) -> float:
     return head - math.exp(a * log_z) * tail
 
 
-def _checked_exp(log_value: float, a: float, z: float) -> float:
-    if log_value > _LOG_HUGE:
-        raise OverflowError(
-            f"upper_incomplete_gamma overflows at a={a!r}, z={z!r}; "
-            "use log_upper_incomplete_gamma")
-    result = math.exp(log_value)
-    if result == 0.0:
-        raise OverflowError(
-            f"upper_incomplete_gamma underflows at a={a!r}, z={z!r}; "
-            "use log_upper_incomplete_gamma")
-    return result
+def _log_gamma_parts(a: float, z: float) -> tuple[float, bool]:
+    """The one place that picks a branch for G(a, z): returns (v, split).
+
+    Without split, v = ln G(a, z).  With split, v = ln H for the scaled
+    value H = e^z * z^-a * G(a, z); callers that need G add -z + a*ln z,
+    callers that need H (the rate moments) never form e^z or z^a.
+
+    * a <= -10, or z >= max(1.5, a + 1): modified-Lentz continued fraction,
+      split.  It converges in under 200 terms for every z when a <= -10.
+    * a > 0.5, z < a + 1: the lower regularized series, as
+      lgamma(a) + log1p(-P(a, z)).
+    * -0.5 <= a <= 0.5, z < 1.5: the small-a expansion.
+    * -10 < a < -0.5, z < 1.5: at most 10 steps of the downward recurrence
+      H(b) = (z*H(b + 1) - 1)/b (DLMF 8.8.2 scaled by e^z * z^-b), seeded
+      in [-0.5, 0.5] by the small-a expansion; split.  In this region every
+      step is well conditioned.
+    """
+    if not z > 0.0:
+        raise ValueError(f"upper incomplete gamma requires z > 0, got z={z!r}")
+    if a <= -10.0 or (z >= 1.5 and z >= a + 1.0):
+        return math.log(_upper_cf_factor(a, z)), True
+    if a > 0.5:
+        p = math.exp(_log_lower_reg_series(a, z))
+        return math.lgamma(a) + math.log1p(-min(p, 1.0 - 1e-17)), False
+    steps = round(-a)
+    b = a + steps
+    g = _small_a_series(b, z)
+    if steps == 0:
+        return math.log(g), False
+    h = g * math.exp(z - b * math.log(z))
+    for _ in range(steps):
+        b -= 1.0
+        h = (z * h - 1.0) / b
+    return math.log(h), True
 
 
 def upper_incomplete_gamma(a: float, z: float) -> float:
     """Upper incomplete gamma G(a, z) = integral_z^inf t^(a-1) e^(-t) dt.
 
     Unlike the regularized library versions, ``a`` may be any real number;
-    z must be positive.  Evaluation strategy:
-
-    * a > 0: continued fraction for z >= a + 1, series otherwise (with a
-      dedicated small-``a`` expansion below a = 0.5 to dodge cancellation in
-      Gamma(a) * (1 - P)).
-    * a <= 0, z >= 1.5: the continued fraction, which stays machine-accurate
-      for negative parameters.
-    * a <= 0, z < 1.5: downward recurrence G(a, z) = (G(a+1, z) - z^a e^-z)/a,
-      seeded in (-0.5, 0.5] by the small-``a`` expansion so no divisor comes
-      near zero.  In this region every step is well conditioned.
+    z must be positive.  The value is the exponential of
+    :func:`log_upper_incomplete_gamma`; the branches are listed at
+    ``_log_gamma_parts``.
 
     Raises
     ------
@@ -270,65 +298,29 @@ def upper_incomplete_gamma(a: float, z: float) -> float:
     OverflowError
         If the (strictly positive) result is outside double range.
     """
-    if not z > 0.0:
-        raise ValueError(f"upper_incomplete_gamma requires z > 0, got z={z!r}")
-    if a > 0.0:
-        if z >= a + 1.0:
-            return _checked_exp(
-                -z + a * math.log(z) + math.log(_upper_cf_factor(a, z)), a, z)
-        if a <= 0.5 and z < 1.5:
-            return _small_a_series(a, z)
-        p = math.exp(_log_lower_reg_series(a, z))
-        return _checked_exp(
-            math.lgamma(a) + math.log1p(-min(p, 1.0 - 1e-17)), a, z)
-    if z >= 1.5:
-        return _checked_exp(
-            -z + a * math.log(z) + math.log(_upper_cf_factor(a, z)), a, z)
-    log_z = math.log(z)
-    steps = round(-a)
-    b = a + steps
-    g = _small_a_series(b, z)
-    for _ in range(steps):
-        b -= 1.0
-        power = b * log_z - z
-        g = (g - (math.exp(power) if power > -745.0 else 0.0)) / b
-        # a vanishing or negative iterate means the (strictly positive) value
-        # left double range: overflow for z < 1, underflow for z > 1
-        if not (math.isfinite(g) and g > 0.0):
-            raise OverflowError(
-                f"upper_incomplete_gamma not representable at a={a!r}, z={z!r}; "
-                "use log_upper_incomplete_gamma")
-    return g
+    log_value = log_upper_incomplete_gamma(a, z)
+    result = math.exp(log_value) if log_value <= _LOG_HUGE else math.inf
+    if not 0.0 < result < math.inf:
+        raise OverflowError(
+            f"upper_incomplete_gamma is outside double range at a={a!r}, z={z!r}; "
+            "use log_upper_incomplete_gamma")
+    return result
 
 
 def log_upper_incomplete_gamma(a: float, z: float) -> float:
-    """log G(a, z), usable where G itself over- or underflows (large z or a).
+    """log G(a, z), usable where G itself over- or underflows (large z or |a|).
 
-    For z beyond the continued-fraction threshold the logarithm is assembled
-    term by term and never forms e^z or e^-z explicitly, which is what the
-    rate formulas need when 1/kappa is large.
+    Where the continued fraction or the recurrence applies, the logarithm is
+    assembled term by term and never forms e^z, e^-z or z^a explicitly,
+    which is what the rate formulas need when 1/kappa is large.
+
+    Raises
+    ------
+    ValueError
+        If z <= 0.
     """
-    if not z > 0.0:
-        raise ValueError(f"log_upper_incomplete_gamma requires z > 0, got z={z!r}")
-    if a > 0.0:
-        if z >= a + 1.0:
-            return -z + a * math.log(z) + math.log(_upper_cf_factor(a, z))
-        if a <= 0.5 and z < 1.5:
-            return math.log(_small_a_series(a, z))
-        p = math.exp(_log_lower_reg_series(a, z))
-        return math.lgamma(a) + math.log1p(-min(p, 1.0 - 1e-17))
-    if z >= 1.5:
-        return -z + a * math.log(z) + math.log(_upper_cf_factor(a, z))
-    try:
-        return math.log(upper_incomplete_gamma(a, z))
-    except OverflowError:
-        # the value itself is outside double range (deeply negative a); the
-        # continued fraction converges precisely in that regime
-        try:
-            return -z + a * math.log(z) + math.log(_upper_cf_factor(a, z))
-        except ValueError:
-            raise OverflowError(
-                f"log_upper_incomplete_gamma failed at a={a!r}, z={z!r}") from None
+    v, split = _log_gamma_parts(a, z)
+    return -z + a * math.log(z) + v if split else v
 
 
 # ---------------------------------------------------------------------------

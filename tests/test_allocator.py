@@ -27,6 +27,7 @@ from relayqos.effcap import (
     effective_bandwidth_service_rayleigh,
     effective_capacity_oracle,
     effective_capacity_rayleigh,
+    ergodic_rate,
 )
 from relayqos.specfun import qos_rate_target
 
@@ -448,8 +449,8 @@ class TestPowerSolve:
         assert err.value.step == "solve_kappa2"
 
     def test_huge_theta_with_tiny_load_is_fast(self):
-        # theta1 ~ 1e6: a capacity evaluation at kappa = 1 would run the
-        # incomplete gamma's downward recurrence ~1e8 steps
+        # theta1 ~ 1e6, so a capacity evaluation near kappa = 1 has
+        # beta = BT*theta1 ~ 1e8 at z ~ 1
         scenario = Scenario(traffic_load=1.8763744196210363e-06,
                             delay_bound=2.384886547633035,
                             violation_prob=0.07162297097624647, bt_product=100.0)
@@ -458,3 +459,42 @@ class TestPowerSolve:
         assert time.perf_counter() - start < 1.0
         for name, value in allocation.residuals.items():
             assert value <= 1e-12, name
+
+    def test_huge_beta_capacity_stays_monotone(self, monkeypatch):
+        # beta1 = BT*theta1 ~ 4.8e9 at snr ~ 2700: the log-moment is ln z + ln H,
+        # not the difference of two terms of size beta*|ln z| ~ 4e10
+        calls = [0]
+        capacity = allocator.effective_capacity_rayleigh
+
+        def counting(theta, link):
+            calls[0] += 1
+            return capacity(theta, link)
+
+        monkeypatch.setattr(allocator, "effective_capacity_rayleigh", counting)
+        scenario = Scenario(traffic_load=5.462923728765322e-06,
+                            delay_bound=0.30843946025627306,
+                            violation_prob=0.0009371607923794755,
+                            hop1_mean_gain=1.9040719707276983,
+                            hop2_mean_gain=159.71520380052925, bt_product=862.4994188053223)
+        allocation = allocate(scenario)
+        assert calls[0] <= 20
+        for name, value in allocation.residuals.items():
+            assert value <= 1e-12, name
+
+    def test_small_theta_closes_the_load(self):
+        # xi within ~1e-12 of 1 puts theta1 at 1e-7..1e-5, where the capacity's
+        # moment is 1 + O(theta); its log must not lose the O(theta) term
+        rng = np.random.default_rng(20)
+        solved = 0
+        while solved < 2000:
+            load, delay, theta1 = 10.0 ** rng.uniform([-3, 0, -7], [3, math.log10(3000), -5])
+            v = theta1 * load * delay
+            xi = (1.0 + v) * math.exp(-v)
+            if not xi < 1.0:
+                continue
+            allocation = allocate(Scenario(traffic_load=float(load),
+                                           delay_bound=float(delay), violation_prob=xi))
+            solved += 1
+            assert allocation.residuals["load"] <= 1e-12
+            lk = LinkModel(allocation.kappa1, 1.0, 200.0)
+            assert effective_capacity_rayleigh(allocation.theta1, lk) <= ergodic_rate(lk)

@@ -15,7 +15,6 @@ from relayqos.delaymodel import (
     HopDelayLaw,
     invert_equal_rate_ccdf,
     single_hop_ccdf,
-    single_hop_pdf,
     two_hop_ccdf,
     two_hop_tail_exponent,
 )
@@ -44,11 +43,6 @@ class TestSingleHop:
         value = single_hop_ccdf(HopDelayLaw(U_50_1E6), 50.0)
         assert value == pytest.approx(math.exp(-U_50_1E6 * 50.0), rel=1e-13)
         assert 5e-8 < value < 6e-8
-
-    def test_pdf(self):
-        law = HopDelayLaw(0.4)
-        assert single_hop_pdf(law, 0.0) == pytest.approx(0.4)
-        assert single_hop_pdf(law, 2.5) == pytest.approx(0.4 * math.exp(-1.0))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

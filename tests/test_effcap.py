@@ -15,7 +15,6 @@ from relayqos.effcap import (
     THETA_ERGODIC_LIMIT,
     LinkModel,
     _capacity_log_slope,
-    effective_bandwidth_constant,
     effective_bandwidth_oracle,
     effective_bandwidth_service_rayleigh,
     effective_capacity_oracle,
@@ -33,6 +32,18 @@ ERGODIC_SNR1 = 119.26947246463881
 
 def link(snr=1.0, gain=1.0, bt=BT):
     return LinkModel(tx_power=snr / gain, mean_gain=gain, bt_product=bt)
+
+
+def log_moment_reference(s, snr):
+    """log E[(1 + snr*h)^s] = z - s*ln z + ln G(1 + s, z), z = 1/snr, at 200 digits.
+
+    At 40-60 digits mpmath's gammainc can be wrong in the 10th digit (or in
+    sign) for large negative s.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(200):
+        s, z = mpmath.mpf(s), 1 / mpmath.mpf(snr)
+        return float(z - s * mpmath.log(z) + mpmath.log(mpmath.gammainc(1 + s, z, mpmath.inf)))
 
 
 class TestLinkModel:
@@ -67,15 +78,6 @@ class TestClosedForms:
         assert effective_bandwidth_service_rayleigh(theta, link()) == pytest.approx(
             math.log(5.0) / theta, rel=1e-12)
 
-    def test_constant_process_examples(self):
-        assert effective_bandwidth_constant(0.37, 138.63) == 138.63
-        assert effective_bandwidth_constant(1e-3, 0.0) == 0.0
-        assert effective_bandwidth_constant(5.0, 7.0) == 7.0
-        with pytest.raises(ValueError):
-            effective_bandwidth_constant(0.0, 1.0)
-        with pytest.raises(ValueError):
-            effective_bandwidth_constant(1.0, -2.0)
-
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("theta", np.geomspace(1e-4, 1e-1, 5))
@@ -94,6 +96,19 @@ class TestOracleAgreement:
         lk = link(float(snr))
         assert ergodic_rate(lk) == pytest.approx(ergodic_rate_oracle(lk), rel=1e-12)
 
+    def test_closed_forms_match_mpmath(self):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            theta, bt, snr = (float(v) for v in 10.0 ** rng.uniform([-12, 1, -2], [0, 3, 3]))
+            lk = LinkModel(snr, 1.0, bt)
+            capacity = effective_capacity_rayleigh(theta, lk)
+            bandwidth = effective_bandwidth_service_rayleigh(theta, lk)
+            assert capacity == pytest.approx(
+                -log_moment_reference(-bt * theta, snr) / theta, rel=1e-13, abs=0.0)
+            assert bandwidth == pytest.approx(
+                log_moment_reference(bt * theta, snr) / theta, rel=1e-13, abs=0.0)
+            assert capacity <= ergodic_rate(lk) <= bandwidth
+
     def test_capacity_moment_example(self):
         # beta = 1, snr = 1: the moment is e*E1(1) ~ 0.596347362323194
         theta = 1.0 / BT
@@ -106,12 +121,20 @@ class TestLimitsAndMonotonicity:
         assert ergodic_rate(link()) == pytest.approx(ERGODIC_SNR1, rel=1e-10)
 
     def test_tiny_theta_returns_ergodic_limit(self):
+        # only the oracles switch to the ergodic rate; the closed forms stay
+        # exact on both sides of the oracles' switch and bracket that rate
         lk = link(2.5)
         erg = ergodic_rate(lk)
-        assert effective_capacity_rayleigh(THETA_ERGODIC_LIMIT / 10, lk) == erg
-        assert effective_bandwidth_service_rayleigh(THETA_ERGODIC_LIMIT / 10, lk) == erg
         assert effective_capacity_oracle(THETA_ERGODIC_LIMIT / 10, lk) == erg
         assert effective_bandwidth_oracle(THETA_ERGODIC_LIMIT / 10, lk) == erg
+        for theta in (1e-12, 1e-9, 0.999e-8, 1.001e-8):
+            capacity = effective_capacity_rayleigh(theta, lk)
+            bandwidth = effective_bandwidth_service_rayleigh(theta, lk)
+            assert capacity == pytest.approx(
+                -log_moment_reference(-BT * theta, 2.5) / theta, rel=1e-14, abs=0.0)
+            assert bandwidth == pytest.approx(
+                log_moment_reference(BT * theta, 2.5) / theta, rel=1e-14, abs=0.0)
+            assert capacity <= erg <= bandwidth
 
     def test_small_theta_approaches_ergodic(self):
         lk = link(1.7)
@@ -182,8 +205,8 @@ class TestCapacityLogSlope:
         (0.5, 0.2),      # continued fraction, a > 0
         (0.7, 2.0),      # small-a series, 0 < a <= 0.5, z < 1.5
         (0.2, 1.0),      # lower regularized series, a > 0.5, z < a + 1
-        (3.5, 10.0),     # downward recurrence, a <= 0, z < 1.5
-        (501.0, 100.0),  # recurrence overflows: continued fraction, z < 1.5
+        (3.5, 10.0),     # downward recurrence, -10 < a <= 0, z < 1.5
+        (501.0, 100.0),  # continued fraction, a <= -10, z < 1.5
     ])
     def test_matches_exact_derivative(self, beta, snr):
         mpmath = pytest.importorskip("mpmath")
@@ -200,15 +223,19 @@ class TestCapacityLogSlope:
         assert got == pytest.approx(float(mpmath.diff(capacity, math.log(snr))), rel=1e-9)
 
     def test_ergodic_limit(self):
-        # below THETA_ERGODIC_LIMIT C is the ergodic rate BT*e^z*E1(z); the
-        # expression is that rate's slope up to a relative O(theta*C)
+        # at theta = 5e-9 the moment is 1 + O(1e-6), and C comes from its log1p
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        theta = THETA_ERGODIC_LIMIT / 2
+        theta = 5e-9
+        beta = BT * theta
         for snr in (0.05, 1.0, 30.0):
             lk = link(snr)
             got = _capacity_log_slope(theta, lk, effective_capacity_rayleigh(theta, lk))
-            exact = mpmath.diff(
-                lambda x: BT * mpmath.exp(mpmath.exp(-x)) * mpmath.e1(mpmath.exp(-x)),
-                math.log(snr))
-            assert got == pytest.approx(float(exact), rel=1e-6)
+
+            def capacity(x):
+                z = mpmath.exp(-x)
+                moment = z ** beta * mpmath.exp(z) * mpmath.gammainc(1 - beta, z)
+                return -mpmath.log(moment) / theta
+
+            exact = mpmath.diff(capacity, math.log(snr))
+            assert got == pytest.approx(float(exact), rel=1e-9)

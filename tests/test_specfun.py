@@ -7,12 +7,14 @@ integrand (cross-checked against mpmath.gammainc).
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
 from relayqos.specfun import (
+    _gamma1p_frac,
     lambert_w,
     log_upper_incomplete_gamma,
     qos_rate_target,
@@ -170,12 +172,78 @@ class TestLogUpperIncompleteGamma:
         assert value == pytest.approx(
             float(mpmath.gammainc(mpmath.mpf(-120.0), 0.3, mpmath.inf)), rel=1e-10)
 
+    def test_deeply_negative_parameter_is_fast(self):
+        # a <= -10 goes to the continued fraction, never to 1e7 recurrence steps
+        start = time.perf_counter()
+        got = log_upper_incomplete_gamma(-1e7, 1.0)
+        assert time.perf_counter() - start < 0.05
+        ref = float(mpmath.log(mpmath.gammainc(-10**7, 1, mpmath.inf)))
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_huge_parameter_near_z(self):
         # slow-series regime: z just below a + 1 at large a
         for a, z in ((35593.7, 34747.6), (561766.05, 542066.85)):
             got = log_upper_incomplete_gamma(a, z)
             ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
             assert got == pytest.approx(ref, rel=1e-9)
+
+
+def _log_gamma_reference(a, z):
+    """ln G(a, z) at 200 digits.
+
+    Below z = 1e-20, where mpmath's gammainc takes about a second per point,
+    the series G(a) - z^a * sum (-z)^k / (k! (a + k)) is summed directly
+    (a is never an integer here).
+    """
+    with mpmath.workdps(200):
+        a, z = mpmath.mpf(a), mpmath.mpf(z)
+        if z >= 1e-20:
+            return mpmath.log(mpmath.gammainc(a, z, mpmath.inf))
+        total, term, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        while abs(term) > mpmath.mpf(10) ** -210 * abs(total) or k == 0:
+            total += term / (a + k)
+            k += 1
+            term *= -z / k
+        return mpmath.log(mpmath.gamma(a) - z ** a * total)
+
+
+def _branch_points():
+    """(branch, a, z), eight seeded points in each branch of the G(a, z) dispatch."""
+    rng = np.random.default_rng(17)
+    points = []
+    for _ in range(8):
+        a = rng.uniform(0.5, 50.0)
+        points.append(("continued fraction, a > 0", a, a + 1.0 + 10.0 ** rng.uniform(-3, 3)))
+        points.append(("continued fraction, a <= 0", rng.uniform(-50.0, 0.0),
+                       10.0 ** rng.uniform(math.log10(1.5), 3)))
+        points.append(("continued fraction, a <= -10", -(10.0 ** rng.uniform(1, 7)),
+                       10.0 ** rng.uniform(-300, math.log10(1.5))))
+        a = 10.0 ** rng.uniform(math.log10(0.5), 3)
+        points.append(("lower series", a, (a + 1.0) * 10.0 ** rng.uniform(-20, 0)))
+        points.append(("small a", rng.uniform(-0.5, 0.5),
+                       10.0 ** rng.uniform(-300, math.log10(1.5))))
+        points.append(("recurrence", rng.uniform(-10.0, -0.5),
+                       10.0 ** rng.uniform(-300, math.log10(1.5))))
+    return [(b, float(a), float(z)) for b, a, z in points]
+
+
+class TestBranchMap:
+    @pytest.mark.parametrize("branch, a, z", _branch_points())
+    def test_matches_mpmath(self, branch, a, z):
+        ref = float(_log_gamma_reference(a, z))
+        scale = max(1.0, abs(ref))
+        assert abs(log_upper_incomplete_gamma(a, z) - ref) <= 1e-14 * scale
+        if abs(ref) < 700.0:
+            assert upper_incomplete_gamma(a, z) == pytest.approx(
+                math.exp(ref), rel=1e-14 * scale, abs=0.0)
+
+
+class TestGamma1pFrac:
+    def test_matches_mpmath(self):
+        for magnitude in np.geomspace(1e-8, 0.5, 120):
+            for a in (float(magnitude), -float(magnitude)):
+                ref = (mpmath.gamma(1 + mpmath.mpf(a)) - 1) / a
+                assert _gamma1p_frac(a) == pytest.approx(float(ref), rel=1e-14, abs=0.0), a
 
 
 class TestQosRateTarget:
