@@ -11,6 +11,8 @@ Subcommands:
   simulation run.
 * ``ccdf``     - dump the analytic delay CCDF curve.
 
+Each command returns its CSV rows, header first; ``main`` writes them through
+one ``csv.writer`` to stdout or ``--out`` once the command has succeeded.
 Configuration comes from an optional JSON file (keys = RadioProfile field
 names) with every value overridable by a command-line flag of the same name.
 Exit codes: 0 success, 1 infeasible scenario, 2 invalid configuration,
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -36,6 +39,7 @@ from .delaymodel import (
     two_hop_ccdf,
 )
 from .qsim import (
+    FORWARDING_MODES,
     InsufficientTailData,
     SimConfig,
     StabilityError,
@@ -60,6 +64,7 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("traffic_load", "delay_bound", "violation_prob", "d1")
+DUPLEX_MODES = ("full", "half")
 
 _LN2 = math.log(2.0)
 
@@ -96,7 +101,7 @@ class RadioProfile:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {value!r}")
-        if self.duplex not in ("full", "half"):
+        if self.duplex not in DUPLEX_MODES:
             raise ConfigError(f"duplex must be 'full' or 'half', got {self.duplex!r}")
         if not 2.0 <= self.path_loss_exponent <= 6.0:
             raise ConfigError(
@@ -160,6 +165,32 @@ def _to_db(power: float) -> float:
     return 10.0 * math.log10(power)
 
 
+def _write_rows(stream, rows) -> None:
+    """The one CSV writer behind every command's output."""
+    csv.writer(stream, lineterminator="\n").writerows(rows)
+
+
+def _power_columns(allocation: Allocation) -> dict[str, float]:
+    """Powers (linear and dB), exponents and delay rate, in output order."""
+    return {
+        "kappa1": allocation.kappa1,
+        "kappa2": allocation.kappa2,
+        "total_power": allocation.total_power,
+        "kappa1_db": _to_db(allocation.kappa1),
+        "kappa2_db": _to_db(allocation.kappa2),
+        "total_power_db": _to_db(allocation.total_power),
+        "theta1": allocation.theta1,
+        "theta2": allocation.theta2,
+        "delay_rate": allocation.delay_rate,
+    }
+
+
+def _allocation_rows(allocation: Allocation) -> list[tuple[str, object]]:
+    """The (metric, value) rows ``allocate`` prints and ``validate`` repeats."""
+    return [*_power_columns(allocation).items(),
+            *((f"residual_{name}", v) for name, v in allocation.residuals.items())]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -181,9 +212,7 @@ class SweepRow:
     error: str = ""
 
 
-SWEEP_COLUMNS = ("axis", "axis_value", "feasible", "kappa1", "kappa2",
-                 "total_power", "kappa1_db", "kappa2_db", "total_power_db",
-                 "theta1", "theta2", "delay_rate", "error")
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def _profile_at(profile: RadioProfile, axis: str, value: float) -> RadioProfile:
@@ -200,14 +229,8 @@ def _sweep_point(profile: RadioProfile, axis: str, value: float) -> SweepRow:
     except (InfeasibleError, ValueError) as exc:
         return SweepRow(axis=axis, axis_value=float(value), feasible=False,
                         error=str(exc))
-    return SweepRow(
-        axis=axis, axis_value=float(value), feasible=True,
-        kappa1=allocation.kappa1, kappa2=allocation.kappa2,
-        total_power=allocation.total_power,
-        kappa1_db=_to_db(allocation.kappa1), kappa2_db=_to_db(allocation.kappa2),
-        total_power_db=_to_db(allocation.total_power),
-        theta1=allocation.theta1, theta2=allocation.theta2,
-        delay_rate=allocation.delay_rate)
+    return SweepRow(axis=axis, axis_value=float(value), feasible=True,
+                    **_power_columns(allocation))
 
 
 def sweep(profile: RadioProfile, axis: str, grid) -> list[SweepRow]:
@@ -224,11 +247,12 @@ def sweep(profile: RadioProfile, axis: str, grid) -> list[SweepRow]:
     return [_sweep_point(profile, axis, v) for v in values]
 
 
+def _sweep_table(rows) -> list[tuple]:
+    return [SWEEP_COLUMNS, *(dataclasses.astuple(row) for row in rows)]
+
+
 def write_sweep_csv(rows, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([getattr(row, c) for c in SWEEP_COLUMNS])
+    _write_rows(stream, _sweep_table(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -257,27 +281,15 @@ class ValidationReport:
             return math.nan
         return self.empirical_violation / self.analytic_violation
 
-    def to_text(self) -> str:
-        """Deterministic two-column CSV rendering of the report."""
-        alloc, scen = self.allocation, self.scenario
-        u = alloc.delay_rate
-        lines = [("metric", "value")]
-        pairs = [
-            ("traffic_load_nats_per_frame", scen.traffic_load),
-            ("delay_bound_frames", scen.delay_bound),
-            ("violation_prob_target", scen.violation_prob),
-            ("bt_product", scen.bt_product),
-            ("kappa1", alloc.kappa1),
-            ("kappa2", alloc.kappa2),
-            ("kappa1_db", _to_db(alloc.kappa1)),
-            ("kappa2_db", _to_db(alloc.kappa2)),
-            ("theta1", alloc.theta1),
-            ("theta2", alloc.theta2),
-            ("delay_rate", u),
-            ("residual_load", alloc.residuals["load"]),
-            ("residual_rate_match", alloc.residuals["rate_match"]),
-            ("residual_qos_rate", alloc.residuals["qos_rate"]),
-            ("residual_bandwidth_match", alloc.residuals["bandwidth_match"]),
+    def rows(self) -> list[tuple[str, object]]:
+        """The report as (metric, value) rows, header first."""
+        return [
+            ("metric", "value"),
+            ("traffic_load_nats_per_frame", self.scenario.traffic_load),
+            ("delay_bound_frames", self.scenario.delay_bound),
+            ("violation_prob_target", self.scenario.violation_prob),
+            ("bt_product", self.scenario.bt_product),
+            *_allocation_rows(self.allocation),
             ("frames", self.sim_config.n_frames),
             ("warmup", self.sim_config.warmup_frames),
             ("seed", self.sim_config.seed),
@@ -288,15 +300,18 @@ class ValidationReport:
             ("violation_ratio", self.violation_ratio),
             ("hop1_fitted_slope", self.hop1_fitted_slope),
             ("hop2_fitted_slope", self.hop2_fitted_slope),
-            ("hop1_slope_over_u", self.hop1_fitted_slope / u),
-            ("hop2_slope_over_u", self.hop2_fitted_slope / u),
-            ("hop1_fit_window", self.hop1_fit_window),
-            ("hop2_fit_window", self.hop2_fit_window),
+            ("hop1_slope_over_u", self.hop1_fitted_slope / self.allocation.delay_rate),
+            ("hop2_slope_over_u", self.hop2_fitted_slope / self.allocation.delay_rate),
+            ("hop1_fit_window", str(self.hop1_fit_window)),
+            ("hop2_fit_window", str(self.hop2_fit_window)),
             ("notes", self.notes),
         ]
-        for key, value in pairs:
-            lines.append((key, repr(value) if isinstance(value, float) else str(value)))
-        return "\n".join(f"{k},{v}" for k, v in lines) + "\n"
+
+    def to_text(self) -> str:
+        """Deterministic two-column CSV rendering of the report."""
+        text = io.StringIO()
+        _write_rows(text, self.rows())
+        return text.getvalue()
 
 
 def _fit_hop_slope(samples) -> tuple[float, tuple[int, int] | None, str]:
@@ -343,11 +358,6 @@ def ccdf_table(profile: RadioProfile, xs) -> list[tuple[float, float, float]]:
 # command line
 # ---------------------------------------------------------------------------
 
-_PROFILE_FLOAT_FIELDS = ("frame_duration", "bandwidth", "path_loss_exponent",
-                         "reference_distance", "d1", "d2", "traffic_load",
-                         "delay_bound", "violation_prob", "transmission_time")
-
-
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
@@ -376,17 +386,12 @@ def _load_profile(args) -> RadioProfile:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        field_names = {f.name for f in dataclasses.fields(RadioProfile)}
-        unknown = set(loaded) - field_names
+        unknown = set(loaded) - {f.name for f in dataclasses.fields(RadioProfile)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for name in _PROFILE_FLOAT_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            values[name] = value
-    if getattr(args, "duplex", None) is not None:
-        values["duplex"] = args.duplex
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(RadioProfile)}
+    values.update((name, value) for name, value in flags.items() if value is not None)
     try:
         return RadioProfile(**values)
     except TypeError as exc:
@@ -396,19 +401,11 @@ def _load_profile(args) -> RadioProfile:
 def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file with RadioProfile fields")
-    for name in _PROFILE_FLOAT_FIELDS:
-        parser.add_argument(f"--{name}", type=float, default=None)
-    parser.add_argument("--duplex", choices=("full", "half"), default=None)
+    for field in dataclasses.fields(RadioProfile):
+        kind = {"choices": DUPLEX_MODES} if field.name == "duplex" else {"type": float}
+        parser.add_argument(f"--{field.name}", default=None, **kind)
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output here instead of stdout")
-
-
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frames", type=int, default=1_000_000)
-    parser.add_argument("--warmup", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--forwarding", choices=("store-and-forward", "cut-through"),
-                        default="store-and-forward")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -418,106 +415,51 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_alloc = sub.add_parser("allocate", help="solve one scenario")
+    p_alloc.set_defaults(run=_cmd_allocate)
     _add_profile_flags(p_alloc)
 
     p_sweep = sub.add_parser("sweep", help="re-solve along one axis, emit CSV")
+    p_sweep.set_defaults(run=_cmd_sweep)
     _add_profile_flags(p_sweep)
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p_sweep.add_argument("--grid", required=True,
                          help="lo:hi:n (linear) or lo:hi:n:log (geometric)")
 
     p_val = sub.add_parser("validate", help="compare analytics with simulation")
+    p_val.set_defaults(run=_cmd_validate)
     _add_profile_flags(p_val)
-    _add_sim_flags(p_val)
+    p_val.add_argument("--frames", type=int, default=1_000_000)
+    p_val.add_argument("--warmup", type=int, default=10_000)
+    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--forwarding", choices=FORWARDING_MODES,
+                       default=FORWARDING_MODES[0])
 
     p_ccdf = sub.add_parser("ccdf", help="dump the analytic delay CCDF curve")
+    p_ccdf.set_defaults(run=_cmd_ccdf)
     _add_profile_flags(p_ccdf)
     p_ccdf.add_argument("--grid", default=None,
                         help="delay grid in frames, lo:hi:n; default 0:4*bound:101")
     return parser
 
 
-def _open_out(args):
-    if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+def _cmd_allocate(profile: RadioProfile, args) -> list[tuple]:
+    return [("metric", "value"), *_allocation_rows(allocate(to_scenario(profile)))]
 
 
-def _cmd_allocate(args) -> int:
-    profile = _load_profile(args)
-    allocation = allocate(to_scenario(profile))
-    stream, should_close = _open_out(args)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(("metric", "value"))
-        writer.writerow(("kappa1", repr(allocation.kappa1)))
-        writer.writerow(("kappa2", repr(allocation.kappa2)))
-        writer.writerow(("total_power", repr(allocation.total_power)))
-        writer.writerow(("kappa1_db", repr(_to_db(allocation.kappa1))))
-        writer.writerow(("kappa2_db", repr(_to_db(allocation.kappa2))))
-        writer.writerow(("total_power_db", repr(_to_db(allocation.total_power))))
-        writer.writerow(("theta1", repr(allocation.theta1)))
-        writer.writerow(("theta2", repr(allocation.theta2)))
-        writer.writerow(("delay_rate", repr(allocation.delay_rate)))
-        for name, value in allocation.residuals.items():
-            writer.writerow((f"residual_{name}", repr(value)))
-    finally:
-        if should_close:
-            stream.close()
-    return 0
+def _cmd_sweep(profile: RadioProfile, args) -> list[tuple]:
+    return _sweep_table(sweep(profile, args.axis, _parse_grid(args.grid)))
 
 
-def _cmd_sweep(args) -> int:
-    profile = _load_profile(args)
-    rows = sweep(profile, args.axis, _parse_grid(args.grid))
-    stream, should_close = _open_out(args)
-    try:
-        write_sweep_csv(rows, stream)
-    finally:
-        if should_close:
-            stream.close()
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    profile = _load_profile(args)
+def _cmd_validate(profile: RadioProfile, args) -> list[tuple]:
     cfg = SimConfig(n_frames=args.frames, warmup_frames=args.warmup,
                     seed=args.seed, relay_forwarding=args.forwarding)
-    report = validate(profile, cfg)
-    stream, should_close = _open_out(args)
-    try:
-        stream.write(report.to_text())
-    finally:
-        if should_close:
-            stream.close()
-    return 0
+    return validate(profile, cfg).rows()
 
 
-def _cmd_ccdf(args) -> int:
-    profile = _load_profile(args)
-    scenario = to_scenario(profile)
-    if args.grid is None:
-        xs = np.linspace(0.0, 4.0 * scenario.delay_bound, 101)
-    else:
-        xs = _parse_grid(args.grid)
-    stream, should_close = _open_out(args)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(("delay_frames", "single_hop_ccdf", "two_hop_ccdf"))
-        for x, hop, e2e in ccdf_table(profile, xs):
-            writer.writerow((repr(x), repr(hop), repr(e2e)))
-    finally:
-        if should_close:
-            stream.close()
-    return 0
-
-
-_COMMANDS = {
-    "allocate": _cmd_allocate,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
-    "ccdf": _cmd_ccdf,
-}
+def _cmd_ccdf(profile: RadioProfile, args) -> list[tuple]:
+    xs = (np.linspace(0.0, 4.0 * to_scenario(profile).delay_bound, 101)
+          if args.grid is None else _parse_grid(args.grid))
+    return [("delay_frames", "single_hop_ccdf", "two_hop_ccdf"), *ccdf_table(profile, xs)]
 
 
 def main(argv=None) -> int:
@@ -527,7 +469,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
+        rows = args.run(_load_profile(args), args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
@@ -537,6 +479,16 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    if args.out is None:
+        _write_rows(sys.stdout, rows)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as stream:
+            _write_rows(stream, rows)
+    except OSError as exc:
+        print(f"invalid configuration: cannot write {args.out!r}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,10 +22,6 @@ __all__ = [
     "invert_equal_rate_ccdf",
 ]
 
-# Relative rate gap below which the hypoexponential form has lost ~6 digits
-# to cancellation and the equal-rate form takes over.
-EQUAL_RATE_THRESHOLD = 1e-6
-
 
 @dataclass(frozen=True)
 class HopDelayLaw:
@@ -48,18 +44,19 @@ def single_hop_ccdf(law: HopDelayLaw, x: float) -> float:
 def two_hop_ccdf(law1: HopDelayLaw, law2: HopDelayLaw, x: float) -> float:
     """P(D1 + D2 > x) for independent exponential hop delays.
 
-    Uses the hypoexponential form (a*e^{-bx} - b*e^{-ax}) / (a - b) when the
-    rates differ, switching to the equal-rate form (1 + a*x) * e^{-a*x} at the
-    mean rate once |a - b| / max(a, b) drops below ``EQUAL_RATE_THRESHOLD``.
+    With b the slower rate and a the faster, the hypoexponential CCDF
+    (a*e^{-bx} - b*e^{-ax}) / (a - b) is evaluated as
+    e^{-bx} * (1 + bx * phi((a - b)x)), phi(t) = (1 - e^{-t}) / t, phi(0) = 1.
+    That form has no cancellation as a - b -> 0 and reduces exactly to the
+    Erlang-2 CCDF (1 + bx) * e^{-bx} at equal rates.
     """
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x!r}")
-    a, b = law1.rate, law2.rate
-    if abs(a - b) / max(a, b) < EQUAL_RATE_THRESHOLD:
-        mean_rate = 0.5 * (a + b)
-        ax = mean_rate * x
-        return (1.0 + ax) * math.exp(-ax)
-    return (a * math.exp(-b * x) - b * math.exp(-a * x)) / (a - b)
+    a, b = max(law1.rate, law2.rate), min(law1.rate, law2.rate)
+    t = (a - b) * x
+    phi = 1.0 if t == 0.0 else -math.expm1(-t) / t
+    bx = b * x
+    return math.exp(-bx) * (1.0 + bx * phi)
 
 
 def two_hop_tail_exponent(law1: HopDelayLaw, law2: HopDelayLaw) -> float:

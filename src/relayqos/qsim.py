@@ -168,12 +168,6 @@ class DelayStats:
     frames_simulated: int
     dropped_warmup: int
 
-    def dump_samples(self, path, which: str = "e2e") -> None:
-        """Write one integer delay sample per line for external analysis."""
-        samples = {"hop1": self.hop1_delays, "hop2": self.hop2_delays,
-                   "e2e": self.e2e_delays}[which]
-        np.savetxt(path, samples, fmt="%d")
-
 
 def _draw_service(rng: np.random.Generator, bt: float, kappa: float,
                   mean_gain: float, out: np.ndarray) -> np.ndarray:

@@ -84,14 +84,14 @@ class TestTheta1:
     def test_headline_value(self):
         # u = 16.688420790859922 / 50 (bisection oracle), divided by the load
         expected = 16.688420790859922 / 50.0 / HEADLINE.traffic_load
-        assert theta1_of(HEADLINE) == pytest.approx(expected, rel=1e-10)
+        assert theta1_of(HEADLINE) == pytest.approx(expected, rel=1e-10, abs=0.0)
         # the load rounded to 138.63 gives ~2.408e-3
         rounded = dataclasses.replace(HEADLINE, traffic_load=138.63)
-        assert theta1_of(rounded) == pytest.approx(0.0024076203983062717, rel=1e-10)
+        assert theta1_of(rounded) == pytest.approx(0.0024076203983062717, rel=1e-10, abs=0.0)
 
     def test_doubling_load_halves_theta1(self):
         doubled = dataclasses.replace(HEADLINE, traffic_load=2 * HEADLINE.traffic_load)
-        assert theta1_of(doubled) == pytest.approx(theta1_of(HEADLINE) / 2.0, rel=1e-14)
+        assert theta1_of(doubled) == pytest.approx(theta1_of(HEADLINE) / 2.0, rel=1e-14, abs=0.0)
 
     def test_loose_target_vanishes(self):
         loose = dataclasses.replace(HEADLINE, violation_prob=1.0 - 1e-12)
@@ -111,7 +111,7 @@ class TestKappa1:
         kappa1 = solve_kappa1(theta1, HEADLINE)
         link = LinkModel(kappa1, HEADLINE.hop1_mean_gain, HEADLINE.bt_product)
         assert effective_capacity_oracle(theta1, link) == pytest.approx(
-            HEADLINE.traffic_load, rel=1e-6)
+            HEADLINE.traffic_load, rel=1e-6, abs=0.0)
 
     def test_vanishing_load_needs_vanishing_power(self):
         tiny = dataclasses.replace(HEADLINE, traffic_load=1e-3)
@@ -145,7 +145,7 @@ class TestRelayArrivalBandwidth:
         load = HEADLINE.traffic_load
         excess = [relay_arrival_bandwidth(t, b, HEADLINE) - load
                   for t in (0.5 * theta1, theta1)]
-        assert excess[1] == pytest.approx(2.0 * excess[0], rel=1e-12)
+        assert excess[1] == pytest.approx(2.0 * excess[0], rel=1e-12, abs=0.0)
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
@@ -216,13 +216,13 @@ class TestAllocate:
         rate2 = allocation.theta2 * effective_capacity_rayleigh(allocation.theta2, link2)
         value = two_hop_ccdf(HopDelayLaw(rate1), HopDelayLaw(rate2),
                              HEADLINE.delay_bound)
-        assert value == pytest.approx(HEADLINE.violation_prob, rel=1e-6)
+        assert value == pytest.approx(HEADLINE.violation_prob, rel=1e-6, abs=0.0)
 
     def test_randomized_constraint_closure(self):
         for scenario in random_scenarios(10, seed=1):
             allocation = allocate(scenario)
             u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
-            assert allocation.delay_rate == pytest.approx(u, rel=1e-12)
+            assert allocation.delay_rate == pytest.approx(u, rel=1e-12, abs=0.0)
             for name, value in allocation.residuals.items():
                 assert value <= 1e-8, (scenario, name)
             assert allocation.theta2 <= allocation.theta1
@@ -332,7 +332,7 @@ class TestBrentq:
     ])
     def test_analytic_monotone_functions(self, f, a, b):
         got = allocator._newton_root(f, a, b)
-        assert got == pytest.approx(scipy_brentq(lambda x: f(x)[0], a, b), rel=1e-11)
+        assert got == pytest.approx(scipy_brentq(lambda x: f(x)[0], a, b), rel=1e-11, abs=0.0)
 
     def test_root_at_either_bracket_end(self):
         def f(x):
@@ -390,7 +390,7 @@ class TestBrentq:
             for point in (x, root if root is not None else x_max):
                 h = 1e-5
                 central = (f(point + h)[0] - f(point - h)[0]) / (2.0 * h)
-                assert f(point)[1] == pytest.approx(central, rel=1e-6)
+                assert f(point)[1] == pytest.approx(central, rel=1e-6, abs=0.0)
 
     def test_allocate_matches_scipy_backed_solve(self):
         scenarios = random_scenarios(40, seed=11) + wide_scenarios(150, seed=12)
@@ -405,8 +405,8 @@ class TestBrentq:
                 outcomes.add(exc.step)
                 continue
             assert not isinstance(reference, str), scenario
-            assert mine.kappa1 == pytest.approx(reference[0], rel=1e-10)
-            assert mine.kappa2 == pytest.approx(reference[1], rel=1e-10)
+            assert mine.kappa1 == pytest.approx(reference[0], rel=1e-10, abs=0.0)
+            assert mine.kappa2 == pytest.approx(reference[1], rel=1e-10, abs=0.0)
             outcomes.add("feasible")
         assert outcomes == {"feasible", "solve_kappa1", "solve_kappa2"}
 

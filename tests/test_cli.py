@@ -37,7 +37,7 @@ class TestUnitConversions:
     def test_100_kbps_at_2ms(self):
         # 1e5 bits/s * ln 2 * 0.002 s = 138.629... nats/frame
         nats = bits_per_second_to_nats_per_frame(1e5, 2e-3)
-        assert nats == pytest.approx(138.62943611198906, rel=1e-14)
+        assert nats == pytest.approx(138.62943611198906, rel=1e-14, abs=0.0)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(0)
@@ -46,30 +46,32 @@ class TestUnitConversions:
             t_f = float(10.0 ** rng.uniform(-4.0, -1.0))
             back = nats_per_frame_to_bits_per_second(
                 bits_per_second_to_nats_per_frame(rate, t_f), t_f)
-            assert back == pytest.approx(rate, rel=1e-12)
+            assert back == pytest.approx(rate, rel=1e-12, abs=0.0)
 
 
 class TestToScenario:
     def test_defaults_follow_reference_setup(self):
         scenario = to_scenario(RadioProfile())
-        assert scenario.traffic_load == pytest.approx(138.62943611198906)
+        assert scenario.traffic_load == pytest.approx(138.62943611198906, rel=1e-6, abs=0.0)
         assert scenario.delay_bound == 125.0  # 250 ms at 2 ms frames
         assert scenario.hop1_mean_gain == 1.0
         assert scenario.hop2_mean_gain == 1.0
         # duplex=full halves the per-link transmission time
-        assert scenario.bt_product == pytest.approx(100.0)
+        assert scenario.bt_product == pytest.approx(100.0, rel=1e-6, abs=0.0)
 
     def test_mean_gain_power_law(self):
         profile = RadioProfile(d1=25.0, d2=75.0)
         scenario = to_scenario(profile)
-        assert scenario.hop1_mean_gain == pytest.approx(8.0)  # (0.5)^-3
-        assert scenario.hop2_mean_gain == pytest.approx(1.5 ** -3)
+        assert scenario.hop1_mean_gain == pytest.approx(8.0, rel=1e-6, abs=0.0)  # (0.5)^-3
+        assert scenario.hop2_mean_gain == pytest.approx(1.5 ** -3, rel=1e-6, abs=0.0)
 
     def test_duplex_mapping_and_override(self):
-        assert to_scenario(RadioProfile(duplex="half")).bt_product == pytest.approx(200.0)
-        assert to_scenario(RadioProfile(duplex="full")).bt_product == pytest.approx(100.0)
+        assert to_scenario(RadioProfile(duplex="half")).bt_product == pytest.approx(
+            200.0, rel=1e-6, abs=0.0)
+        assert to_scenario(RadioProfile(duplex="full")).bt_product == pytest.approx(
+            100.0, rel=1e-6, abs=0.0)
         forced = RadioProfile(duplex="full", transmission_time=2e-3)
-        assert to_scenario(forced).bt_product == pytest.approx(200.0)
+        assert to_scenario(forced).bt_product == pytest.approx(200.0, rel=1e-6, abs=0.0)
         assert transmission_time(forced) == 2e-3
 
     def test_delay_bound_rounding(self):
@@ -109,7 +111,8 @@ class TestSweep:
             assert row.kappa1 == allocation.kappa1
             assert row.kappa2 == allocation.kappa2
             assert row.theta1 == allocation.theta1
-            assert row.kappa1_db == pytest.approx(10 * math.log10(allocation.kappa1))
+            assert row.kappa1_db == pytest.approx(10 * math.log10(allocation.kappa1),
+                                                  rel=1e-6, abs=0.0)
 
     def test_d1_sweep_moves_relay_along_line(self):
         rows = sweep(FAST, "d1", [30.0, 50.0, 70.0])
@@ -144,7 +147,7 @@ class TestValidate:
         report = validate(FAST, cfg)
         again = validate(FAST, cfg)
         assert report.to_text() == again.to_text()
-        assert report.analytic_violation == pytest.approx(1e-2, rel=1e-6)
+        assert report.analytic_violation == pytest.approx(1e-2, rel=1e-6, abs=0.0)
         assert 0.0 <= report.empirical_violation <= 1.0
         text = report.to_text()
         assert "empirical_violation" in text
@@ -163,7 +166,7 @@ class TestCcdfTable:
         e2e = [r[2] for r in rows]
         assert all(a > b for a, b in zip(e2e, e2e[1:]))
         # the curve hits the target at the bound (50 frames)
-        assert e2e[-1] == pytest.approx(1e-2, rel=1e-6)
+        assert e2e[-1] == pytest.approx(1e-2, rel=1e-6, abs=0.0)
         # two-hop tail dominates the single hop
         assert all(r[2] >= r[1] for r in rows)
 
@@ -203,8 +206,8 @@ class TestMain:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         values = [float(r["axis_value"]) for r in rows]
-        assert values[0] == pytest.approx(1e-6)
-        assert values[-1] == pytest.approx(1e-1)
+        assert values[0] == pytest.approx(1e-6, rel=1e-6, abs=0.0)
+        assert values[-1] == pytest.approx(1e-1, rel=1e-6, abs=0.0)
 
     def test_validate_command_byte_identical(self, tmp_path):
         args = ["validate", "--delay_bound", "0.1", "--violation_prob", "1e-2",
@@ -215,11 +218,31 @@ class TestMain:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         # every numeric row parses as a plain float (no numpy reprs)
-        rows = dict(line.split(",", 1) for line in out1.read_text().splitlines()[1:])
+        rows = dict(csv.reader(out1.read_text().splitlines()[1:]))
         for key, value in rows.items():
             if key in ("forwarding", "notes") or key.endswith("_window"):
                 continue
             float(value)
+
+    def test_validate_rows_are_two_fields(self, capsys):
+        # the fit windows hold commas, so the writer must quote them
+        assert main(["validate", "--delay_bound", "0.1", "--violation_prob", "1e-2",
+                     "--transmission_time", "2e-3", "--frames", "100000",
+                     "--warmup", "2000", "--seed", "13"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["metric", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows)["hop1_fit_window"].startswith("(")
+
+    def test_validate_repeats_allocate_rows(self, capsys):
+        args = ["--delay_bound", "0.1", "--violation_prob", "1e-2",
+                "--transmission_time", "2e-3"]
+        assert main(["allocate", *args]) == 0
+        allocate_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert main(["validate", *args, "--frames", "20000", "--warmup", "0"]) == 0
+        validate_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        start = validate_rows.index(allocate_rows[1])
+        assert validate_rows[start:start + len(allocate_rows) - 1] == allocate_rows[1:]
 
     def test_ccdf_command(self, tmp_path):
         out = tmp_path / "ccdf.csv"
@@ -231,11 +254,18 @@ class TestMain:
         assert len(rows) == 11
         assert float(rows[0]["two_hop_ccdf"]) == 1.0
 
-    def test_exit_code_infeasible(self, capsys):
-        code = main(["allocate", "--traffic_load", "1e9",
-                     "--delay_bound", "0.1", "--violation_prob", "1e-6"])
-        assert code == 1
+    def test_exit_code_infeasible(self, tmp_path, capsys):
+        args = ["allocate", "--traffic_load", "1e9",
+                "--delay_bound", "0.1", "--violation_prob", "1e-6"]
+        assert main(args) == 1
         assert "infeasible" in capsys.readouterr().err
+        # a failed solve neither creates nor truncates --out
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("previous\n")
+        assert main(args + ["--out", str(fresh)]) == 1
+        assert main(args + ["--out", str(kept)]) == 1
+        assert not fresh.exists()
+        assert kept.read_text() == "previous\n"
 
     def test_exit_code_invalid_config(self, tmp_path, capsys):
         assert main(["allocate", "--duplex", "simplex"]) == 2
@@ -244,6 +274,9 @@ class TestMain:
         config.write_text(json.dumps({"no_such_field": 1.0}))
         assert main(["allocate", "--config", str(config)]) == 2
         assert main(["allocate", "--delay_bound", "0.0001"]) == 2
+        capsys.readouterr()
+        assert main(["allocate", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_exit_code_instability(self, monkeypatch, capsys):
         def boom(profile, cfg):

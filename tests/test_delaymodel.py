@@ -11,7 +11,6 @@ import pytest
 from scipy import integrate
 
 from relayqos.delaymodel import (
-    EQUAL_RATE_THRESHOLD,
     HopDelayLaw,
     invert_equal_rate_ccdf,
     single_hop_ccdf,
@@ -36,12 +35,13 @@ class TestSingleHop:
         assert single_hop_ccdf(HopDelayLaw(0.7), 0.0) == 1.0
 
     def test_half_life(self):
-        assert single_hop_ccdf(HopDelayLaw(1.0), math.log(2.0)) == pytest.approx(0.5)
+        assert single_hop_ccdf(HopDelayLaw(1.0), math.log(2.0)) == pytest.approx(
+            0.5, rel=1e-6, abs=0.0)
 
     def test_qos_point(self):
         # rate from the (D=50, xi=1e-6) inversion: e^{-16.69} ~ 5.66e-8
         value = single_hop_ccdf(HopDelayLaw(U_50_1E6), 50.0)
-        assert value == pytest.approx(math.exp(-U_50_1E6 * 50.0), rel=1e-13)
+        assert value == pytest.approx(math.exp(-U_50_1E6 * 50.0), rel=1e-13, abs=0.0)
         assert 5e-8 < value < 6e-8
 
     def test_rejects_bad_inputs(self):
@@ -59,12 +59,12 @@ class TestTwoHop:
     def test_distinct_rates_example(self):
         # (a=1, b=2, x=1): 2/e - e^-2, cross-checked by convolution
         value = two_hop_ccdf(HopDelayLaw(1.0), HopDelayLaw(2.0), 1.0)
-        assert value == pytest.approx(0.600423599106272, rel=1e-12)
+        assert value == pytest.approx(0.600423599106272, rel=1e-12, abs=0.0)
         assert value == pytest.approx(convolution_ccdf(1.0, 2.0, 1.0), abs=1e-10)
 
     def test_equal_rates_hit_the_inverted_target(self):
         law = HopDelayLaw(U_50_1E6)
-        assert two_hop_ccdf(law, law, 50.0) == pytest.approx(1e-6, rel=1e-9)
+        assert two_hop_ccdf(law, law, 50.0) == pytest.approx(1e-6, rel=1e-9, abs=0.0)
 
     def test_matches_convolution_on_random_triples(self):
         rng = np.random.default_rng(7)
@@ -78,17 +78,23 @@ class TestTwoHop:
             got = two_hop_ccdf(HopDelayLaw(a), HopDelayLaw(b), x)
             assert got == pytest.approx(convolution_ccdf(a, b, x), abs=1e-8)
 
-    def test_continuous_across_switching_threshold(self):
-        # the general form just above the threshold must agree with the
-        # equal-rate form just below it
+    def test_near_equal_rates_against_mpmath(self):
+        # relative rate gaps from 1e-12 to 10, where the plain hypoexponential
+        # form loses digits to cancellation; equal rates give the Erlang-2 form
+        mpmath = pytest.importorskip("mpmath")
         b = 0.731
-        for sign in (-1.0, 1.0):
-            a_general = b * (1.0 + sign * 1.0001 * EQUAL_RATE_THRESHOLD)
-            a_equal = b * (1.0 + sign * 0.9999 * EQUAL_RATE_THRESHOLD)
-            for x in (0.5, 5.0, 25.0):
-                above = two_hop_ccdf(HopDelayLaw(a_general), HopDelayLaw(b), x)
-                below = two_hop_ccdf(HopDelayLaw(a_equal), HopDelayLaw(b), x)
-                assert above == pytest.approx(below, rel=1e-6)
+        for gap in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 10.0):
+            a = b * (1.0 + gap)
+            for x in (0.0, 0.5, 5.0, 25.0, 80.0):
+                got = two_hop_ccdf(HopDelayLaw(a), HopDelayLaw(b), x)
+                if gap == 0.0:
+                    assert got == (1.0 + b * x) * math.exp(-b * x)
+                    continue
+                with mpmath.workdps(50):
+                    ma, mb, mx = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+                    ref = float((ma * mpmath.exp(-mb * mx) - mb * mpmath.exp(-ma * mx))
+                                / (ma - mb))
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_symmetry(self):
         one, two = HopDelayLaw(0.2), HopDelayLaw(1.7)
@@ -128,18 +134,18 @@ class TestTailExponent:
             x1, x2 = 1e3, 2e3
             slope = (math.log(two_hop_ccdf(law1, law2, x1))
                      - math.log(two_hop_ccdf(law1, law2, x2))) / (x2 - x1)
-            assert slope == pytest.approx(two_hop_tail_exponent(law1, law2), rel=0.01)
+            assert slope == pytest.approx(two_hop_tail_exponent(law1, law2), rel=0.01, abs=0.0)
 
 
 class TestInversion:
     def test_frozen_rate(self):
         law = invert_equal_rate_ccdf(50.0, 1e-6)
-        assert law.rate == pytest.approx(U_50_1E6, rel=1e-10)
+        assert law.rate == pytest.approx(U_50_1E6, rel=1e-10, abs=0.0)
 
     def test_round_trip(self):
         for delay, xi in ((50.0, 1e-6), (25.0, 1e-3), (200.0, 0.05)):
             law = invert_equal_rate_ccdf(delay, xi)
-            assert two_hop_ccdf(law, law, delay) == pytest.approx(xi, rel=1e-9)
+            assert two_hop_ccdf(law, law, delay) == pytest.approx(xi, rel=1e-9, abs=0.0)
 
     def test_loose_target(self):
         law = invert_equal_rate_ccdf(10.0, 1.0 - 1e-12)

@@ -48,7 +48,7 @@ def log_moment_reference(s, snr):
 
 class TestLinkModel:
     def test_effective_snr(self):
-        assert link(2.0, 4.0).effective_snr == pytest.approx(2.0)
+        assert link(2.0, 4.0).effective_snr == pytest.approx(2.0, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(tx_power=0.0, mean_gain=1.0, bt_product=1.0),
@@ -64,19 +64,19 @@ class TestClosedForms:
     def test_capacity_at_unit_beta(self):
         theta = 1.0 / BT  # beta = 1
         assert effective_capacity_rayleigh(theta, link()) == pytest.approx(
-            C_BETA1_SNR1, rel=1e-12)
+            C_BETA1_SNR1, rel=1e-12, abs=0.0)
 
     def test_bandwidth_at_unit_beta(self):
         # E[1 + h] = 2 for unit-mean h, so A = ln(2)/theta
         theta = 1.0 / BT
         assert effective_bandwidth_service_rayleigh(theta, link()) == pytest.approx(
-            A_BETA1_SNR1, rel=1e-12)
+            A_BETA1_SNR1, rel=1e-12, abs=0.0)
 
     def test_bandwidth_at_beta_two(self):
         # E[(1 + h)^2] = 1 + 2 + 2 = 5
         theta = 2.0 / BT
         assert effective_bandwidth_service_rayleigh(theta, link()) == pytest.approx(
-            math.log(5.0) / theta, rel=1e-12)
+            math.log(5.0) / theta, rel=1e-12, abs=0.0)
 
 
 class TestOracleAgreement:
@@ -86,15 +86,15 @@ class TestOracleAgreement:
         lk = link(float(snr))
         c1 = effective_capacity_rayleigh(float(theta), lk)
         c2 = effective_capacity_oracle(float(theta), lk)
-        assert c1 == pytest.approx(c2, rel=1e-6)
+        assert c1 == pytest.approx(c2, rel=1e-6, abs=0.0)
         a1 = effective_bandwidth_service_rayleigh(float(theta), lk)
         a2 = effective_bandwidth_oracle(float(theta), lk)
-        assert a1 == pytest.approx(a2, rel=1e-6)
+        assert a1 == pytest.approx(a2, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("snr", np.geomspace(1e-3, 1e6, 10))
     def test_ergodic_rate_matches_quadrature(self, snr):
         lk = link(float(snr))
-        assert ergodic_rate(lk) == pytest.approx(ergodic_rate_oracle(lk), rel=1e-12)
+        assert ergodic_rate(lk) == pytest.approx(ergodic_rate_oracle(lk), rel=1e-12, abs=0.0)
 
     def test_closed_forms_match_mpmath(self):
         rng = np.random.default_rng(5)
@@ -113,12 +113,12 @@ class TestOracleAgreement:
         # beta = 1, snr = 1: the moment is e*E1(1) ~ 0.596347362323194
         theta = 1.0 / BT
         c = effective_capacity_oracle(theta, link())
-        assert math.exp(-theta * c) == pytest.approx(0.596347362323194, rel=1e-9)
+        assert math.exp(-theta * c) == pytest.approx(0.596347362323194, rel=1e-9, abs=0.0)
 
 
 class TestLimitsAndMonotonicity:
     def test_ergodic_rate_frozen_value(self):
-        assert ergodic_rate(link()) == pytest.approx(ERGODIC_SNR1, rel=1e-10)
+        assert ergodic_rate(link()) == pytest.approx(ERGODIC_SNR1, rel=1e-10, abs=0.0)
 
     def test_tiny_theta_returns_ergodic_limit(self):
         # only the oracles switch to the ergodic rate; the closed forms stay
@@ -139,8 +139,9 @@ class TestLimitsAndMonotonicity:
     def test_small_theta_approaches_ergodic(self):
         lk = link(1.7)
         erg = ergodic_rate(lk)
-        assert effective_capacity_rayleigh(1e-6, lk) == pytest.approx(erg, rel=1e-3)
-        assert effective_bandwidth_service_rayleigh(1e-6, lk) == pytest.approx(erg, rel=1e-3)
+        assert effective_capacity_rayleigh(1e-6, lk) == pytest.approx(erg, rel=1e-3, abs=0.0)
+        assert effective_bandwidth_service_rayleigh(1e-6, lk) == pytest.approx(
+            erg, rel=1e-3, abs=0.0)
 
     def test_capacity_decreasing_bandwidth_increasing_in_theta(self):
         lk = link(3.0)
@@ -220,7 +221,7 @@ class TestCapacityLogSlope:
             moment = z ** beta * mpmath.exp(z) * mpmath.gammainc(1 - beta, z)
             return -mpmath.log(moment) / theta
 
-        assert got == pytest.approx(float(mpmath.diff(capacity, math.log(snr))), rel=1e-9)
+        assert got == pytest.approx(float(mpmath.diff(capacity, math.log(snr))), rel=1e-9, abs=0.0)
 
     def test_ergodic_limit(self):
         # at theta = 5e-9 the moment is 1 + O(1e-6), and C comes from its log1p
@@ -238,4 +239,4 @@ class TestCapacityLogSlope:
                 return -mpmath.log(moment) / theta
 
             exact = mpmath.diff(capacity, math.log(snr))
-            assert got == pytest.approx(float(exact), rel=1e-9)
+            assert got == pytest.approx(float(exact), rel=1e-9, abs=0.0)

@@ -449,22 +449,13 @@ class TestSimulateTandem:
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         slope = tail_slope(stats.hop1_delays,
                            *suggest_fit_window(stats.hop1_delays))
-        assert slope == pytest.approx(headline_allocation.delay_rate, rel=0.15)
-
-    def test_dump_samples(self, headline_allocation, tmp_path):
-        cfg = SimConfig(n_frames=2000, warmup_frames=100, seed=9)
-        stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
-        path = tmp_path / "delays.txt"
-        stats.dump_samples(path, which="e2e")
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == stats.e2e_delays.size
-        assert np.array_equal(np.array([int(v) for v in lines]), stats.e2e_delays)
+        assert slope == pytest.approx(headline_allocation.delay_rate, rel=0.15, abs=0.0)
 
 
 class TestEmpiricalCcdf:
     def test_small_examples(self):
         assert empirical_ccdf([1, 2, 3], 0)[0] == 1.0
-        assert empirical_ccdf([1, 2, 3], 2)[0] == pytest.approx(1.0 / 3.0)
+        assert empirical_ccdf([1, 2, 3], 2)[0] == pytest.approx(1.0 / 3.0, rel=1e-6, abs=0.0)
         assert empirical_ccdf([5] * 40, 5)[0] == 0.0
 
     def test_returns_python_floats(self):
@@ -475,21 +466,21 @@ class TestEmpiricalCcdf:
         # 30 contiguous batches: ten of 4 samples (0..39), then twenty of 3;
         # the batch 49..51 has two samples above 49
         p, hw = empirical_ccdf(np.arange(100), 49)
-        assert p == pytest.approx(0.5)
+        assert p == pytest.approx(0.5, rel=1e-6, abs=0.0)
         means = [0.0] * 13 + [2.0 / 3.0] + [1.0] * 16
         t = scipy_stats.t.ppf(0.975, 29)
-        assert hw == pytest.approx(t * np.std(means, ddof=1) / math.sqrt(30))
+        assert hw == pytest.approx(t * np.std(means, ddof=1) / math.sqrt(30), rel=1e-6, abs=0.0)
 
     def test_halfwidth_with_fewer_samples_than_batches(self):
         p, hw = empirical_ccdf([1, 2, 3], 2)
         t = scipy_stats.t.ppf(0.975, 2)
-        assert hw == pytest.approx(t * np.std([0, 0, 1], ddof=1) / math.sqrt(3))
+        assert hw == pytest.approx(t * np.std([0, 0, 1], ddof=1) / math.sqrt(3), rel=1e-6, abs=0.0)
         assert empirical_ccdf([7], 1) == (1.0, math.inf)
 
     def test_t_quantiles(self):
         assert len(_T975) == 29
         for df, q in enumerate(_T975, start=1):
-            assert q == pytest.approx(scipy_stats.t.ppf(0.975, df), rel=1e-12)
+            assert q == pytest.approx(scipy_stats.t.ppf(0.975, df), rel=1e-12, abs=0.0)
 
     def test_halfwidth_allows_for_correlation(self):
         # 0/1 Markov chain that flips state w.p. a per sample: mean 1/2,
@@ -568,7 +559,7 @@ class TestTailSlope:
         n = samples.size
         assert (samples > x_lo).sum() <= 0.2 * n
         assert (samples > x_hi).sum() >= max(100, 1e-3 * n)
-        assert tail_slope(samples, x_lo, x_hi) == pytest.approx(0.2, rel=0.05)
+        assert tail_slope(samples, x_lo, x_hi) == pytest.approx(0.2, rel=0.05, abs=0.0)
 
 
 def test_no_sorting_in_simulator():

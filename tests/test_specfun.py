@@ -47,7 +47,7 @@ class TestLambertW:
 
     def test_minus_one_branch_small_argument(self):
         w = lambert_w(-1e-6 / math.e, branch=-1)
-        assert w == pytest.approx(W_M1_AT_MINUS_1E6_OVER_E, rel=1e-12)
+        assert w == pytest.approx(W_M1_AT_MINUS_1E6_OVER_E, rel=1e-12, abs=0.0)
         assert abs(w * math.exp(w) - (-1e-6 / math.e)) <= 1e-12 * 1e-6 / math.e
 
     @pytest.mark.parametrize("branch", [0, -1])
@@ -69,7 +69,7 @@ class TestLambertW:
         for x in -INV_E * rng.random(200):
             for branch in (0, -1):
                 ref = float(mpmath.lambertw(float(x), branch).real)
-                assert lambert_w(float(x), branch) == pytest.approx(ref, rel=1e-10)
+                assert lambert_w(float(x), branch) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_branch_ordering_on_common_domain(self):
         for x in (-0.3, -0.1, -1e-3, -1e-8):
@@ -93,25 +93,26 @@ class TestLambertW:
 class TestUpperIncompleteGamma:
     def test_exponential_special_case(self):
         # a = 1: the integral is exactly e^-z
-        assert upper_incomplete_gamma(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
+        assert upper_incomplete_gamma(1.0, 2.0) == pytest.approx(
+            math.exp(-2.0), rel=1e-13, abs=0.0)
 
     def test_full_gamma_limit(self):
         # z -> 0+ with a > 0 recovers Gamma(a)
-        assert upper_incomplete_gamma(2.0, 1e-13) == pytest.approx(1.0, rel=1e-10)
+        assert upper_incomplete_gamma(2.0, 1e-13) == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
     def test_negative_parameter_against_quadrature(self):
         value = upper_incomplete_gamma(-0.5, 1.0)
-        assert value == pytest.approx(G_MINUS_HALF_AT_1, rel=1e-10)
+        assert value == pytest.approx(G_MINUS_HALF_AT_1, rel=1e-10, abs=0.0)
 
     def test_zero_parameter_is_e1(self):
-        assert upper_incomplete_gamma(0.0, 1.0) == pytest.approx(E1_AT_1, rel=1e-10)
+        assert upper_incomplete_gamma(0.0, 1.0) == pytest.approx(E1_AT_1, rel=1e-10, abs=0.0)
 
     def test_against_mpmath_grid(self):
         for a in np.linspace(-5.0, 10.0, 31):
             for z in (1e-3, 1e-2, 0.1, 0.5, 1.0, 1.4, 2.0, 5.0, 10.0, 30.0, 50.0):
                 ref = float(mpmath.gammainc(mpmath.mpf(float(a)), z, mpmath.inf))
                 got = upper_incomplete_gamma(float(a), float(z))
-                assert got == pytest.approx(ref, rel=1e-10), (a, z)
+                assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (a, z)
                 assert got > 0.0
 
     def test_recurrence_identity(self):
@@ -121,7 +122,7 @@ class TestUpperIncompleteGamma:
                 lhs = upper_incomplete_gamma(a + 1.0, float(z))
                 rhs = (a * upper_incomplete_gamma(float(a), float(z))
                        + math.exp(a * math.log(z) - z))
-                assert rhs == pytest.approx(lhs, rel=1e-9), (a, z)
+                assert rhs == pytest.approx(lhs, rel=1e-9, abs=0.0), (a, z)
 
     def test_strictly_decreasing_in_z(self):
         for a in (-2.5, -0.5, 0.0, 1.5, 4.0):
@@ -157,7 +158,7 @@ class TestLogUpperIncompleteGamma:
         for a, z in ((0.5, 800.0), (-2.0, 2000.0), (180.0, 1.0), (-4.0, 1e6)):
             got = log_upper_incomplete_gamma(a, z)
             ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
-            assert got == pytest.approx(ref, rel=1e-10)
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_deeply_negative_parameter_small_z(self):
         # the plain recurrence cannot represent these; the log variant can
@@ -166,11 +167,11 @@ class TestLogUpperIncompleteGamma:
                 upper_incomplete_gamma(a, z)
             got = log_upper_incomplete_gamma(a, z)
             ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
-            assert got == pytest.approx(ref, rel=1e-10)
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
         # still representable here: both routes must agree
         value = upper_incomplete_gamma(-120.0, 0.3)
         assert value == pytest.approx(
-            float(mpmath.gammainc(mpmath.mpf(-120.0), 0.3, mpmath.inf)), rel=1e-10)
+            float(mpmath.gammainc(mpmath.mpf(-120.0), 0.3, mpmath.inf)), rel=1e-10, abs=0.0)
 
     def test_deeply_negative_parameter_is_fast(self):
         # a <= -10 goes to the continued fraction, never to 1e7 recurrence steps
@@ -185,7 +186,7 @@ class TestLogUpperIncompleteGamma:
         for a, z in ((35593.7, 34747.6), (561766.05, 542066.85)):
             got = log_upper_incomplete_gamma(a, z)
             ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
-            assert got == pytest.approx(ref, rel=1e-9)
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def _log_gamma_reference(a, z):
@@ -248,8 +249,8 @@ class TestGamma1pFrac:
 
 class TestQosRateTarget:
     def test_frozen_bisection_values(self):
-        assert qos_rate_target(50.0, 1e-6) == pytest.approx(V_XI_1E6 / 50.0, rel=1e-10)
-        assert qos_rate_target(100.0, 1e-2) == pytest.approx(V_XI_1E2 / 100.0, rel=1e-10)
+        assert qos_rate_target(50.0, 1e-6) == pytest.approx(V_XI_1E6 / 50.0, rel=1e-10, abs=0.0)
+        assert qos_rate_target(100.0, 1e-2) == pytest.approx(V_XI_1E2 / 100.0, rel=1e-10, abs=0.0)
 
     def test_defining_identity(self):
         rng = np.random.default_rng(11)
@@ -259,7 +260,7 @@ class TestQosRateTarget:
             u = qos_rate_target(delay, xi)
             assert u > 0.0
             v = u * delay
-            assert (1.0 + v) * math.exp(-v) == pytest.approx(xi, rel=1e-10)
+            assert (1.0 + v) * math.exp(-v) == pytest.approx(xi, rel=1e-10, abs=0.0)
 
     def test_loose_target_gives_vanishing_rate(self):
         u = qos_rate_target(1.0, 1.0 - 1e-12)
@@ -302,12 +303,12 @@ class TestRbmDecorrelation:
                                    1.7, 4.0, 12.0, 40.0])
     def test_matches_integral_representation(self, t):
         assert rbm_decorrelation(t) == pytest.approx(_rbm_decorrelation_oracle(t),
-                                                     rel=1e-12)
+                                                     rel=1e-12, abs=0.0)
 
     def test_limits(self):
         assert rbm_decorrelation(0.0) == 0.0
         # Var[Z(t) - Z(0)] ~ t for small t, and 2 Var[Z] = 1/2 for canonical RBM
-        assert rbm_decorrelation(1e-12) == pytest.approx(2e-12, rel=1e-5)
+        assert rbm_decorrelation(1e-12) == pytest.approx(2e-12, rel=1e-5, abs=0.0)
         assert rbm_decorrelation(200.0) == 1.0
         assert rbm_decorrelation(1e6) == 1.0
 
