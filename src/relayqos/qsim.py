@@ -15,21 +15,30 @@ the next frame ("store-and-forward", the default) or within the same frame
 The Lindley recursion is evaluated in vectorized form (cumulative sums plus a
 running minimum), and gains come from a counter-based Philox generator, so a
 run is reproducible from its seed and replications with different seeds are
-independent.  Hop 1 takes draws 0..n-1 of the Philox(seed) stream, hop 2
-draws n..2n-1 and the drain the draws after that; hop 2's generator is a
-second Philox(seed) moved on by n // 4 counter steps (four draws each) and
-n % 4 single draws.
+independent.  Over the horizon of n frames hop 1 takes draws 0..n-1 of the
+Philox(seed) stream and hop 2 draws n..2n-1; hop 2's generator is a second
+Philox(seed) moved on by n // 4 counter steps (four draws each) and n % 4
+single draws.  Past the horizon that generator serves both hops in turn:
+frame n + j takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).
 
-The main horizon is streamed in chunks of _SIM_CHUNK frames: each chunk's
-gains are drawn, both hops scanned and both departure curves tagged in a
-few chunk-sized buffers, so the only memory that grows with the horizon is
-the three int64 delay arrays returned (24 B per frame).  Each hop carries
-its cumulative net input, the running minimum of that sum and its departure
-curve's running maximum across a chunk boundary, and hop 2 its last
-cumulative arrival.  Every carry is folded into element 0 of the next
-chunk before its cumulative sum or accumulate, so each float operation is
-the one a single scan over the whole horizon makes and the delays do not
-depend on the chunk size.
+The simulation is streamed in chunks of _SIM_CHUNK frames: each chunk's
+uniforms are drawn, turned into services in place, both hops scanned and
+both departure curves tagged in a few chunk-sized buffers, so the only
+memory that grows with the horizon is the three int64 delay arrays returned
+(24 B per frame).  Each hop carries its cumulative net input, the running
+minimum of that sum and its departure curve's running maximum across a
+chunk boundary, and hop 2 its last cumulative arrival.  Every carry is
+folded into element 0 of the next chunk before its cumulative sum or
+accumulate, so each float operation is the one a single scan over the whole
+run makes and the delays do not depend on the chunk size.
+
+So that no tagged bit is censored, the same scan runs on past frame n, with
+the source still sending, until every tagged bit has departed both hops.
+This gives the delays a drain with no fresh arrivals would give: under FIFO
+a bit arriving after the horizon queues behind every tagged bit, so it
+takes none of the service a tagged bit would get, and each tagged bit
+departs in the same frame either way.  The run-on stops after
+_MAX_DRAIN_FRAMES frames with an error if a tagged bit is still queued.
 
 Delay tagging in O(n).  The bit tagged in frame c - 1 has the float target
 T(c) = c*load - off, off = _INDEX_SLACK*load, and departs in frame tau(c),
@@ -100,12 +109,14 @@ _T975 = (
 # recursion.  One millionth of a frame of traffic.
 _INDEX_SLACK = 1e-6
 
+# Frames the scan may run past the horizon for the tagged bits still queued
+# there to depart; a backlog that needs more means an effectively unstable
+# queue.
 _MAX_DRAIN_FRAMES = 1_000_000
 
-# Frames simulated per chunk of the main horizon: the gain draws, both
-# Lindley scans and the tagging of one chunk run in a handful of buffers of
-# this length, which stay in cache and fix the scratch memory whatever the
-# horizon.
+# Frames simulated per chunk: the gain draws, both Lindley scans and the
+# tagging of one chunk run in a handful of buffers of this length, which
+# stay in cache and fix the scratch memory whatever the horizon.
 _SIM_CHUNK = 1 << 16
 
 # Departure-curve values tagged per vectorized step; keeps the step's
@@ -169,16 +180,14 @@ class DelayStats:
     dropped_warmup: int
 
 
-def _draw_service(rng: np.random.Generator, bt: float, kappa: float,
-                  mean_gain: float, out: np.ndarray) -> np.ndarray:
-    """Per-frame Shannon service bt*log1p(kappa*h) under exponential gains h.
+def _to_service(s: np.ndarray, bt: float, kappa: float,
+                mean_gain: float) -> np.ndarray:
+    """Turn uniforms U into Shannon services bt*log1p(kappa*h), in place.
 
-    The gain is drawn by inverse-CDF sampling, h = -mean_gain*log1p(-U); the
-    generator fills ``out`` and every step runs in place there.  The
-    constants are applied one at a time, not folded, so each value is rounded
-    exactly as in bt*log1p(kappa*(-mean_gain*log1p(-U))).
+    The gain is exponential by inverse-CDF sampling, h = -mean_gain*log1p(-U).
+    The constants are applied one at a time, not folded, so each value is
+    rounded exactly as in bt*log1p(kappa*(-mean_gain*log1p(-U))).
     """
-    s = rng.random(out=out)
     np.negative(s, out=s)
     np.log1p(s, out=s)
     np.multiply(-mean_gain, s, out=s)
@@ -191,9 +200,11 @@ def _draw_service(rng: np.random.Generator, bt: float, kappa: float,
 def _hop2_generator(seed: int, n: int) -> np.random.Generator:
     """Generator positioned at draw n of the Philox(seed) stream.
 
-    Hop 1 takes draws 0..n-1 of the stream and hop 2 draws n..2n-1, as if
-    both came from one generator; the drain continues from draw 2n.  Philox
-    makes four 64-bit draws per counter step, and each double takes one draw.
+    Over a horizon of n frames hop 1 takes draws 0..n-1 of the stream and
+    hop 2 draws n..2n-1, as if both came from one generator.  The run-on
+    past the horizon continues from draw 2n, frame n + j taking draws
+    2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).  Philox makes four 64-bit draws
+    per counter step, and each double takes one draw.
     """
     bits = np.random.Philox(key=seed)
     bits.advance(n // 4)
@@ -210,7 +221,7 @@ def _queue_after_frames(net: np.ndarray, work: np.ndarray,
     ``low`` are that sum and that minimum carried from the previous chunk
     (0 and +inf before the first); each is folded into element 0 before its
     scan, so every float operation is the one a single scan over the whole
-    horizon makes.  Returns the carries for the next chunk; ``work`` is
+    run makes.  Returns the carries for the next chunk; ``work`` is
     scratch of the same length.
     """
     net[0] += cum
@@ -228,14 +239,14 @@ def _queue_after_frames(net: np.ndarray, work: np.ndarray,
 
 
 class _TandemScan:
-    """Both hops' Lindley scans over successive chunks of the main horizon.
+    """Both hops' Lindley scans over successive chunks of a run.
 
     :meth:`step` takes the next chunk's per-frame services and returns that
     chunk's cumulative departure curves.  Across the chunk boundary it
     carries each hop's cumulative net input, its running minimum and its
     departure curve's running maximum (which is the curve's last value), and
     hop 2's last cumulative arrival; with these folded into element 0 the
-    curves equal those of one scan over the whole horizon bit for bit.
+    curves equal those of one scan over the whole run bit for bit.
     """
 
     def __init__(self, load: float, forwarding: str, size: int):
@@ -247,7 +258,6 @@ class _TandemScan:
         # last departure-curve values; the curves start at 0 and never fall
         self.dep1 = self.dep2 = 0.0
         self.arr2 = 0.0  # last value of hop 2's cumulative arrival curve
-        self.q1 = self.q2 = 0.0  # backlogs after the last frame
         self._frame_number = np.arange(1.0, size + 1.0)
         # hop 1's curve after a leading slot for the previous chunk's last
         # value, so store-and-forward's one-frame shift copies nothing
@@ -266,7 +276,6 @@ class _TandemScan:
         dep1 = curve1[1:]
         np.subtract(self.load, s1, out=dep1)
         self.cum1, self.low1 = _queue_after_frames(dep1, s1, self.cum1, self.low1)
-        self.q1 = float(dep1[-1])
         np.add(self._frame_number[:k], self.frames, out=s1)
         np.multiply(self.load, s1, out=s1)  # hop 1's arrival curve
         np.subtract(s1, dep1, out=dep1)
@@ -279,7 +288,6 @@ class _TandemScan:
         np.subtract(arr2[1:], arr2[:-1], out=q2[1:])
         np.subtract(q2, s2, out=q2)
         self.cum2, self.low2 = _queue_after_frames(q2, s2, self.cum2, self.low2)
-        self.q2 = float(q2[-1])
         dep2 = np.subtract(arr2, q2, out=q2)
         dep2[0] = max(self.dep2, dep2[0])
         np.fmax.accumulate(dep2, out=dep2)
@@ -288,46 +296,6 @@ class _TandemScan:
         self.dep1, self.dep2 = float(dep1[-1]), float(dep2[-1])
         self.arr2 = float(arr2[-1])
         return dep1, dep2, arr2
-
-
-def _drain(rng: np.random.Generator, scenario: Scenario, allocation: Allocation,
-           forwarding: str, q1: float, q2: float, pending: float,
-           dep1_base: float, dep2_base: float):
-    """Serve remaining backlog with zero fresh arrivals until both queues empty.
-
-    Returns the cumulative departure extensions of both hops so every tagged
-    bit of the main horizon has a recorded departure frame.
-    """
-    bt = scenario.bt_product
-    dep1_ext: list[float] = []
-    dep2_ext: list[float] = []
-    cum1, cum2 = dep1_base, dep2_base
-    tol = 1e-9 * max(scenario.traffic_load, 1.0)
-    for _ in range(_MAX_DRAIN_FRAMES):
-        if q1 <= tol and q2 <= tol and pending <= tol:
-            break
-        u = rng.random(2)
-        s1 = bt * math.log1p(-allocation.kappa1 * scenario.hop1_mean_gain
-                             * math.log1p(-u[0]))
-        s2 = bt * math.log1p(-allocation.kappa2 * scenario.hop2_mean_gain
-                             * math.log1p(-u[1]))
-        served1 = min(q1, s1)
-        q1 -= served1
-        if forwarding == "store-and-forward":
-            a2, pending = pending, served1
-        else:
-            a2, pending = pending + served1, 0.0
-        q2 += a2
-        served2 = min(q2, s2)
-        q2 -= served2
-        cum1 += served1
-        cum2 += served2
-        dep1_ext.append(cum1)
-        dep2_ext.append(cum2)
-    else:
-        raise RuntimeError("drain phase did not empty the queues; "
-                           "queues are effectively unstable")
-    return np.asarray(dep1_ext), np.asarray(dep2_ext)
 
 
 class _Tagger:
@@ -375,12 +343,12 @@ class _Tagger:
             m -= self.first
             np.clip(m, 0, n_tagged, out=m)
             lo = int(m[0])
-            # this value, and every later one, is past the last target
-            self.done = lo == n_tagged
-            if not self.done:
+            if lo < n_tagged:
                 counts = np.bincount(m - lo)
                 hi = min(lo + counts.size, n_tagged)
                 self.waits[lo:hi] += counts[:hi - lo]
+            # the last value, and every later one, is past the last target
+            self.done = int(m[-1]) == n_tagged
 
     def result(self) -> np.ndarray:
         """Frames waited per tagged bit, once the whole curve has been fed."""
@@ -391,11 +359,21 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
                     cfg: SimConfig) -> DelayStats:
     """Simulate the tandem queue and record per-hop and end-to-end delays.
 
+    Bits arriving in frames warmup..n-1 are tagged.  The scan runs on past
+    frame n, in the same chunks and with the source still sending, until
+    every tagged bit has departed both hops; under FIFO the later arrivals
+    queue behind the tagged bits, so each tagged bit departs in the frame a
+    drain with no fresh arrivals would give.  Frame n + j of the run-on
+    takes draws 2n + 2j and 2n + 2j + 1 of the Philox(seed) stream.
+
     Raises
     ------
     StabilityError
         If either hop's mean service rate is at or below its mean arrival
         rate; tail statistics of an unstable queue are meaningless.
+    RuntimeError
+        If a tagged bit is still queued _MAX_DRAIN_FRAMES frames past the
+        horizon; the queues are then effectively unstable.
     """
     load = scenario.traffic_load
     if load == 0.0:
@@ -416,31 +394,35 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     n = int(cfg.n_frames)
     chunk = min(_SIM_CHUNK, n)
     bt = scenario.bt_product
-    forwarding = cfg.relay_forwarding
     rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
     rng2 = _hop2_generator(int(cfg.seed), n)
     tag1 = _Tagger(load, cfg.warmup_frames, n)
     tag2 = _Tagger(load, cfg.warmup_frames, n)
-    scan = _TandemScan(load, forwarding, chunk)
-    s1, s2 = np.empty(chunk), np.empty(chunk)
-    for start in range(0, n, chunk):
-        k = min(chunk, n - start)
+    scan = _TandemScan(load, cfg.relay_forwarding, chunk)
+    draws = np.empty(2 * chunk)
+    while scan.frames < n or not (tag1.done and tag2.done):
+        if scan.frames < n:
+            k = min(chunk, n - scan.frames)
+            u1 = rng1.random(out=draws[:k])
+            u2 = rng2.random(out=draws[chunk:chunk + k])
+        else:
+            k = min(chunk, n + _MAX_DRAIN_FRAMES - scan.frames)
+            if k == 0:
+                raise RuntimeError(
+                    f"tagged bits still queued {_MAX_DRAIN_FRAMES} frames past "
+                    "the horizon; queues are effectively unstable")
+            # hop 1 takes the even draws and hop 2 the odd ones
+            u1, u2 = rng2.random(out=draws[:2 * k]).reshape(k, 2).T
         dep1, dep2, _ = scan.step(
-            _draw_service(rng1, bt, allocation.kappa1, scenario.hop1_mean_gain, s1[:k]),
-            _draw_service(rng2, bt, allocation.kappa2, scenario.hop2_mean_gain, s2[:k]))
+            _to_service(u1, bt, allocation.kappa1, scenario.hop1_mean_gain),
+            _to_service(u2, bt, allocation.kappa2, scenario.hop2_mean_gain))
         tag1.feed(dep1)
         tag2.feed(dep2)
-    del s1, s2, dep1, dep2  # the chunk buffers go before hop2's array comes
-
-    pending = scan.dep1 - scan.arr2 if forwarding == "store-and-forward" else 0.0
-    dep1_ext, dep2_ext = _drain(rng2, scenario, allocation, forwarding,
-                                scan.q1, scan.q2, pending, scan.dep1, scan.dep2)
-    del scan
-    tag1.feed(dep1_ext)
-    tag2.feed(dep2_ext)
+    # the chunk buffers go before hop2's array comes
+    del draws, u1, u2, dep1, dep2, scan
     hop1, e2e = tag1.result(), tag2.result()
     hop2 = np.subtract(e2e, hop1)
-    if forwarding == "store-and-forward":
+    if cfg.relay_forwarding == "store-and-forward":
         hop2 -= 1
     return DelayStats(hop1, hop2, e2e, n, cfg.warmup_frames)
 
@@ -553,6 +535,10 @@ def suggest_fit_window(samples, min_exceedances: int = MIN_TAIL_EXCEEDANCES,
     else:
         x_hi = x_top
     if x_hi < x_lo + 4:
-        achieved = exceed[x_hi - 1] if x_hi >= 1 else _exceedances(samples, x_hi, x_hi)[0]
-        raise InsufficientTailData(int(achieved), min_exceedances, float(x_hi))
+        # x_lo + 4 is the shallowest end of a five-point window; x_hi stops
+        # short of it only where the count is below the floor (or is zero,
+        # past the largest sample)
+        x_min = x_lo + 4
+        achieved = int(exceed[x_min - 1]) if x_min <= exceed.size else 0
+        raise InsufficientTailData(achieved, math.ceil(floor), float(x_min))
     return x_lo, x_hi

@@ -234,6 +234,19 @@ class TestMain:
         assert all(len(row) == 2 for row in rows)
         assert dict(rows)["hop1_fit_window"].startswith("(")
 
+    def test_validate_notes_name_the_shortfall(self, capsys):
+        # too short a run for a five-point fit window on either hop: each
+        # note gives the count at the shallowest window end, x_lo + 4, which
+        # is short of the floor
+        assert main(["validate", "--violation_prob", "1e-2", "--delay_bound", "0.1",
+                     "--frames", "1500", "--warmup", "0", "--seed", "1"]) == 0
+        rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows["hop1_fit_window"] == rows["hop2_fit_window"] == "None"
+        notes = rows["notes"].split("; ")
+        assert [note.split(" (")[0] for note in notes] == [
+            "only 2 exceedances beyond x=10", "only 46 exceedances beyond x=16"]
+        assert all("(need >= 100)" in note for note in notes)
+
     def test_validate_repeats_allocate_rows(self, capsys):
         args = ["--delay_bound", "0.1", "--violation_prob", "1e-2",
                 "--transmission_time", "2e-3"]

@@ -167,8 +167,8 @@ def sorted_suggest_fit_window(samples, min_exceedances=MIN_TAIL_EXCEEDANCES,
         x_hi -= 1
     if x_hi < x_lo + 4:
         raise InsufficientTailData(
-            int(n - np.searchsorted(ordered, x_hi, side="right")),
-            min_exceedances, float(x_hi))
+            int(n - np.searchsorted(ordered, x_lo + 4, side="right")),
+            math.ceil(floor), float(x_lo + 4))
     return x_lo, x_hi
 
 
@@ -177,7 +177,8 @@ def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except (InsufficientTailData, ValueError) as exc:
-        return type(exc), str(exc), getattr(exc, "achieved", None)
+        return (type(exc), str(exc), getattr(exc, "achieved", None),
+                getattr(exc, "required", None))
 
 
 @st.composite
@@ -213,7 +214,7 @@ def tagging_cases(draw):
         min_size=1, max_size=120))
     dep = np.sort(np.concatenate([np.repeat(near_targets(load, [c], where), k)
                                   for c, where, k in points]))
-    cut = draw(st.integers(0, dep.size))  # main horizon | drain extension
+    cut = draw(st.integers(0, dep.size))  # one scan step | the next
     return load, (dep[:cut], dep[cut:]), first, last
 
 
@@ -246,8 +247,8 @@ class TestFramesWaited:
     def test_values_on_and_beside_every_target(self, load, where):
         # a floor estimate alone is wrong on some of these; the correction
         # step must bring every count back to the binary search's.  The
-        # curve spans several chunks, is split mid-chunk into a main part
-        # and an extension, and runs on well past the last target.
+        # curve spans several chunks, is fed in two parts split mid-chunk,
+        # and runs on well past the last target.
         last = 20_000
         dep = near_targets(load, np.arange(2 * last), where)
         curve = (dep[:25_001], dep[25_001:])
@@ -317,10 +318,38 @@ class TestSimulateTandem:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 1001])
     def test_hop2_generator_continues_hop1_stream(self, n):
-        # hop 2's gains, and the drain after them, are draws n, n + 1, ...
-        # of the one stream a single Philox(seed) generator would give
+        # hop 2's gains over the horizon, and the run-on's draws after them,
+        # are draws n, n + 1, ... of the one stream a single Philox(seed)
+        # generator would give
         want = np.random.Generator(np.random.Philox(key=3)).random(2 * n + 5)
         assert np.array_equal(_hop2_generator(3, n).random(n + 5), want[n:])
+
+    @pytest.mark.parametrize("forwarding", ["store-and-forward", "cut-through"])
+    def test_run_on_over_many_steps(self, headline_allocation, monkeypatch,
+                                    forwarding):
+        # the last tagged bit leaves the relay more than ten frames past the
+        # horizon, so with two-frame chunks the run-on takes several steps
+        cfg = SimConfig(n_frames=201, warmup_frames=150, seed=7,
+                        relay_forwarding=forwarding)
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", 2)
+        stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        assert stats.e2e_delays[-1] >= 11
+        for got, want in zip((stats.hop1_delays, stats.hop2_delays,
+                              stats.e2e_delays),
+                             reference_delays(SCENARIO, headline_allocation, cfg)):
+            assert np.array_equal(got, want)
+
+    def test_run_on_cap(self, headline_allocation, monkeypatch):
+        # the last tagged bit, from frame n - 1, departs e2e_delays[-1]
+        # frames after it, so the run-on needs exactly that many frames
+        cfg = SimConfig(n_frames=201, seed=7)
+        needed = int(simulate_tandem(SCENARIO, headline_allocation, cfg).e2e_delays[-1])
+        assert needed > 1
+        monkeypatch.setattr(qsim, "_MAX_DRAIN_FRAMES", needed)
+        simulate_tandem(SCENARIO, headline_allocation, cfg)
+        monkeypatch.setattr(qsim, "_MAX_DRAIN_FRAMES", 1)
+        with pytest.raises(RuntimeError, match="1 frames past the horizon"):
+            simulate_tandem(SCENARIO, headline_allocation, cfg)
 
     def test_peak_memory_per_frame(self, headline_allocation):
         # the three int64 delay arrays returned (24 B per frame) are the only
@@ -538,19 +567,25 @@ class TestTailSlope:
                                             tail_ccdf, chunk):
         # windows, slopes and exceptions (with their shortfall) are those of
         # the sort-based originals, on integer and float samples on and
-        # beside integers, read in chunks of any size
+        # beside integers, read in chunks of any size; a shortfall reported
+        # is always short of what it needs
+        seen = []
         with mock.patch.object(qsim, "_HIST_CHUNK", chunk):
-            assert (outcome(suggest_fit_window, samples, min_exceedances,
-                            body_ccdf, tail_ccdf)
-                    == outcome(sorted_suggest_fit_window, samples,
-                               min_exceedances, body_ccdf, tail_ccdf))
-            assert (outcome(tail_slope, samples, x_lo, x_lo + width)
-                    == outcome(sorted_tail_slope, samples, x_lo, x_lo + width))
+            seen.append(outcome(suggest_fit_window, samples, min_exceedances,
+                                body_ccdf, tail_ccdf))
+            assert seen[-1] == outcome(sorted_suggest_fit_window, samples,
+                                       min_exceedances, body_ccdf, tail_ccdf)
+            seen.append(outcome(tail_slope, samples, x_lo, x_lo + width))
+            assert seen[-1] == outcome(sorted_tail_slope, samples, x_lo, x_lo + width)
             if samples.size:
                 window = outcome(sorted_suggest_fit_window, samples, 1, 0.2, 0.0)
+                seen.append(window)
                 if type(window) is tuple and len(window) == 2:
-                    assert (outcome(tail_slope, samples, *window)
-                            == outcome(sorted_tail_slope, samples, *window))
+                    seen.append(outcome(tail_slope, samples, *window))
+                    assert seen[-1] == outcome(sorted_tail_slope, samples, *window)
+        for result in seen:
+            if type(result) is tuple and result[0] is InsufficientTailData:
+                assert result[2] < result[3]
 
     def test_suggest_window_brackets_body_and_tail(self):
         rng = np.random.default_rng(2)
