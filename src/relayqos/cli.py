@@ -40,7 +40,6 @@ from .delaymodel import (
 )
 from .qsim import (
     FORWARDING_MODES,
-    InsufficientTailData,
     SimConfig,
     StabilityError,
     empirical_ccdf,
@@ -318,7 +317,7 @@ def _fit_hop_slope(samples) -> tuple[float, tuple[int, int] | None, str]:
     try:
         window = suggest_fit_window(samples)
         return tail_slope(samples, *window), window, ""
-    except (InsufficientTailData, ValueError) as exc:
+    except ValueError as exc:  # InsufficientTailData among them
         return math.nan, None, str(exc)
 
 

@@ -56,12 +56,12 @@ it spans, so tagging costs O(n) time and no frame-length memory beyond its
 output, and its output equals the binary search's bit for bit
 (tests/test_qsim.py keeps the binary search as the reference).
 
-Tail statistics in O(n + max delay).  :func:`suggest_fit_window` and
-:func:`tail_slope` count exceedances #{s > x} at integer x from one
-histogram of the samples (float samples ceil'd first) over 1..max and over
-the fit window respectively; for integer x, s > x exactly when
-ceil(s) > x, so the counts, and with them the windows and slopes, equal
-those of a sort and binary search.
+Tail statistics in O(n + max delay).  Delays are whole frames, so
+:func:`suggest_fit_window` and :func:`tail_slope` take non-negative integer
+samples and count the exceedances #{s > x} at every integer x = 0..max from
+one ``np.bincount`` and its cumulative sum; the counts, and with them the
+windows and slopes, equal those of a sort and binary search.  Float samples
+raise TypeError, negative ones ValueError.
 """
 
 from __future__ import annotations
@@ -87,7 +87,10 @@ __all__ = [
 
 FORWARDING_MODES = ("store-and-forward", "cut-through")
 
+# Levels of suggest_fit_window's body and tail ends (see its docstring).
 MIN_TAIL_EXCEEDANCES = 100
+BODY_CCDF = 0.2
+TAIL_CCDF = 1e-3
 
 # Batches of empirical_ccdf's batch-means half-width, and the 0.975 quantile
 # of Student's t with 1, 2, ..., _CCDF_BATCHES - 1 degrees of freedom.
@@ -123,10 +126,6 @@ _SIM_CHUNK = 1 << 16
 # temporaries in cache and their memory independent of the horizon.
 _TAG_CHUNK = 1 << 14
 
-# Samples read per step of the tail statistics' histogram; fixes the memory
-# of the clipped bin indices whatever the number of samples.
-_HIST_CHUNK = 1 << 16
-
 # The floor estimate of a value's target count is off by at most one in
 # practice; the correction loop stops with an error if it ever needs more.
 _MAX_TAG_CORRECTIONS = 4
@@ -142,7 +141,7 @@ class InsufficientTailData(ValueError):
     def __init__(self, achieved: int, required: int, x: float):
         super().__init__(
             f"only {achieved} exceedances beyond x={x:g} "
-            f"(need >= {required}) — simulate more frames or lower x_hi")
+            f"(need >= {required}) — simulate more frames")
         self.achieved = achieved
         self.required = required
 
@@ -396,10 +395,12 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     bt = scenario.bt_product
     rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
     rng2 = _hop2_generator(int(cfg.seed), n)
-    tag1 = _Tagger(load, cfg.warmup_frames, n)
-    tag2 = _Tagger(load, cfg.warmup_frames, n)
+    # chunk buffers first: freed, they leave a hole below the frame-length
+    # arrays, so a small block kept there cannot pin those arrays' heap pages
     scan = _TandemScan(load, cfg.relay_forwarding, chunk)
     draws = np.empty(2 * chunk)
+    tag1 = _Tagger(load, cfg.warmup_frames, n)
+    tag2 = _Tagger(load, cfg.warmup_frames, n)
     while scan.frames < n or not (tag1.done and tag2.done):
         if scan.frames < n:
             k = min(chunk, n - scan.frames)
@@ -451,32 +452,13 @@ def empirical_ccdf(samples, x: float) -> tuple[float, float]:
     return p, _T975[b - 2] * float(np.std(means, ddof=1)) / math.sqrt(b)
 
 
-def _exceedances(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Number of samples strictly above x, for every integer x in lo..hi.
+def _exceedances(samples: np.ndarray) -> np.ndarray:
+    """Number of samples strictly above x, for every integer x in 0..max.
 
-    The samples are read _HIST_CHUNK at a time into one int64 buffer, ceil'd
-    if they are floats (for an integer x, s > x exactly when ceil(s) > x, so
-    the counts are exact for floats too), clipped to lo - (hi - lo + 1)..
-    hi + 1 and counted in one histogram: O(n + hi - lo) time and O(hi - lo)
-    memory beside the buffer, with no copy of the samples.  Samples at or
-    below lo exceed no x counted; the bins below lo only spread them out,
-    since np.bincount slows down when most samples land in one bin, as they
-    do for a window high in the tail.
+    One histogram of the non-negative integer samples: O(n + max) time and
+    O(max) memory, and np.bincount reads int64 samples without a copy.
     """
-    base = 2 * lo - hi - 1
-    hist = np.zeros(hi - base + 2, dtype=np.int64)
-    bins = np.empty(min(_HIST_CHUNK, samples.size), dtype=np.int64)
-    for i in range(0, samples.size, _HIST_CHUNK):
-        part = samples[i:i + _HIST_CHUNK]
-        if part.dtype.kind == "f":
-            part = np.ceil(part)
-        b = bins[:part.size]
-        # int64 bounds, so a negative base is never cast to an unsigned dtype
-        np.clip(part, np.int64(base), np.int64(hi + 1), out=b, casting="unsafe")
-        b -= base
-        hist += np.bincount(b, minlength=hist.size)
-    # samples at or below x, for x = lo..hi
-    return samples.size - np.cumsum(hist)[lo - base:hi - base + 1]
+    return samples.size - np.cumsum(np.bincount(samples, minlength=1))
 
 
 def tail_slope(samples, x_lo: float, x_hi: float) -> float:
@@ -484,60 +466,57 @@ def tail_slope(samples, x_lo: float, x_hi: float) -> float:
 
     Estimates the exponential decay rate of the delay tail.  Requires at
     least ``MIN_TAIL_EXCEEDANCES`` samples beyond x_hi so the deepest point
-    of the fit is statistically meaningful.
+    of the fit is statistically meaningful.  The samples are whole-frame
+    delays (non-negative integers; floats raise TypeError).  They are
+    counted over 0..max(samples) whatever the window, so the cost is
+    O(n + max(samples)), not O(n + window width): the cost that
+    :func:`suggest_fit_window` already pays on the same samples.
     """
-    lo = math.ceil(x_lo)
-    xs = np.arange(lo, math.floor(x_hi) + 1, dtype=np.float64)
-    if xs.size < 2:
+    lo, hi = math.ceil(x_lo), math.floor(x_hi)
+    if hi <= lo:
         raise ValueError(
             f"fit window [{x_lo:g}, {x_hi:g}] holds fewer than two integer points")
     samples = np.asarray(samples)
     n = samples.size
-    exceed = _exceedances(samples, lo, lo + xs.size - 1)
+    # counts at x = -1, 0, ..., max + 1 (all samples exceed -1, none max + 1)
+    counts = np.concatenate(([n], _exceedances(samples), [0]))
+    xs = np.arange(lo, hi + 1)
+    exceed = counts[np.clip(xs, -1, counts.size - 2) + 1]
     if exceed[-1] < MIN_TAIL_EXCEEDANCES:
-        raise InsufficientTailData(int(exceed[-1]), MIN_TAIL_EXCEEDANCES, float(xs[-1]))
+        raise InsufficientTailData(int(exceed[-1]), MIN_TAIL_EXCEEDANCES, float(hi))
     ccdf = exceed / n
     if ccdf.min() == ccdf.max():
         raise ValueError("degenerate CCDF: constant over the fit window")
-    slope = np.polyfit(xs, -np.log(ccdf), 1)[0]
-    return float(slope)
+    return float(np.polyfit(xs, -np.log(ccdf), 1)[0])
 
 
-def suggest_fit_window(samples, min_exceedances: int = MIN_TAIL_EXCEEDANCES,
-                       body_ccdf: float = 0.2,
-                       tail_ccdf: float = 1e-3) -> tuple[int, int]:
+def suggest_fit_window(samples) -> tuple[int, int]:
     """Deterministic tail-fit window for :func:`tail_slope`.
 
-    The window starts where the empirical CCDF drops below ``body_ccdf``
+    The window starts where the empirical CCDF drops below ``BODY_CCDF``
     (past the distribution body) and ends at the last integer delay whose
-    CCDF still exceeds ``tail_ccdf`` and whose exceedance count is at least
-    ``min_exceedances``.  The CCDF floor matters on long runs: below ~1e-3
-    the tail of a single correlated sample path is dominated by a handful of
-    busy-period excursions and the fitted slope turns noisy.  The counts
-    come from one histogram over 1..max(samples), so the cost is
-    O(n + max(samples)), made for delays counted in frames.
+    CCDF still exceeds ``TAIL_CCDF`` and whose exceedance count is at least
+    ``MIN_TAIL_EXCEEDANCES``.  The CCDF floor matters on long runs: below
+    ~1e-3 the tail of a single correlated sample path is dominated by a
+    handful of busy-period excursions and the fitted slope turns noisy.
+    The samples are whole-frame delays (non-negative integers); the counts
+    come from one histogram over 0..max(samples), so the cost is
+    O(n + max(samples)).
     """
     samples = np.asarray(samples)
     n = samples.size
     if n == 0:
         raise ValueError("no samples")
-    floor = max(min_exceedances, tail_ccdf * n)
-    top = samples.max()
-    x_top = int(top)
-    # exceed[x - 1] = samples above x, for x = 1, 2, ...; it never rises with
-    # x, so the entries above a level form a prefix, and counting them gives
-    # the last x above the level
-    exceed = _exceedances(samples, 1, max(1, math.ceil(top)))
-    x_lo = 1 + int(np.count_nonzero(exceed > body_ccdf * n))
-    if x_top > x_lo:
-        # the last x <= x_top still holding `floor` exceedances, not below x_lo
-        x_hi = max(x_lo, min(x_top, int(np.count_nonzero(exceed >= floor))))
-    else:
-        x_hi = x_top
+    floor = max(MIN_TAIL_EXCEEDANCES, TAIL_CCDF * n)
+    # exceed[x - 1] = samples above x, for x = 1..max; it never rises with x,
+    # so counting the entries above a level gives the last x above it
+    exceed = _exceedances(samples)[1:]
+    x_lo = 1 + int(np.count_nonzero(exceed > BODY_CCDF * n))
+    x_hi = int(np.count_nonzero(exceed >= floor))
     if x_hi < x_lo + 4:
-        # x_lo + 4 is the shallowest end of a five-point window; x_hi stops
-        # short of it only where the count is below the floor (or is zero,
-        # past the largest sample)
+        # x_lo + 4 is the shallowest end of a five-point window; the last x
+        # holding `floor` exceedances stops short of it only where the count
+        # there is below the floor (or is zero, past the largest sample)
         x_min = x_lo + 4
         achieved = int(exceed[x_min - 1]) if x_min <= exceed.size else 0
         raise InsufficientTailData(achieved, math.ceil(floor), float(x_min))

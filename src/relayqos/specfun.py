@@ -65,30 +65,6 @@ def _w_initial_guess(x: float, branch: int, t: float) -> float:
     return l1 - l2 + l2 / l1
 
 
-def _w_bisect(x: float, branch: int) -> float:
-    """Fallback: bisection on w*e^w - x, exploiting monotonicity per branch."""
-    if branch == 0:
-        lo, hi = -1.0, max(1.0, math.log1p(abs(x)) + 1.0)
-        while hi * math.exp(hi) < x:
-            hi *= 2.0
-    else:
-        hi = -1.0
-        lo = -2.0
-        while lo * math.exp(lo) - x <= 0.0:
-            lo *= 2.0
-            if lo < -1e6:
-                break
-    f_lo = lo * math.exp(lo) - x
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = mid * math.exp(mid) - x
-        if (f_lo <= 0.0) == (f_mid <= 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def lambert_w(x: float, branch: int = 0) -> float:
     """Real Lambert-W function, the inverse of w -> w * e^w.
 
@@ -109,7 +85,8 @@ def lambert_w(x: float, branch: int = 0) -> float:
     Raises
     ------
     ValueError
-        If x is outside the domain of the requested branch.
+        If x is outside the domain of the requested branch, or if 100
+        Halley steps do not converge (never seen on either branch).
     """
     if branch not in (0, -1):
         raise ValueError(f"branch must be 0 or -1, got {branch}")
@@ -143,10 +120,7 @@ def lambert_w(x: float, branch: int = 0) -> float:
             w = -1.0 + 1e-12
         elif branch == -1 and w > -1.0:
             w = -1.0 - 1e-12
-    w = _w_bisect(x, branch)
-    if abs(w * math.exp(w) - x) > 1e-10 * scale:
-        raise ValueError(f"lambert_w failed to converge for x={x!r}, branch={branch}")
-    return w
+    raise ValueError(f"lambert_w failed to converge for x={x!r}, branch={branch}")
 
 
 # ---------------------------------------------------------------------------

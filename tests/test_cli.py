@@ -246,6 +246,9 @@ class TestMain:
         assert [note.split(" (")[0] for note in notes] == [
             "only 2 exceedances beyond x=10", "only 46 exceedances beyond x=16"]
         assert all("(need >= 100)" in note for note in notes)
+        # no x_hi is given to validate's fits, so none is advised lowered
+        assert all(note.endswith("— simulate more frames") for note in notes)
+        assert "lower x_hi" not in rows["notes"]
 
     def test_validate_repeats_allocate_rows(self, capsys):
         args = ["--delay_bound", "0.1", "--violation_prob", "1e-2",

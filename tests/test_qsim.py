@@ -13,7 +13,6 @@ import ast
 import inspect
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,14 +22,15 @@ from scipy import stats as scipy_stats
 from relayqos import qsim
 from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
-    _HIST_CHUNK,
     _SIM_CHUNK,
     _T975,
     _TAG_CHUNK,
     _Tagger,
     _TandemScan,
     _hop2_generator,
+    BODY_CCDF,
     MIN_TAIL_EXCEEDANCES,
+    TAIL_CCDF,
     InsufficientTailData,
     SimConfig,
     StabilityError,
@@ -152,7 +152,7 @@ def sorted_tail_slope(samples, x_lo, x_hi):
 
 
 def sorted_suggest_fit_window(samples, min_exceedances=MIN_TAIL_EXCEEDANCES,
-                              body_ccdf=0.2, tail_ccdf=1e-3):
+                              body_ccdf=BODY_CCDF, tail_ccdf=TAIL_CCDF):
     """suggest_fit_window's sort-based original: one integer step at a time."""
     ordered = np.sort(np.asarray(samples))
     n = ordered.size
@@ -183,21 +183,11 @@ def outcome(fn, *args, **kwargs):
 
 @st.composite
 def tail_samples(draw):
-    """Delay-like samples: integers, or floats on and one ulp beside them."""
-    dtype = draw(st.sampled_from([np.int64, np.float64]))
-    points = draw(st.lists(
-        st.tuples(st.integers(-6, 60),
-                  st.sampled_from(["at", "below", "above", "half"]),
-                  st.integers(1, 400)),
-        max_size=12))
-    parts = []
-    for value, where, count in points:
-        v = np.full(count, float(value))
-        if dtype is np.float64:
-            v = {"at": v, "below": np.nextafter(v, -np.inf),
-                 "above": np.nextafter(v, np.inf), "half": v + 0.5}[where]
-        parts.append(v.astype(dtype))
-    samples = np.concatenate(parts) if parts else np.empty(0, dtype)
+    """Delay-like samples: whole frames 0..60 in runs of repeated values."""
+    points = draw(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 400)),
+                           max_size=12))
+    samples = np.repeat(np.array([v for v, _ in points], dtype=np.int64),
+                        [k for _, k in points])
     return np.random.default_rng(draw(st.integers(0, 99))).permutation(samples)
 
 
@@ -531,17 +521,25 @@ class TestEmpiricalCcdf:
             empirical_ccdf([], 1)
 
 
+def whole_frames(samples):
+    """Float delays rounded up to the whole frames the simulator counts."""
+    return np.ceil(samples).astype(np.int64)
+
+
 class TestTailSlope:
     def test_recovers_synthetic_exponential_rate(self):
-        # 3e6 samples keep >= 100 exceedances at x = 20 (P(X>20) = e^-10)
+        # 3e6 samples keep >= 100 exceedances at x = 20 (P(X>20) = e^-10);
+        # for integer x, ceil(X) > x exactly when X > x
         rng = np.random.default_rng(0)
         samples = rng.exponential(2.0, 3_000_000)  # rate 0.5
-        slope = tail_slope(samples, 2.0, 20.0)
+        with pytest.raises(TypeError):
+            tail_slope(samples, 2.0, 20.0)  # delays are whole frames
+        slope = tail_slope(whole_frames(samples), 2.0, 20.0)
         assert abs(slope - 0.5) <= 0.02
 
     def test_requires_exceedances(self):
         rng = np.random.default_rng(1)
-        samples = rng.exponential(1.0, 2000)
+        samples = whole_frames(rng.exponential(1.0, 2000))
         with pytest.raises(InsufficientTailData) as err:
             tail_slope(samples, 2.0, 25.0)
         assert err.value.achieved < 100
@@ -557,40 +555,33 @@ class TestTailSlope:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(samples=tail_samples(),
            x_lo=st.sampled_from([-3, 0, 1, 2]) | st.floats(-5.0, 30.0),
-           width=st.sampled_from([1, 4]) | st.floats(0.0, 40.0),
-           min_exceedances=st.sampled_from([MIN_TAIL_EXCEEDANCES, 1, 5]),
-           body_ccdf=st.sampled_from([0.2, 0.0, 0.5]),
-           tail_ccdf=st.sampled_from([1e-3, 0.05]),
-           chunk=st.sampled_from([_HIST_CHUNK, 3, 64]))
-    def test_histogram_counts_match_sorting(self, samples, x_lo, width,
-                                            min_exceedances, body_ccdf,
-                                            tail_ccdf, chunk):
+           width=st.sampled_from([1, 4]) | st.floats(0.0, 40.0))
+    def test_histogram_counts_match_sorting(self, samples, x_lo, width):
         # windows, slopes and exceptions (with their shortfall) are those of
-        # the sort-based originals, on integer and float samples on and
-        # beside integers, read in chunks of any size; a shortfall reported
-        # is always short of what it needs
-        seen = []
-        with mock.patch.object(qsim, "_HIST_CHUNK", chunk):
-            seen.append(outcome(suggest_fit_window, samples, min_exceedances,
-                                body_ccdf, tail_ccdf))
-            assert seen[-1] == outcome(sorted_suggest_fit_window, samples,
-                                       min_exceedances, body_ccdf, tail_ccdf)
-            seen.append(outcome(tail_slope, samples, x_lo, x_lo + width))
-            assert seen[-1] == outcome(sorted_tail_slope, samples, x_lo, x_lo + width)
-            if samples.size:
-                window = outcome(sorted_suggest_fit_window, samples, 1, 0.2, 0.0)
-                seen.append(window)
-                if type(window) is tuple and len(window) == 2:
-                    seen.append(outcome(tail_slope, samples, *window))
-                    assert seen[-1] == outcome(sorted_tail_slope, samples, *window)
+        # the sort-based originals, for windows reaching below 0 and past
+        # the largest sample too; a shortfall reported is always short of
+        # what it needs
+        seen = [outcome(suggest_fit_window, samples)]
+        assert seen[-1] == outcome(sorted_suggest_fit_window, samples)
+        seen.append(outcome(tail_slope, samples, x_lo, x_lo + width))
+        assert seen[-1] == outcome(sorted_tail_slope, samples, x_lo, x_lo + width)
+        if samples.size:
+            window = outcome(sorted_suggest_fit_window, samples, 1, 0.2, 0.0)
+            seen.append(window)
+            if type(window) is tuple and len(window) == 2:
+                seen.append(outcome(tail_slope, samples, *window))
+                assert seen[-1] == outcome(sorted_tail_slope, samples, *window)
         for result in seen:
             if type(result) is tuple and result[0] is InsufficientTailData:
                 assert result[2] < result[3]
 
     def test_suggest_window_brackets_body_and_tail(self):
+        # 5e5 samples, so the tail end's floor is TAIL_CCDF * n, not the
+        # exceedance minimum
         rng = np.random.default_rng(2)
-        samples = rng.exponential(5.0, 500_000)
+        samples = whole_frames(rng.exponential(5.0, 500_000))
         x_lo, x_hi = suggest_fit_window(samples)
+        assert (x_lo, x_hi) == sorted_suggest_fit_window(samples)
         n = samples.size
         assert (samples > x_lo).sum() <= 0.2 * n
         assert (samples > x_hi).sum() >= max(100, 1e-3 * n)

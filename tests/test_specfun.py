@@ -57,7 +57,7 @@ class TestLambertW:
         xs = list(-INV_E * rng.random(1000))
         xs += list(-np.exp(rng.uniform(np.log(1e-250), np.log(INV_E), 1000)))
         if branch == 0:
-            xs += list(np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 1000)))
+            xs += list(np.exp(rng.uniform(np.log(1e-6), np.log(1e300), 1000)))
         for x in xs:
             if branch == -1 and x >= 0.0:
                 continue
