@@ -21,7 +21,7 @@ for x in (0, 5, 10, 20, 40, 80):
 
 print()
 print(f"two-hop tail exponent = min of the rates = "
-      f"{rq.two_hop_tail_exponent(fast, slow)} (the slow hop dominates)")
+      f"{min(fast.rate, slow.rate)} (the slow hop dominates)")
 slope = (math.log(rq.two_hop_ccdf(fast, slow, 1000.0))
          - math.log(rq.two_hop_ccdf(fast, slow, 2000.0))) / 1000.0
 print(f"measured log-slope between x = 1000 and 2000: {slope:.6f}")

@@ -23,7 +23,6 @@ from .delaymodel import (
     invert_equal_rate_ccdf,
     single_hop_ccdf,
     two_hop_ccdf,
-    two_hop_tail_exponent,
 )
 from .effcap import (
     LinkModel,
@@ -88,6 +87,5 @@ __all__ = [
     "suggest_fit_window",
     "tail_slope",
     "two_hop_ccdf",
-    "two_hop_tail_exponent",
     "upper_incomplete_gamma",
 ]

@@ -56,7 +56,8 @@ __all__ = [
     "allocate",
 ]
 
-DEFAULT_POWER_CEILING = 1e6
+# Largest power kappa a hop may take; above it the scenario is infeasible.
+POWER_CEILING = 1e6
 
 # A converging Newton step in ln(kappa) this short leaves an error of order
 # its square, 1e-14.
@@ -65,7 +66,7 @@ _MAX_ITER = 200
 
 
 class InfeasibleError(RuntimeError):
-    """No feasible power up to the configured power ceiling."""
+    """No feasible power up to the power ceiling."""
 
     def __init__(self, step: str, message: str):
         super().__init__(f"{step}: {message}")
@@ -180,7 +181,7 @@ def _newton_root(f, x: float, x_max: float) -> float | None:
 
 
 def _solve_power(step: str, theta: float, target: float, mean_gain: float,
-                 bt: float, ceiling: float) -> float:
+                 bt: float) -> float:
     """Power at which a hop's effective capacity at theta equals target.
 
     Newton runs in x = ln(kappa) with the slope from the capacity value.
@@ -196,12 +197,12 @@ def _solve_power(step: str, theta: float, target: float, mean_gain: float,
     t = target / bt
     # ln(expm1(t)) in a form that cannot overflow
     x = t + math.log(-math.expm1(-t)) - math.log(mean_gain)
-    x_max = math.log(ceiling)
+    x_max = math.log(POWER_CEILING)
     if x <= x_max and math.exp(x) == 0.0:
         raise InfeasibleError(step, "required power underflows to zero")
     root = _newton_root(gap, x, x_max)
     if root is None:
-        raise InfeasibleError(step, f"no solution below the power ceiling {ceiling:g}")
+        raise InfeasibleError(step, f"no solution below the power ceiling {POWER_CEILING:g}")
     return math.exp(root)
 
 
@@ -212,13 +213,12 @@ def solve_theta1(u: float, scenario: Scenario) -> float:
     return u / scenario.traffic_load
 
 
-def solve_kappa1(theta1: float, scenario: Scenario,
-                 power_ceiling: float = DEFAULT_POWER_CEILING) -> float:
+def solve_kappa1(theta1: float, scenario: Scenario) -> float:
     """Hop-1 power: effective capacity at theta1 equals the traffic load."""
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be > 0, got {theta1!r}")
     return _solve_power("solve_kappa1", theta1, scenario.traffic_load,
-                        scenario.hop1_mean_gain, scenario.bt_product, power_ceiling)
+                        scenario.hop1_mean_gain, scenario.bt_product)
 
 
 def departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
@@ -261,24 +261,22 @@ def solve_theta2(u: float, b: float, scenario: Scenario) -> float:
     return 2.0 * u / (load + math.sqrt(load * load + 4.0 * b * u))
 
 
-def solve_kappa2(theta2: float, b: float, scenario: Scenario,
-                 power_ceiling: float = DEFAULT_POWER_CEILING) -> float:
+def solve_kappa2(theta2: float, b: float, scenario: Scenario) -> float:
     """Hop-2 power: effective capacity at theta2 matches hop 2's arrival law."""
     if not theta2 > 0.0:
         raise ValueError(f"theta2 must be > 0, got {theta2!r}")
     return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, b, scenario),
-                        scenario.hop2_mean_gain, scenario.bt_product, power_ceiling)
+                        scenario.hop2_mean_gain, scenario.bt_product)
 
 
-def allocate(scenario: Scenario,
-             power_ceiling: float = DEFAULT_POWER_CEILING) -> Allocation:
+def allocate(scenario: Scenario) -> Allocation:
     """Run the two-step procedure and report constraint-closure residuals."""
     u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
     theta1 = solve_theta1(u, scenario)
-    kappa1 = solve_kappa1(theta1, scenario, power_ceiling)
+    kappa1 = solve_kappa1(theta1, scenario)
     b = departure_burstiness(u, kappa1, scenario)
     theta2 = solve_theta2(u, b, scenario)
-    kappa2 = solve_kappa2(theta2, b, scenario, power_ceiling)
+    kappa2 = solve_kappa2(theta2, b, scenario)
 
     bt = scenario.bt_product
     c_sr = effective_capacity_rayleigh(theta1, LinkModel(kappa1, scenario.hop1_mean_gain, bt))

@@ -18,7 +18,6 @@ __all__ = [
     "HopDelayLaw",
     "single_hop_ccdf",
     "two_hop_ccdf",
-    "two_hop_tail_exponent",
     "invert_equal_rate_ccdf",
 ]
 
@@ -57,11 +56,6 @@ def two_hop_ccdf(law1: HopDelayLaw, law2: HopDelayLaw, x: float) -> float:
     phi = 1.0 if t == 0.0 else -math.expm1(-t) / t
     bx = b * x
     return math.exp(-bx) * (1.0 + bx * phi)
-
-
-def two_hop_tail_exponent(law1: HopDelayLaw, law2: HopDelayLaw) -> float:
-    """Asymptotic decay rate of the end-to-end CCDF: the slower hop's rate."""
-    return min(law1.rate, law2.rate)
 
 
 def invert_equal_rate_ccdf(delay_bound: float, xi: float) -> HopDelayLaw:

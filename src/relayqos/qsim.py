@@ -23,22 +23,23 @@ frame n + j takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).
 
 The simulation is streamed in chunks of _SIM_CHUNK frames: each chunk's
 uniforms are drawn, turned into services in place, both hops scanned and
-both departure curves tagged in a few chunk-sized buffers, so the only
-memory that grows with the horizon is the three int64 delay arrays returned
-(24 B per frame).  Each hop carries its cumulative net input, the running
-minimum of that sum and its departure curve's running maximum across a
-chunk boundary, and hop 2 its last cumulative arrival.  Every carry is
-folded into element 0 of the next chunk before its cumulative sum or
-accumulate, so each float operation is the one a single scan over the whole
-run makes and the delays do not depend on the chunk size.
+both departure curves tagged in a few chunk-sized buffers that stay in
+cache, so the only memory that grows with the horizon is the three int64
+delay arrays returned (24 B per frame).  Each hop carries its cumulative
+net input, the running minimum of that sum and its departure curve's
+running maximum across a chunk boundary, and hop 2 its last cumulative
+arrival.  Every carry is folded into element 0 of the next chunk before its
+cumulative sum or accumulate, so each float operation is the one a single
+scan over the whole run makes and the delays do not depend on the chunk.
 
 So that no tagged bit is censored, the same scan runs on past frame n, with
 the source still sending, until every tagged bit has departed both hops.
-This gives the delays a drain with no fresh arrivals would give: under FIFO
-a bit arriving after the horizon queues behind every tagged bit, so it
-takes none of the service a tagged bit would get, and each tagged bit
-departs in the same frame either way.  The run-on stops after
-_MAX_DRAIN_FRAMES frames with an error if a tagged bit is still queued.
+Under FIFO a bit arriving after the horizon queues behind every tagged bit,
+so it takes none of the service a tagged bit would get, and each tagged bit
+departs in the frame it would with no fresh arrivals.  Each run-on step is
+as long as the run-on so far (1, 1, 2, 4, ... frames, at most a chunk), so
+it stays under twice the frames the last tagged bit needs, and stops with
+an error after _MAX_RUN_ON_FRAMES frames if a tagged bit is still queued.
 
 Delay tagging in O(n).  The bit tagged in frame c - 1 has the float target
 T(c) = c*load - off, off = _INDEX_SLACK*load, and departs in frame tau(c),
@@ -50,9 +51,9 @@ to within rounding; the estimate is then corrected one step at a time while
 T(c + 1) <= dep or T(c) > dep, comparing against T computed by the same
 float expression as the target itself, so the corrected count is exact, not
 approximate.  A value precedes T(c) exactly when m < c, so tau(c) is the
-running sum of a histogram of m.  The curve is fed in as it is made and
-processed in fixed-size chunks, each histogrammed over the short range of m
-it spans, so tagging costs O(n) time and no frame-length memory beyond its
+running sum of a histogram of m.  The curve is fed in as the scan makes
+it, one chunk at a time, each histogrammed over the short range of m it
+spans, so tagging costs O(n) time and no frame-length memory beyond its
 output, and its output equals the binary search's bit for bit
 (tests/test_qsim.py keeps the binary search as the reference).
 
@@ -115,16 +116,12 @@ _INDEX_SLACK = 1e-6
 # Frames the scan may run past the horizon for the tagged bits still queued
 # there to depart; a backlog that needs more means an effectively unstable
 # queue.
-_MAX_DRAIN_FRAMES = 1_000_000
+_MAX_RUN_ON_FRAMES = 1_000_000
 
 # Frames simulated per chunk: the gain draws, both Lindley scans and the
 # tagging of one chunk run in a handful of buffers of this length, which
 # stay in cache and fix the scratch memory whatever the horizon.
-_SIM_CHUNK = 1 << 16
-
-# Departure-curve values tagged per vectorized step; keeps the step's
-# temporaries in cache and their memory independent of the horizon.
-_TAG_CHUNK = 1 << 14
+_SIM_CHUNK = 1 << 14
 
 # The floor estimate of a value's target count is off by at most one in
 # practice; the correction loop stops with an error if it ever needs more.
@@ -320,34 +317,32 @@ class _Tagger:
 
     def feed(self, part: np.ndarray) -> None:
         """Count the next piece of the non-decreasing departure curve."""
+        if self.done or part.size == 0:
+            return
         load, n_tagged = self.load, self.n_tagged
         off = _INDEX_SLACK * load
-        for i in range(0, part.size, _TAG_CHUNK):
-            if self.done:
-                return
-            d = part[i:i + _TAG_CHUNK]
-            # c = number of targets T(1), T(2), ... at or below each value;
-            # m = number of tagged targets T(first + 1), ..., T(last) among them
-            c = np.floor(d / load + _INDEX_SLACK)
-            for _ in range(_MAX_TAG_CORRECTIONS):
-                too_low = load * (c + 1.0) - off <= d
-                too_high = load * c - off > d
-                if not (too_low.any() or too_high.any()):
-                    break
-                c += too_low
-                c -= too_high
-            else:
-                raise RuntimeError("delay tagging did not converge")
-            m = c.astype(np.int64)
-            m -= self.first
-            np.clip(m, 0, n_tagged, out=m)
-            lo = int(m[0])
-            if lo < n_tagged:
-                counts = np.bincount(m - lo)
-                hi = min(lo + counts.size, n_tagged)
-                self.waits[lo:hi] += counts[:hi - lo]
-            # the last value, and every later one, is past the last target
-            self.done = int(m[-1]) == n_tagged
+        # c = number of targets T(1), T(2), ... at or below each value;
+        # m = number of tagged targets T(first + 1), ..., T(last) among them
+        c = np.floor(part / load + _INDEX_SLACK)
+        for _ in range(_MAX_TAG_CORRECTIONS):
+            too_low = load * (c + 1.0) - off <= part
+            too_high = load * c - off > part
+            if not (too_low.any() or too_high.any()):
+                break
+            c += too_low
+            c -= too_high
+        else:
+            raise RuntimeError("delay tagging did not converge")
+        m = c.astype(np.int64)
+        m -= self.first
+        np.clip(m, 0, n_tagged, out=m)
+        lo = int(m[0])
+        if lo < n_tagged:
+            counts = np.bincount(m - lo)
+            hi = min(lo + counts.size, n_tagged)
+            self.waits[lo:hi] += counts[:hi - lo]
+        # the last value, and every later one, is past the last target
+        self.done = int(m[-1]) == n_tagged
 
     def result(self) -> np.ndarray:
         """Frames waited per tagged bit, once the whole curve has been fed."""
@@ -359,11 +354,11 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     """Simulate the tandem queue and record per-hop and end-to-end delays.
 
     Bits arriving in frames warmup..n-1 are tagged.  The scan runs on past
-    frame n, in the same chunks and with the source still sending, until
-    every tagged bit has departed both hops; under FIFO the later arrivals
-    queue behind the tagged bits, so each tagged bit departs in the frame a
-    drain with no fresh arrivals would give.  Frame n + j of the run-on
-    takes draws 2n + 2j and 2n + 2j + 1 of the Philox(seed) stream.
+    frame n, with the source still sending, until every tagged bit has
+    departed both hops; under FIFO the later arrivals queue behind the
+    tagged bits, so each tagged bit departs in the frame it would with no
+    fresh arrivals.  Frame n + j of the run-on takes draws 2n + 2j and
+    2n + 2j + 1 of the Philox(seed) stream, whatever the step sizes.
 
     Raises
     ------
@@ -371,7 +366,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
         If either hop's mean service rate is at or below its mean arrival
         rate; tail statistics of an unstable queue are meaningless.
     RuntimeError
-        If a tagged bit is still queued _MAX_DRAIN_FRAMES frames past the
+        If a tagged bit is still queued _MAX_RUN_ON_FRAMES frames past the
         horizon; the queues are then effectively unstable.
     """
     load = scenario.traffic_load
@@ -407,10 +402,11 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
             u1 = rng1.random(out=draws[:k])
             u2 = rng2.random(out=draws[chunk:chunk + k])
         else:
-            k = min(chunk, n + _MAX_DRAIN_FRAMES - scan.frames)
+            run_on = scan.frames - n  # each step as long as the run-on so far
+            k = min(chunk, max(1, run_on), _MAX_RUN_ON_FRAMES - run_on)
             if k == 0:
                 raise RuntimeError(
-                    f"tagged bits still queued {_MAX_DRAIN_FRAMES} frames past "
+                    f"tagged bits still queued {_MAX_RUN_ON_FRAMES} frames past "
                     "the horizon; queues are effectively unstable")
             # hop 1 takes the even draws and hop 2 the odd ones
             u1, u2 = rng2.random(out=draws[:2 * k]).reshape(k, 2).T

@@ -10,7 +10,7 @@ from scipy import optimize
 
 from relayqos import allocator
 from relayqos.allocator import (
-    DEFAULT_POWER_CEILING,
+    POWER_CEILING,
     InfeasibleError,
     Scenario,
     allocate,
@@ -119,9 +119,10 @@ class TestKappa1:
         assert 0.0 < kappa1 < 1e-4
 
     def test_infeasible_when_ceiling_too_low(self):
+        # Jensen's start alone lies above the ceiling
         heavy = dataclasses.replace(HEADLINE, traffic_load=5000.0)
         with pytest.raises(InfeasibleError) as err:
-            solve_kappa1(theta1_of(heavy), heavy, power_ceiling=10.0)
+            solve_kappa1(theta1_of(heavy), heavy)
         assert err.value.step == "solve_kappa1"
 
 
@@ -257,7 +258,7 @@ class TestAllocate:
     def test_infeasibility_reports_step(self):
         heavy = dataclasses.replace(HEADLINE, traffic_load=5000.0)
         with pytest.raises(InfeasibleError) as err:
-            allocate(heavy, power_ceiling=100.0)
+            allocate(heavy)
         assert "solve_kappa1" in str(err.value)
 
 
@@ -280,7 +281,7 @@ def scipy_brentq(f, a, b):
                            maxiter=500)
 
 
-def reference_power(theta, target, mean_gain, bt, ceiling=DEFAULT_POWER_CEILING):
+def reference_power(theta, target, mean_gain, bt, ceiling=POWER_CEILING):
     """Brent solve of C(theta, kappa) = target in kappa; None if C(ceiling) < target."""
     def gap(kappa):
         return effective_capacity_rayleigh(theta, LinkModel(kappa, mean_gain, bt)) - target
@@ -382,7 +383,7 @@ class TestBrentq:
             except InfeasibleError:
                 pass
         assert len(calls) > 250
-        assert math.log(DEFAULT_POWER_CEILING) == calls[0][2]
+        assert math.log(POWER_CEILING) == calls[0][2]
         for f, x, x_max, root in calls:
             # Jensen's bound puts the start at or below the root
             assert f(x)[0] <= 0.0
@@ -433,7 +434,7 @@ class TestPowerSolve:
         assert sum(counts) / len(counts) <= 14
         assert max(counts) <= 20
 
-    def test_root_just_below_the_ceiling(self):
+    def test_root_just_below_the_ceiling(self, monkeypatch):
         # the ceiling itself is a candidate: kappa2 ~ 9.2e5 lies above the
         # largest power of 8 below 1e6, where a geometric bracket stops
         scenario = Scenario(traffic_load=1155.6630001813385, delay_bound=125.0,
@@ -441,11 +442,13 @@ class TestPowerSolve:
                             hop1_mean_gain=37.03703703703704,
                             hop2_mean_gain=0.20354162426216163, bt_product=100.0)
         allocation = allocate(scenario)
-        assert 8.0 ** 6 < 9e5 < allocation.kappa2 < DEFAULT_POWER_CEILING
+        assert 8.0 ** 6 < 9e5 < allocation.kappa2 < POWER_CEILING
         for name, value in allocation.residuals.items():
             assert value <= 1e-12, name
+        # below the root the gap at the ceiling is negative
+        monkeypatch.setattr(allocator, "POWER_CEILING", 9e5)
         with pytest.raises(InfeasibleError) as err:
-            allocate(scenario, power_ceiling=9e5)
+            allocate(scenario)
         assert err.value.step == "solve_kappa2"
 
     def test_huge_theta_with_tiny_load_is_fast(self):

@@ -24,7 +24,6 @@ from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
     _SIM_CHUNK,
     _T975,
-    _TAG_CHUNK,
     _Tagger,
     _TandemScan,
     _hop2_generator,
@@ -237,8 +236,8 @@ class TestFramesWaited:
     def test_values_on_and_beside_every_target(self, load, where):
         # a floor estimate alone is wrong on some of these; the correction
         # step must bring every count back to the binary search's.  The
-        # curve spans several chunks, is fed in two parts split mid-chunk,
-        # and runs on well past the last target.
+        # curve is fed in two pieces of 25,001 and 14,999 values, each
+        # tagged in one pass, and runs on well past the last target.
         last = 20_000
         dep = near_targets(load, np.arange(2 * last), where)
         curve = (dep[:25_001], dep[25_001:])
@@ -335,18 +334,36 @@ class TestSimulateTandem:
         cfg = SimConfig(n_frames=201, seed=7)
         needed = int(simulate_tandem(SCENARIO, headline_allocation, cfg).e2e_delays[-1])
         assert needed > 1
-        monkeypatch.setattr(qsim, "_MAX_DRAIN_FRAMES", needed)
+        monkeypatch.setattr(qsim, "_MAX_RUN_ON_FRAMES", needed)
         simulate_tandem(SCENARIO, headline_allocation, cfg)
-        monkeypatch.setattr(qsim, "_MAX_DRAIN_FRAMES", 1)
+        monkeypatch.setattr(qsim, "_MAX_RUN_ON_FRAMES", 1)
         with pytest.raises(RuntimeError, match="1 frames past the horizon"):
             simulate_tandem(SCENARIO, headline_allocation, cfg)
+
+    @pytest.mark.parametrize("forwarding", ["store-and-forward", "cut-through"])
+    def test_run_on_stops_near_the_need(self, headline_allocation, monkeypatch,
+                                        forwarding):
+        # the last tagged bit needs e2e_delays[-1] frames past the horizon;
+        # steps as long as the run-on so far simulate fewer than twice that
+        frames = []
+        step = _TandemScan.step
+
+        def counting(scan, s1, s2):
+            frames.append(s1.size)
+            return step(scan, s1, s2)
+
+        monkeypatch.setattr(_TandemScan, "step", counting)
+        cfg = SimConfig(n_frames=201, seed=7, relay_forwarding=forwarding)
+        stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        needed = int(stats.e2e_delays[-1])
+        assert needed <= sum(frames) - cfg.n_frames < 2 * max(1, needed)
 
     def test_peak_memory_per_frame(self, headline_allocation):
         # the three int64 delay arrays returned (24 B per frame) are the only
         # memory that grows with the horizon: the gain draws, both scans and
-        # the tagging run in chunk-sized buffers, bounded here by six float64
-        # arrays of _SIM_CHUNK values and eight of _TAG_CHUNK.  A first short
-        # run imports numpy.random, which is no part of a run's scratch.
+        # the tagging run in chunk-sized buffers, bounded here by fourteen
+        # float64 arrays of _SIM_CHUNK values.  A first short run imports
+        # numpy.random, which is no part of a run's scratch.
         simulate_tandem(SCENARIO, headline_allocation, SimConfig(n_frames=2))
         for n in (200_000, 1_000_000):
             cfg = SimConfig(n_frames=n, seed=2)
@@ -359,7 +376,7 @@ class TestSimulateTandem:
             returned = (stats.hop1_delays.nbytes + stats.hop2_delays.nbytes
                         + stats.e2e_delays.nbytes)
             assert peak / n <= 48.0
-            assert peak - returned <= 8 * (6 * _SIM_CHUNK + 8 * _TAG_CHUNK)
+            assert peak - returned <= 8 * 14 * _SIM_CHUNK
 
     @pytest.mark.parametrize("forwarding,offset",
                              [("store-and-forward", 1), ("cut-through", 0)])
