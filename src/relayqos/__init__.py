@@ -34,10 +34,12 @@ from .effcap import (
     ergodic_rate_oracle,
 )
 from .qsim import (
+    DelayHistogram,
     DelayStats,
     InsufficientTailData,
     SimConfig,
     StabilityError,
+    delay_histogram,
     empirical_ccdf,
     simulate_tandem,
     suggest_fit_window,
@@ -55,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
+    "DelayHistogram",
     "DelayStats",
     "HopDelayLaw",
     "InfeasibleError",
@@ -64,6 +67,7 @@ __all__ = [
     "SimConfig",
     "StabilityError",
     "allocate",
+    "delay_histogram",
     "departure_burstiness",
     "effective_bandwidth_oracle",
     "effective_bandwidth_service_rayleigh",

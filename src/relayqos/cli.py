@@ -42,6 +42,7 @@ from .qsim import (
     FORWARDING_MODES,
     SimConfig,
     StabilityError,
+    delay_histogram,
     empirical_ccdf,
     simulate_tandem,
     suggest_fit_window,
@@ -314,9 +315,10 @@ class ValidationReport:
 
 
 def _fit_hop_slope(samples) -> tuple[float, tuple[int, int] | None, str]:
+    hist = delay_histogram(samples)  # one count of the hop serves both fits
     try:
-        window = suggest_fit_window(samples)
-        return tail_slope(samples, *window), window, ""
+        window = suggest_fit_window(hist)
+        return tail_slope(hist, *window), window, ""
     except ValueError as exc:  # InsufficientTailData among them
         return math.nan, None, str(exc)
 

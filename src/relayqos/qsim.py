@@ -24,8 +24,10 @@ frame n + j takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).
 The simulation is streamed in chunks of _SIM_CHUNK frames: each chunk's
 uniforms are drawn, turned into services in place, both hops scanned and
 both departure curves tagged in a few chunk-sized buffers that stay in
-cache, so the only memory that grows with the horizon is the three int64
-delay arrays returned (24 B per frame).  Each hop carries its cumulative
+cache, so the only memory that grows with the horizon is the three int32
+delay arrays returned (12 B per frame).  int32 is exact: SimConfig keeps
+n_frames + _MAX_RUN_ON_FRAMES below 2**31, and every entry and partial sum
+of the tagging lies in [-n, n + run-on].  Each hop carries its cumulative
 net input, the running minimum of that sum and its departure curve's
 running maximum across a chunk boundary, and hop 2 its last cumulative
 arrival.  Every carry is folded into element 0 of the next chunk before its
@@ -58,11 +60,13 @@ output, and its output equals the binary search's bit for bit
 (tests/test_qsim.py keeps the binary search as the reference).
 
 Tail statistics in O(n + max delay).  Delays are whole frames, so
-:func:`suggest_fit_window` and :func:`tail_slope` take non-negative integer
-samples and count the exceedances #{s > x} at every integer x = 0..max from
-one ``np.bincount`` and its cumulative sum; the counts, and with them the
-windows and slopes, equal those of a sort and binary search.  Float samples
-raise TypeError, negative ones ValueError.
+:func:`delay_histogram` counts each delay 0..max once, with ``np.add.at``
+into max + 1 bins and no frame-length copy of the samples (``np.bincount``
+copies samples narrower than intp).  :func:`suggest_fit_window` and
+:func:`tail_slope` take that histogram and read the exceedances #{s > x} at
+every integer x = 0..max from its cumulative sum; the counts, and with them
+the windows and slopes, equal those of a sort and binary search.  Float
+samples raise TypeError, negative ones ValueError.
 """
 
 from __future__ import annotations
@@ -77,10 +81,12 @@ from .effcap import LinkModel, ergodic_rate
 __all__ = [
     "SimConfig",
     "DelayStats",
+    "DelayHistogram",
     "StabilityError",
     "InsufficientTailData",
     "simulate_tandem",
     "empirical_ccdf",
+    "delay_histogram",
     "tail_slope",
     "suggest_fit_window",
     "FORWARDING_MODES",
@@ -163,17 +169,34 @@ class SimConfig:
             raise ValueError(
                 f"relay_forwarding must be one of {FORWARDING_MODES}, "
                 f"got {self.relay_forwarding!r}")
+        # the delays are int32 (see the module docstring)
+        if self.n_frames + _MAX_RUN_ON_FRAMES >= 2**31:
+            raise ValueError(
+                f"n_frames ({self.n_frames!r}) plus the run-on cap "
+                f"({_MAX_RUN_ON_FRAMES}) must stay below 2**31")
 
 
 @dataclass(frozen=True)
 class DelayStats:
-    """Per-frame delay samples (whole frames) of the tagged bits."""
+    """Per-frame delay samples (whole frames, int32) of the tagged bits."""
 
     hop1_delays: np.ndarray
     hop2_delays: np.ndarray
     e2e_delays: np.ndarray
     frames_simulated: int
     dropped_warmup: int
+
+
+@dataclass(frozen=True)
+class DelayHistogram:
+    """Counts of whole-frame delays: ``counts[x]`` samples equal x, x = 0..max.
+
+    Made by :func:`delay_histogram`; ``n`` is the number of samples.  The
+    counts array is read-only.
+    """
+
+    counts: np.ndarray
+    n: int
 
 
 def _to_service(s: np.ndarray, bt: float, kappa: float,
@@ -311,7 +334,7 @@ class _Tagger:
         # waits[j] = (curve values with exactly j tagged targets at or below
         # them) - 1, except that waits[0] starts at -first rather than -1, so
         # its running sum is tau_k - (first + k) with no frame-length index
-        self.waits = np.full(self.n_tagged, -1, dtype=np.int64)
+        self.waits = np.full(self.n_tagged, -1, dtype=np.int32)
         self.waits[0] = -first
         self.done = False  # a value past the last target has been fed
 
@@ -346,7 +369,7 @@ class _Tagger:
 
     def result(self) -> np.ndarray:
         """Frames waited per tagged bit, once the whole curve has been fed."""
-        return np.cumsum(self.waits, out=self.waits)
+        return np.cumsum(self.waits, dtype=np.int32, out=self.waits)
 
 
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
@@ -358,7 +381,8 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     departed both hops; under FIFO the later arrivals queue behind the
     tagged bits, so each tagged bit departs in the frame it would with no
     fresh arrivals.  Frame n + j of the run-on takes draws 2n + 2j and
-    2n + 2j + 1 of the Philox(seed) stream, whatever the step sizes.
+    2n + 2j + 1 of the Philox(seed) stream, whatever the step sizes.  The
+    three delay arrays are int32, 12 B per tagged frame in all.
 
     Raises
     ------
@@ -371,7 +395,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     """
     load = scenario.traffic_load
     if load == 0.0:
-        empty = np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int32)
         return DelayStats(empty, empty, empty, cfg.n_frames, cfg.warmup_frames)
 
     link1 = LinkModel(allocation.kappa1, scenario.hop1_mean_gain, scenario.bt_product)
@@ -448,34 +472,55 @@ def empirical_ccdf(samples, x: float) -> tuple[float, float]:
     return p, _T975[b - 2] * float(np.std(means, ddof=1)) / math.sqrt(b)
 
 
-def _exceedances(samples: np.ndarray) -> np.ndarray:
-    """Number of samples strictly above x, for every integer x in 0..max.
+def delay_histogram(samples) -> DelayHistogram:
+    """Histogram of whole-frame delays, the input of the tail fits.
 
-    One histogram of the non-negative integer samples: O(n + max) time and
-    O(max) memory, and np.bincount reads int64 samples without a copy.
+    ``samples`` are non-negative integers: a dtype that does not cast safely
+    to intp (floats among them) raises TypeError, a negative sample
+    ValueError.  The count is one ``np.add.at`` into max + 1 int64 bins, so
+    it costs O(n + max) time and O(max) memory and copies no samples.
     """
-    return samples.size - np.cumsum(np.bincount(samples, minlength=1))
+    samples = np.asarray(samples)
+    if not np.can_cast(samples.dtype, np.intp):
+        raise TypeError(
+            f"delays must be whole frames (integers), got dtype {samples.dtype}")
+    top = 0  # one bin at least, so the exceedances at x = 0 always exist
+    if samples.size:
+        # checked here because np.add.at would wrap a negative index silently
+        if samples.min() < 0:
+            raise ValueError("delays must be non-negative")
+        top = int(samples.max())
+    counts = np.zeros(top + 1, dtype=np.int64)
+    np.add.at(counts, samples, 1)
+    counts.flags.writeable = False
+    return DelayHistogram(counts, samples.size)
 
 
-def tail_slope(samples, x_lo: float, x_hi: float) -> float:
+def _exceedances(hist: DelayHistogram) -> np.ndarray:
+    """Number of samples strictly above x, for every integer x in 0..max."""
+    if not isinstance(hist, DelayHistogram):
+        raise TypeError(
+            f"expected a DelayHistogram (see delay_histogram), got {type(hist).__name__}")
+    return hist.n - np.cumsum(hist.counts)
+
+
+def tail_slope(hist: DelayHistogram, x_lo: float, x_hi: float) -> float:
     """Least-squares slope of -log(empirical CCDF) over integer x in [x_lo, x_hi].
 
-    Estimates the exponential decay rate of the delay tail.  Requires at
+    Estimates the exponential decay rate of the delay tail from a
+    :func:`delay_histogram` (anything else raises TypeError).  Requires at
     least ``MIN_TAIL_EXCEEDANCES`` samples beyond x_hi so the deepest point
-    of the fit is statistically meaningful.  The samples are whole-frame
-    delays (non-negative integers; floats raise TypeError).  They are
-    counted over 0..max(samples) whatever the window, so the cost is
-    O(n + max(samples)), not O(n + window width): the cost that
-    :func:`suggest_fit_window` already pays on the same samples.
+    of the fit is statistically meaningful.  Reading the window's counts
+    costs O(max delay), whatever the window.
     """
+    exceedances = _exceedances(hist)
     lo, hi = math.ceil(x_lo), math.floor(x_hi)
     if hi <= lo:
         raise ValueError(
             f"fit window [{x_lo:g}, {x_hi:g}] holds fewer than two integer points")
-    samples = np.asarray(samples)
-    n = samples.size
+    n = hist.n
     # counts at x = -1, 0, ..., max + 1 (all samples exceed -1, none max + 1)
-    counts = np.concatenate(([n], _exceedances(samples), [0]))
+    counts = np.concatenate(([n], exceedances, [0]))
     xs = np.arange(lo, hi + 1)
     exceed = counts[np.clip(xs, -1, counts.size - 2) + 1]
     if exceed[-1] < MIN_TAIL_EXCEEDANCES:
@@ -486,7 +531,7 @@ def tail_slope(samples, x_lo: float, x_hi: float) -> float:
     return float(np.polyfit(xs, -np.log(ccdf), 1)[0])
 
 
-def suggest_fit_window(samples) -> tuple[int, int]:
+def suggest_fit_window(hist: DelayHistogram) -> tuple[int, int]:
     """Deterministic tail-fit window for :func:`tail_slope`.
 
     The window starts where the empirical CCDF drops below ``BODY_CCDF``
@@ -495,18 +540,16 @@ def suggest_fit_window(samples) -> tuple[int, int]:
     ``MIN_TAIL_EXCEEDANCES``.  The CCDF floor matters on long runs: below
     ~1e-3 the tail of a single correlated sample path is dominated by a
     handful of busy-period excursions and the fitted slope turns noisy.
-    The samples are whole-frame delays (non-negative integers); the counts
-    come from one histogram over 0..max(samples), so the cost is
-    O(n + max(samples)).
+    It reads a :func:`delay_histogram` (anything else raises TypeError) in
+    O(max delay), so one histogram serves both this and :func:`tail_slope`.
     """
-    samples = np.asarray(samples)
-    n = samples.size
+    # exceed[x - 1] = samples above x, for x = 1..max; it never rises with x,
+    # so counting the entries above a level gives the last x above it
+    exceed = _exceedances(hist)[1:]
+    n = hist.n
     if n == 0:
         raise ValueError("no samples")
     floor = max(MIN_TAIL_EXCEEDANCES, TAIL_CCDF * n)
-    # exceed[x - 1] = samples above x, for x = 1..max; it never rises with x,
-    # so counting the entries above a level gives the last x above it
-    exceed = _exceedances(samples)[1:]
     x_lo = 1 + int(np.count_nonzero(exceed > BODY_CCDF * n))
     x_hi = int(np.count_nonzero(exceed >= floor))
     if x_hi < x_lo + 4:

@@ -212,10 +212,10 @@ def test_criterion_6_simulator_validation():
     ratio = empirical / scenario.violation_prob
     ratio_ok = 1.0 / 3.0 <= ratio <= 3.0
 
-    slope1 = rq.tail_slope(stats.hop1_delays,
-                           *rq.suggest_fit_window(stats.hop1_delays))
-    slope2 = rq.tail_slope(stats.hop2_delays,
-                           *rq.suggest_fit_window(stats.hop2_delays))
+    hist1 = rq.delay_histogram(stats.hop1_delays)
+    hist2 = rq.delay_histogram(stats.hop2_delays)
+    slope1 = rq.tail_slope(hist1, *rq.suggest_fit_window(hist1))
+    slope2 = rq.tail_slope(hist2, *rq.suggest_fit_window(hist2))
     slope1_ok = abs(slope1 / u - 1.0) <= 0.10
     slope2_ok = abs(slope2 / u - 1.0) <= 0.10
 

@@ -22,6 +22,7 @@ from scipy import stats as scipy_stats
 from relayqos import qsim
 from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
+    _MAX_RUN_ON_FRAMES,
     _SIM_CHUNK,
     _T975,
     _Tagger,
@@ -33,6 +34,7 @@ from relayqos.qsim import (
     InsufficientTailData,
     SimConfig,
     StabilityError,
+    delay_histogram,
     empirical_ccdf,
     simulate_tandem,
     suggest_fit_window,
@@ -221,6 +223,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_frames=10, relay_forwarding="warp")
 
+    def test_rejects_horizons_past_int32(self):
+        # a constructor check only: no run of this length is simulated
+        SimConfig(n_frames=2**31 - _MAX_RUN_ON_FRAMES - 1)
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            SimConfig(n_frames=2**31 - _MAX_RUN_ON_FRAMES)
+
 
 class TestFramesWaited:
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -228,7 +236,7 @@ class TestFramesWaited:
     def test_matches_searchsorted(self, case):
         load, curve, first, last = case
         waits = tagger_waits(curve, load, first, last)
-        assert waits.dtype == np.int64
+        assert waits.dtype == np.int32
         assert np.array_equal(waits, searchsorted_waits(curve, load, first, last))
 
     @pytest.mark.parametrize("load", [LOAD_100KBPS, 0.1, 1.0 / 3.0, 7.3e-3, 2.5e3])
@@ -280,7 +288,7 @@ class TestSimulateTandem:
         for got, want in zip((stats.hop1_delays, stats.hop2_delays,
                               stats.e2e_delays),
                              reference_delays(SCENARIO, headline_allocation, cfg)):
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
@@ -301,7 +309,7 @@ class TestSimulateTandem:
                 (chunked.hop1_delays, chunked.hop2_delays, chunked.e2e_delays),
                 (whole.hop1_delays, whole.hop2_delays, whole.e2e_delays),
                 reference_delays(SCENARIO, headline_allocation, cfg)):
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert np.array_equal(got, default)
             assert np.array_equal(got, want)
 
@@ -359,7 +367,7 @@ class TestSimulateTandem:
         assert needed <= sum(frames) - cfg.n_frames < 2 * max(1, needed)
 
     def test_peak_memory_per_frame(self, headline_allocation):
-        # the three int64 delay arrays returned (24 B per frame) are the only
+        # the three int32 delay arrays returned (12 B per frame) are the only
         # memory that grows with the horizon: the gain draws, both scans and
         # the tagging run in chunk-sized buffers, bounded here by fourteen
         # float64 arrays of _SIM_CHUNK values.  A first short run imports
@@ -375,7 +383,7 @@ class TestSimulateTandem:
                 tracemalloc.stop()
             returned = (stats.hop1_delays.nbytes + stats.hop2_delays.nbytes
                         + stats.e2e_delays.nbytes)
-            assert peak / n <= 48.0
+            assert peak / n <= 24.0
             assert peak - returned <= 8 * 14 * _SIM_CHUNK
 
     @pytest.mark.parametrize("forwarding,offset",
@@ -483,8 +491,8 @@ class TestSimulateTandem:
         # lives in the acceptance suite
         cfg = SimConfig(n_frames=2_000_000, warmup_frames=50_000, seed=4)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
-        slope = tail_slope(stats.hop1_delays,
-                           *suggest_fit_window(stats.hop1_delays))
+        hist = delay_histogram(stats.hop1_delays)
+        slope = tail_slope(hist, *suggest_fit_window(hist))
         assert slope == pytest.approx(headline_allocation.delay_rate, rel=0.15, abs=0.0)
 
 
@@ -543,6 +551,53 @@ def whole_frames(samples):
     return np.ceil(samples).astype(np.int64)
 
 
+class TestDelayHistogram:
+    def test_matches_bincount(self):
+        rng = np.random.default_rng(3)
+        for samples in (rng.integers(0, 300, 100_000, dtype=np.int32),
+                        rng.geometric(0.05, 50_000).astype(np.int32),
+                        np.array([0, 0, 7], dtype=np.uint8)):
+            hist = delay_histogram(samples)
+            assert hist.n == samples.size
+            assert hist.counts.dtype == np.int64
+            assert np.array_equal(hist.counts, np.bincount(samples.astype(np.int64)))
+        empty = delay_histogram(np.empty(0, dtype=np.int32))
+        assert empty.n == 0 and list(empty.counts) == [0]
+
+    def test_counts_are_read_only(self):
+        with pytest.raises(ValueError):
+            delay_histogram(np.arange(5)).counts[0] = 9
+
+    def test_makes_no_frame_length_copy(self):
+        # np.bincount would copy these 12 MB of int32 samples to 24 MB of
+        # intp; the histogram needs only its max + 1 bins
+        samples = np.random.default_rng(4).geometric(0.02, 3_000_000).astype(np.int32)
+        delay_histogram(samples[:10])  # first-call set-up is no part of the count
+        tracemalloc.start()
+        try:
+            delay_histogram(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_rejects_floats_and_negatives(self):
+        with pytest.raises(TypeError):
+            delay_histogram(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            delay_histogram(np.array([3, -1, 2], dtype=np.int32))
+
+    def test_fits_reject_raw_arrays(self):
+        # a sample array is not a histogram, even though both are integers
+        samples = whole_frames(np.random.default_rng(5).exponential(5.0, 100_000))
+        with pytest.raises(TypeError, match="DelayHistogram"):
+            suggest_fit_window(samples)
+        with pytest.raises(TypeError, match="DelayHistogram"):
+            tail_slope(samples, 2.0, 20.0)
+        with pytest.raises(TypeError, match="DelayHistogram"):
+            tail_slope(delay_histogram(samples).counts, 2.0, 20.0)
+
+
 class TestTailSlope:
     def test_recovers_synthetic_exponential_rate(self):
         # 3e6 samples keep >= 100 exceedances at x = 20 (P(X>20) = e^-10);
@@ -550,24 +605,24 @@ class TestTailSlope:
         rng = np.random.default_rng(0)
         samples = rng.exponential(2.0, 3_000_000)  # rate 0.5
         with pytest.raises(TypeError):
-            tail_slope(samples, 2.0, 20.0)  # delays are whole frames
-        slope = tail_slope(whole_frames(samples), 2.0, 20.0)
+            delay_histogram(samples)  # delays are whole frames
+        slope = tail_slope(delay_histogram(whole_frames(samples)), 2.0, 20.0)
         assert abs(slope - 0.5) <= 0.02
 
     def test_requires_exceedances(self):
         rng = np.random.default_rng(1)
         samples = whole_frames(rng.exponential(1.0, 2000))
         with pytest.raises(InsufficientTailData) as err:
-            tail_slope(samples, 2.0, 25.0)
+            tail_slope(delay_histogram(samples), 2.0, 25.0)
         assert err.value.achieved < 100
 
     def test_rejects_degenerate_samples(self):
         with pytest.raises(ValueError, match="degenerate"):
-            tail_slope(np.full(10_000, 50), 2.0, 10.0)
+            tail_slope(delay_histogram(np.full(10_000, 50)), 2.0, 10.0)
 
     def test_rejects_narrow_window(self):
         with pytest.raises(ValueError, match="fewer than two"):
-            tail_slope(np.arange(1000), 5.0, 5.5)
+            tail_slope(delay_histogram(np.arange(1000)), 5.0, 5.5)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(samples=tail_samples(),
@@ -578,15 +633,16 @@ class TestTailSlope:
         # the sort-based originals, for windows reaching below 0 and past
         # the largest sample too; a shortfall reported is always short of
         # what it needs
-        seen = [outcome(suggest_fit_window, samples)]
+        hist = delay_histogram(samples)
+        seen = [outcome(suggest_fit_window, hist)]
         assert seen[-1] == outcome(sorted_suggest_fit_window, samples)
-        seen.append(outcome(tail_slope, samples, x_lo, x_lo + width))
+        seen.append(outcome(tail_slope, hist, x_lo, x_lo + width))
         assert seen[-1] == outcome(sorted_tail_slope, samples, x_lo, x_lo + width)
         if samples.size:
             window = outcome(sorted_suggest_fit_window, samples, 1, 0.2, 0.0)
             seen.append(window)
             if type(window) is tuple and len(window) == 2:
-                seen.append(outcome(tail_slope, samples, *window))
+                seen.append(outcome(tail_slope, hist, *window))
                 assert seen[-1] == outcome(sorted_tail_slope, samples, *window)
         for result in seen:
             if type(result) is tuple and result[0] is InsufficientTailData:
@@ -597,12 +653,13 @@ class TestTailSlope:
         # exceedance minimum
         rng = np.random.default_rng(2)
         samples = whole_frames(rng.exponential(5.0, 500_000))
-        x_lo, x_hi = suggest_fit_window(samples)
+        hist = delay_histogram(samples)
+        x_lo, x_hi = suggest_fit_window(hist)
         assert (x_lo, x_hi) == sorted_suggest_fit_window(samples)
         n = samples.size
         assert (samples > x_lo).sum() <= 0.2 * n
         assert (samples > x_hi).sum() >= max(100, 1e-3 * n)
-        assert tail_slope(samples, x_lo, x_hi) == pytest.approx(0.2, rel=0.05, abs=0.0)
+        assert tail_slope(hist, x_lo, x_hi) == pytest.approx(0.2, rel=0.05, abs=0.0)
 
 
 def test_no_sorting_in_simulator():
