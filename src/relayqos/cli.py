@@ -226,7 +226,7 @@ def _profile_at(profile: RadioProfile, axis: str, value: float) -> RadioProfile:
 def _sweep_point(profile: RadioProfile, axis: str, value: float) -> SweepRow:
     try:
         allocation = allocate(to_scenario(_profile_at(profile, axis, float(value))))
-    except (InfeasibleError, ValueError) as exc:
+    except (InfeasibleError, ValueError, OverflowError) as exc:
         return SweepRow(axis=axis, axis_value=float(value), feasible=False,
                         error=str(exc))
     return SweepRow(axis=axis, axis_value=float(value), feasible=True,
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
     except StabilityError as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OverflowError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     if args.out is None:

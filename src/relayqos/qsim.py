@@ -6,11 +6,13 @@ relay queue, which drains at the hop-2 rate.  Within a frame, arrivals are
 credited before service (Q[t+1] = max(Q[t] + A[t] - S[t], 0)).
 
 Delay is sampled at frame resolution: the last bit arriving in each
-post-warm-up frame is tagged, and its per-hop delay is the number of whole
-frames until the hop's cumulative departure curve passes the bit's cumulative
-arrival index.  The relay either forwards hop-1 output to the hop-2 queue in
-the next frame ("store-and-forward", the default) or within the same frame
-("cut-through"); the two differ by at most one frame of end-to-end delay.
+post-warm-up frame is tagged.  The bit tagged in frame c - 1 has index c,
+and it has left a hop in the first frame whose cumulative departures v
+reach that index, floor(v/load + _INDEX_SLACK) >= c; its per-hop delay is
+the number of whole frames until then.  The relay either forwards hop-1
+output to the hop-2 queue in the next frame ("store-and-forward", the
+default) or within the same frame ("cut-through"); the two differ by at
+most one frame of end-to-end delay.
 
 The Lindley recursion is evaluated in vectorized form (cumulative sums plus a
 running minimum), and gains come from a counter-based Philox generator, so a
@@ -43,30 +45,27 @@ as long as the run-on so far (1, 1, 2, 4, ... frames, at most a chunk), so
 it stays under twice the frames the last tagged bit needs, and stops with
 an error after _MAX_RUN_ON_FRAMES frames if a tagged bit is still queued.
 
-Delay tagging in O(n).  The bit tagged in frame c - 1 has the float target
-T(c) = c*load - off, off = _INDEX_SLACK*load, and departs in frame tau(c),
-the number of curve values dep[i] < T(c) (a left binary search).  Instead of
-searching, each curve value counts the targets at or below it,
-m(dep) = #{c : T(c) <= dep}.  Since T is non-decreasing in c this is the
-largest c with T(c) <= dep, and floor(dep/load + _INDEX_SLACK) estimates it
-to within rounding; the estimate is then corrected one step at a time while
-T(c + 1) <= dep or T(c) > dep, comparing against T computed by the same
-float expression as the target itself, so the corrected count is exact, not
-approximate.  A value precedes T(c) exactly when m < c, so tau(c) is the
-running sum of a histogram of m.  The curve is fed in as the scan makes
-it, one chunk at a time, each histogrammed over the short range of m it
-spans, so tagging costs O(n) time and no frame-length memory beyond its
-output, and its output equals the binary search's bit for bit
-(tests/test_qsim.py keeps the binary search as the reference).
+Delay tagging in O(n).  Each curve value v reaches the bit indices up to
+m(v) = floor(v/load + _INDEX_SLACK).  Division by a positive constant,
+adding a constant and floor are each monotone under round-to-nearest, and
+the curve never falls, so neither does m.  Bit c therefore departs in frame
+tau(c), the number of curve values with m < c, which is the running sum of
+a histogram of m.  The curve is fed in as the scan makes it, one chunk at a
+time, each histogrammed over the short range of m it spans, so tagging
+costs O(n) time and no frame-length memory beyond its output, and its
+output equals searchsorted(m(curve), c, "left") bit for bit
+(tests/test_qsim.py keeps that binary search as the reference).
 
 Tail statistics in O(n + max delay).  Delays are whole frames, so
-:func:`delay_histogram` counts each delay 0..max once, with ``np.add.at``
-into max + 1 bins and no frame-length copy of the samples (``np.bincount``
-copies samples narrower than intp).  :func:`suggest_fit_window` and
-:func:`tail_slope` take that histogram and read the exceedances #{s > x} at
-every integer x = 0..max from its cumulative sum; the counts, and with them
-the windows and slopes, equal those of a sort and binary search.  Float
-samples raise TypeError, negative ones ValueError.
+:func:`delay_histogram` counts each delay 0..max once, summing one
+``np.bincount`` of max + 1 bins per _SIM_CHUNK samples (O(n) while the
+largest delay stays below the chunk), so it copies no more than a chunk of
+the samples (``np.bincount`` copies samples narrower than intp).
+:func:`suggest_fit_window` and :func:`tail_slope` take that histogram and
+read the exceedances #{s > x} at every integer x = 0..max from its
+cumulative sum; the counts, and with them the windows and slopes, equal
+those of a sort and binary search.  Float samples raise TypeError,
+negative ones ValueError.
 """
 
 from __future__ import annotations
@@ -114,9 +113,10 @@ _T975 = (
     2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
     2.0484071417952454, 2.045229642132703)
 
-# Slack (in units of the per-frame load) subtracted from a tagged bit's index
-# before the departure-curve search, absorbing float rounding in the queue
-# recursion.  One millionth of a frame of traffic.
+# Slack (in units of the per-frame load) added to a departure-curve value's
+# bit index, floor(v/load + _INDEX_SLACK), so a curve that reaches a bit's
+# index up to float rounding in the queue recursion counts it as departed.
+# One millionth of a frame of traffic.
 _INDEX_SLACK = 1e-6
 
 # Frames the scan may run past the horizon for the tagged bits still queued
@@ -128,10 +128,6 @@ _MAX_RUN_ON_FRAMES = 1_000_000
 # tagging of one chunk run in a handful of buffers of this length, which
 # stay in cache and fix the scratch memory whatever the horizon.
 _SIM_CHUNK = 1 << 14
-
-# The floor estimate of a value's target count is off by at most one in
-# practice; the correction loop stops with an error if it ever needs more.
-_MAX_TAG_CORRECTIONS = 4
 
 
 class StabilityError(RuntimeError):
@@ -322,41 +318,30 @@ class _Tagger:
 
     The non-decreasing cumulative departure curve is fed piece by piece as
     the simulation makes it.  Entry k of the result is tau_k - (first + k),
-    where tau_k is the number of curve values below bit k's target
-    T(c) = c*load - _INDEX_SLACK*load with c = first + k + 1, i.e.
-    ``searchsorted(curve, T, "left")`` (see the module docstring).
+    where tau_k is the number of curve values whose bit index falls short
+    of bit k's, c = first + k + 1, i.e.
+    ``searchsorted(floor(curve/load + _INDEX_SLACK), c, "left")`` (see the
+    module docstring).
     """
 
     def __init__(self, load: float, first: int, last: int):
         self.load = load
         self.first = first
         self.n_tagged = last - first
-        # waits[j] = (curve values with exactly j tagged targets at or below
-        # them) - 1, except that waits[0] starts at -first rather than -1, so
-        # its running sum is tau_k - (first + k) with no frame-length index
+        # waits[j] = (curve values that reach exactly j tagged bits) - 1,
+        # except that waits[0] starts at -first rather than -1, so its
+        # running sum is tau_k - (first + k) with no frame-length index
         self.waits = np.full(self.n_tagged, -1, dtype=np.int32)
         self.waits[0] = -first
-        self.done = False  # a value past the last target has been fed
+        self.done = False  # a value that reaches the last bit has been fed
 
     def feed(self, part: np.ndarray) -> None:
         """Count the next piece of the non-decreasing departure curve."""
         if self.done or part.size == 0:
             return
-        load, n_tagged = self.load, self.n_tagged
-        off = _INDEX_SLACK * load
-        # c = number of targets T(1), T(2), ... at or below each value;
-        # m = number of tagged targets T(first + 1), ..., T(last) among them
-        c = np.floor(part / load + _INDEX_SLACK)
-        for _ in range(_MAX_TAG_CORRECTIONS):
-            too_low = load * (c + 1.0) - off <= part
-            too_high = load * c - off > part
-            if not (too_low.any() or too_high.any()):
-                break
-            c += too_low
-            c -= too_high
-        else:
-            raise RuntimeError("delay tagging did not converge")
-        m = c.astype(np.int64)
+        n_tagged = self.n_tagged
+        # m = number of tagged bits first + 1, ..., last each value reaches
+        m = np.floor(part / self.load + _INDEX_SLACK).astype(np.int64)
         m -= self.first
         np.clip(m, 0, n_tagged, out=m)
         lo = int(m[0])
@@ -364,7 +349,7 @@ class _Tagger:
             counts = np.bincount(m - lo)
             hi = min(lo + counts.size, n_tagged)
             self.waits[lo:hi] += counts[:hi - lo]
-        # the last value, and every later one, is past the last target
+        # the last value, and every later one, reaches the last bit
         self.done = int(m[-1]) == n_tagged
 
     def result(self) -> np.ndarray:
@@ -477,8 +462,8 @@ def delay_histogram(samples) -> DelayHistogram:
 
     ``samples`` are non-negative integers: a dtype that does not cast safely
     to intp (floats among them) raises TypeError, a negative sample
-    ValueError.  The count is one ``np.add.at`` into max + 1 int64 bins, so
-    it costs O(n + max) time and O(max) memory and copies no samples.
+    ValueError.  The count sums one ``np.bincount`` per _SIM_CHUNK samples
+    into max + 1 int64 bins, so it copies at most a chunk of the samples.
     """
     samples = np.asarray(samples)
     if not np.can_cast(samples.dtype, np.intp):
@@ -486,12 +471,12 @@ def delay_histogram(samples) -> DelayHistogram:
             f"delays must be whole frames (integers), got dtype {samples.dtype}")
     top = 0  # one bin at least, so the exceedances at x = 0 always exist
     if samples.size:
-        # checked here because np.add.at would wrap a negative index silently
         if samples.min() < 0:
             raise ValueError("delays must be non-negative")
         top = int(samples.max())
     counts = np.zeros(top + 1, dtype=np.int64)
-    np.add.at(counts, samples, 1)
+    for i in range(0, samples.size, _SIM_CHUNK):
+        counts += np.bincount(samples[i:i + _SIM_CHUNK], minlength=top + 1)
     counts.flags.writeable = False
     return DelayHistogram(counts, samples.size)
 

@@ -128,6 +128,14 @@ class TestSweep:
         assert rows[1].error != ""
         assert math.isnan(rows[1].kappa1)
 
+    def test_range_errors_reported_in_their_rows(self, capsys):
+        # a load of 1e-300 overflows the power solve's capacity slope
+        code = main(["sweep", "--axis", "traffic_load", "--grid", "1e-300:1e5:3:log"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["feasible"] for r in rows] == ["False", "True", "True"]
+        assert "range" in rows[0]["error"]
+
     def test_deterministic(self):
         grid = list(np.geomspace(1e-4, 1e-1, 5))
         first = io.StringIO()
@@ -293,6 +301,14 @@ class TestMain:
         capsys.readouterr()
         assert main(["allocate", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_exit_code_range_error(self, capsys):
+        # an overflow deep in the power solve is a bad input, not a crash
+        # (exit 1 would claim the scenario infeasible)
+        assert main(["allocate", "--traffic_load", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:")
+        assert "Traceback" not in err
 
     def test_exit_code_instability(self, monkeypatch, capsys):
         def boom(profile, cfg):

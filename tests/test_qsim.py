@@ -1,12 +1,14 @@
 """Tests for the tandem-queue simulator.
 
 The chunked queue recursion and delay tagging are checked exactly against a
-straightforward per-frame Python reference simulator that tags bits by
-binary search, at chunk sizes down to one frame; the O(n) tagging helper
-against that binary search on adversarial curves; the histogram tail
-statistics against the sort-based originals kept here; the batch-means
-half-width against a Markov series of known asymptotic variance; and the
-tail-slope estimator against synthetic exponential samples with a known rate.
+straightforward per-frame Python reference simulator that tags bits by a
+binary search of each curve value's bit index floor(dep/load + 1e-6), at
+chunk sizes down to one frame; the O(n) tagging helper against that binary
+search on curves placed on, and one ulp beside, the smallest value that
+reaches each bit's index; the histogram tail statistics against the
+sort-based originals kept here; the batch-means half-width against a Markov
+series of known asymptotic variance; and the tail-slope estimator against
+synthetic exponential samples with a known rate.
 """
 
 import ast
@@ -98,14 +100,14 @@ def reference_delays(scenario, allocation, cfg):
         dep2.append(cum2)
         t += 1
 
-    dep1 = np.asarray(dep1)
-    dep2 = np.asarray(dep2)
+    # the bit index each departure value reaches
+    reached1 = np.floor(np.asarray(dep1) / load + 1e-6)
+    reached2 = np.floor(np.asarray(dep2) / load + 1e-6)
     offset = 1 if store_and_forward else 0
     out1, out2, oute = [], [], []
     for frame in range(cfg.warmup_frames, n):
-        index = load * (frame + 1) - 1e-6 * load
-        tau1 = int(np.searchsorted(dep1, index))
-        tau2 = int(np.searchsorted(dep2, index))
+        tau1 = int(np.searchsorted(reached1, frame + 1))
+        tau2 = int(np.searchsorted(reached2, frame + 1))
         out1.append(tau1 - frame)
         out2.append(tau2 - tau1 - offset)
         oute.append(tau2 - frame)
@@ -121,16 +123,33 @@ def tagger_waits(curve, load, first, last):
 
 
 def searchsorted_waits(curve, load, first, last):
-    """Frames waited per tagged bit, by binary search of each bit's target."""
+    """Frames waited per tagged bit, by binary search of each bit's index."""
     dep = np.concatenate(curve)
     tagged = np.arange(first, last, dtype=np.int64)
-    targets = load * (tagged + 1).astype(np.float64) - 1e-6 * load
-    return np.searchsorted(dep, targets, side="left") - tagged
+    return np.searchsorted(np.floor(dep / load + 1e-6), tagged + 1, side="left") - tagged
 
 
-def near_targets(load, cs, where):
-    """Curve values at, one ulp below or above, or half a frame past targets."""
-    t = load * np.asarray(cs, dtype=np.float64) - 1e-6 * load
+def index_boundaries(load, cs):
+    """Smallest double v with floor(v/load + 1e-6) >= c, for each c.
+
+    Starts from (c - 1e-6)*load, the real boundary, and steps one ulp at a
+    time until v reaches c and the double below it does not.
+    """
+    cs = np.asarray(cs, dtype=np.float64)
+    v = (cs - 1e-6) * load
+    while True:
+        below = np.nextafter(v, -np.inf)
+        down = np.floor(below / load + 1e-6) >= cs
+        up = np.floor(v / load + 1e-6) < cs
+        if not (down.any() or up.any()):
+            return v
+        v = np.where(down, below, np.where(up, np.nextafter(v, np.inf), v))
+
+
+def near_boundaries(load, cs, where):
+    """Curve values on, one ulp below or above, or half a frame past the
+    boundaries of bit indices cs (see index_boundaries)."""
+    t = index_boundaries(load, cs)
     return {"at": t, "below": np.nextafter(t, -np.inf),
             "above": np.nextafter(t, np.inf), "mid": t + 0.5 * load}[where]
 
@@ -203,7 +222,7 @@ def tagging_cases(draw):
                   st.sampled_from(["at", "below", "above", "mid"]),
                   st.integers(1, 4)),  # repeats make flat runs
         min_size=1, max_size=120))
-    dep = np.sort(np.concatenate([np.repeat(near_targets(load, [c], where), k)
+    dep = np.sort(np.concatenate([np.repeat(near_boundaries(load, [c], where), k)
                                   for c, where, k in points]))
     cut = draw(st.integers(0, dep.size))  # one scan step | the next
     return load, (dep[:cut], dep[cut:]), first, last
@@ -242,12 +261,13 @@ class TestFramesWaited:
     @pytest.mark.parametrize("load", [LOAD_100KBPS, 0.1, 1.0 / 3.0, 7.3e-3, 2.5e3])
     @pytest.mark.parametrize("where", ["at", "below", "above"])
     def test_values_on_and_beside_every_target(self, load, where):
-        # a floor estimate alone is wrong on some of these; the correction
-        # step must bring every count back to the binary search's.  The
-        # curve is fed in two pieces of 25,001 and 14,999 values, each
-        # tagged in one pass, and runs on well past the last target.
+        # each bit's index is first reached on its boundary, so a value one
+        # ulp below must not count the bit and one on or above it must.  At
+        # these loads the boundary is not (c - 1e-6)*load for 9-39% of c.
+        # The curve is fed in two pieces of 25,001 and 14,999 values, each
+        # tagged in one pass, and runs on well past the last bit's index.
         last = 20_000
-        dep = near_targets(load, np.arange(2 * last), where)
+        dep = near_boundaries(load, np.arange(2 * last), where)
         curve = (dep[:25_001], dep[25_001:])
         for first in (0, 7, last - 1):
             assert np.array_equal(tagger_waits(curve, load, first, last),
@@ -255,15 +275,15 @@ class TestFramesWaited:
 
     def test_curve_ending_below_last_target(self):
         load, last = 2.0, 40
-        dep = np.sort(near_targets(load, np.arange(0, 30, 3), "above"))
+        dep = np.sort(near_boundaries(load, np.arange(0, 30, 3), "above"))
         waits = tagger_waits((dep[:4], dep[4:]), load, 0, last)
         assert np.array_equal(waits, searchsorted_waits((dep,), load, 0, last))
         # bits past the curve's end wait until one past its last frame
         assert waits[-1] + (last - 1) == dep.size
 
     def test_single_tagged_frame(self):
-        # five values lie below the one target T(1), even one ulp below
-        dep = near_targets(1.0, [0, 0, 1, 1, 1, 2], "below")
+        # five values fall short of the one bit's index, even one ulp short
+        dep = near_boundaries(1.0, [0, 0, 1, 1, 1, 2], "below")
         assert list(tagger_waits((dep,), 1.0, 0, 1)) == [5]
 
 
