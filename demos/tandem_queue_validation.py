@@ -42,7 +42,7 @@ print("so hop 2 decays at about u too. The two hops' delay laws nearly coincide,
 print("as the design intends, and the measured violation sits near the target.")
 
 # the full delay histograms are one line away for external analysis: the
-# simulator's int32 delays counted once each, the form the tail fits read
+# simulator's unsigned delays counted once each, the form the tail fits read
 stats = rq.simulate_tandem(report.scenario, alloc,
                            rq.SimConfig(n_frames=200_000, warmup_frames=5_000,
                                         seed=7))

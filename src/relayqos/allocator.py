@@ -22,7 +22,9 @@ QoS target and proceeds in two steps:
    hops an end-to-end violation at D splits D uniformly between the hops), so
    t*/t0 = u*D/4.  theta2 is the root of theta * A_D(theta) = u, a quadratic
    solved in closed form; kappa2 then equates hop 2's effective capacity at
-   theta2 to A_D(theta2).
+   theta2 to A_D(theta2).  The burstiness Var[D(0, t*)]/(2t*) scales as A^2,
+   so it is carried as r = Var[D(0, t*)]/(2t* A^2), which stays in range at
+   every load the power solves can handle.
 
 Each power equation C(theta, kappa) = target rises strictly in kappa and is
 solved by safeguarded Newton in ln(kappa), from a start at or below the root;
@@ -222,66 +224,79 @@ def solve_kappa1(theta1: float, scenario: Scenario) -> float:
 
 
 def departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
-    """b in A_D(theta) = A + theta * b: Var[D(0, t*)] / (2 t*), nats^2/frame.
+    """r = b/A^2 for b in A_D(theta) = A + theta*b, b = Var[D(0, t*)] / (2 t*).
 
-    u is the target delay rate.  With Var[Q1] = 1/theta1^2, t* = A*D / (2*m1)
-    and t*/t0 = u*D/4 this is 2*m1*(1 - c(u*D/4)) / (theta1*u*D).  A
-    rounding-level negative spare rate (theta1 in the ergodic limit) counts
-    as zero.
+    u is the target delay rate; r is in frames.  With Var[Q1] = 1/theta1^2,
+    theta1 = u/A, t* = A*D / (2*m1) and t*/t0 = u*D/4,
+    b = 2*m1*(1 - c(u*D/4)) / (theta1*u*D), so r = 2*(m1/A)*(1 - c(u*D/4))
+    / (u^2*D).  b is of order A^2, so it underflows where A^2 does; r does
+    not.  A rounding-level negative spare rate (theta1 in the ergodic limit)
+    counts as zero.
     """
-    theta1 = u / scenario.traffic_load
+    load = scenario.traffic_load
     link1 = LinkModel(kappa1, scenario.hop1_mean_gain, scenario.bt_product)
-    spare = max(ergodic_rate(link1) - scenario.traffic_load, 0.0)
+    spare = max(ergodic_rate(link1) - load, 0.0)
     ud = u * scenario.delay_bound
-    return 2.0 * spare * rbm_decorrelation(0.25 * ud) / (theta1 * ud)
+    return 2.0 * (spare / load) * rbm_decorrelation(0.25 * ud) / (u * ud)
 
 
-def relay_arrival_bandwidth(theta: float, b: float, scenario: Scenario) -> float:
+def relay_arrival_bandwidth(theta: float, r: float, scenario: Scenario) -> float:
     """Hop 2's arrival law: effective bandwidth of hop 1's departures, nats/frame.
 
-    A_D(theta) = A + theta * b with b = :func:`departure_burstiness`, the
+    A_D(theta) = A + theta*A^2*r with r = :func:`departure_burstiness`, the
     Gaussian t*-frame effective bandwidth of hop 1's departure process at
     hop 2's dominant time scale (see the module docstring).  It exceeds the
-    load by theta*b and, for theta up to theta1, stays below hop 1's service
-    bandwidth.
+    load by theta*A^2*r and, for theta up to theta1, stays below hop 1's
+    service bandwidth.
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be > 0, got {theta!r}")
-    return scenario.traffic_load + theta * b
+    load = scenario.traffic_load
+    return load + (theta * load) * (load * r)
 
 
-def solve_theta2(u: float, b: float, scenario: Scenario) -> float:
+def solve_theta2(u: float, r: float, scenario: Scenario) -> float:
     """Hop-2 QoS exponent: root of theta * A_D(theta) = u.
 
-    theta * A_D(theta) = A*theta + b*theta^2 is zero at theta = 0 and strictly
-    increasing, so the root is unique: 2u / (A + sqrt(A^2 + 4*b*u)), written
-    without cancellation.  It lies at or below theta1 = u/A.
+    theta * A_D(theta) = A*theta + A^2*r*theta^2 is zero at theta = 0 and
+    strictly increasing, so the root is unique:
+    2*theta1 / (1 + sqrt(1 + 4*u*r)) with theta1 = u/A, written without
+    cancellation or A^2.  It lies at or below theta1.
     """
-    load = scenario.traffic_load
-    return 2.0 * u / (load + math.sqrt(load * load + 4.0 * b * u))
+    return 2.0 * (u / scenario.traffic_load) / (1.0 + math.sqrt(1.0 + 4.0 * u * r))
 
 
-def solve_kappa2(theta2: float, b: float, scenario: Scenario) -> float:
+def solve_kappa2(theta2: float, r: float, scenario: Scenario) -> float:
     """Hop-2 power: effective capacity at theta2 matches hop 2's arrival law."""
     if not theta2 > 0.0:
         raise ValueError(f"theta2 must be > 0, got {theta2!r}")
-    return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, b, scenario),
+    return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, r, scenario),
                         scenario.hop2_mean_gain, scenario.bt_product)
 
 
 def allocate(scenario: Scenario) -> Allocation:
-    """Run the two-step procedure and report constraint-closure residuals."""
+    """Run the two-step procedure and report constraint-closure residuals.
+
+    A load so small that theta1 = u/A carries the power solves past the
+    float range (below about 1e-301 nats/frame in the CLI's default
+    profile) raises ValueError naming traffic_load, not a bare overflow.
+    """
     u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
     theta1 = solve_theta1(u, scenario)
-    kappa1 = solve_kappa1(theta1, scenario)
-    b = departure_burstiness(u, kappa1, scenario)
-    theta2 = solve_theta2(u, b, scenario)
-    kappa2 = solve_kappa2(theta2, b, scenario)
+    try:
+        kappa1 = solve_kappa1(theta1, scenario)
+        r = departure_burstiness(u, kappa1, scenario)
+        theta2 = solve_theta2(u, r, scenario)
+        kappa2 = solve_kappa2(theta2, r, scenario)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(
+            f"traffic_load {scenario.traffic_load!r} nats/frame is outside the "
+            f"solver's floating-point range (theta1 = {theta1:.3g}): {exc}") from exc
 
     bt = scenario.bt_product
     c_sr = effective_capacity_rayleigh(theta1, LinkModel(kappa1, scenario.hop1_mean_gain, bt))
     c_rd = effective_capacity_rayleigh(theta2, LinkModel(kappa2, scenario.hop2_mean_gain, bt))
-    a_d = relay_arrival_bandwidth(theta2, b, scenario)
+    a_d = relay_arrival_bandwidth(theta2, r, scenario)
     residuals = {
         "load": abs(c_sr - scenario.traffic_load) / scenario.traffic_load,
         "rate_match": abs(theta1 * c_sr - theta2 * c_rd) / u,

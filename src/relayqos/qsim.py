@@ -26,10 +26,13 @@ frame n + j takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).
 The simulation is streamed in chunks of _SIM_CHUNK frames: each chunk's
 uniforms are drawn, turned into services in place, both hops scanned and
 both departure curves tagged in a few chunk-sized buffers that stay in
-cache, so the only memory that grows with the horizon is the three int32
-delay arrays returned (12 B per frame).  int32 is exact: SimConfig keeps
-n_frames + _MAX_RUN_ON_FRAMES below 2**31, and every entry and partial sum
-of the tagging lies in [-n, n + run-on].  Each hop carries its cumulative
+cache, so the only memory that grows with the horizon is the three delay
+arrays returned.  They hold the narrowest unsigned type that fits the
+largest delay, uint8 until a delay passes 255 frames (3 B per frame in
+all), so a caller casts them before subtracting.  The tagging itself is
+int32, which is exact: SimConfig keeps n_frames + _MAX_RUN_ON_FRAMES below
+2**31, and every count and partial sum of the tagging lies in
+[-n, n + run-on].  Each hop carries its cumulative
 net input, the running minimum of that sum and its departure curve's
 running maximum across a chunk boundary, and hop 2 its last cumulative
 arrival.  Every carry is folded into element 0 of the next chunk before its
@@ -51,10 +54,15 @@ adding a constant and floor are each monotone under round-to-nearest, and
 the curve never falls, so neither does m.  Bit c therefore departs in frame
 tau(c), the number of curve values with m < c, which is the running sum of
 a histogram of m.  The curve is fed in as the scan makes it, one chunk at a
-time, each histogrammed over the short range of m it spans, so tagging
-costs O(n) time and no frame-length memory beyond its output, and its
-output equals searchsorted(m(curve), c, "left") bit for bit
-(tests/test_qsim.py keeps that binary search as the reference).
+time, each histogrammed over the short range of m it spans.  Since m never
+falls, every bit below the last m fed has its delay fixed, so each chunk
+hands those delays on and the tagger keeps a count and a carry, not a
+frame-length array.  Tagging costs O(n) time and no frame-length memory
+beyond its output, and its output equals searchsorted(m(curve), c, "left")
+bit for bit (tests/test_qsim.py keeps that binary search as the
+reference).  The end-to-end curve never runs ahead of hop 1's, so hop 2's
+delay, e2e minus hop 1 (minus the store-and-forward frame), is formed as
+each e2e delay is fixed.
 
 Tail statistics in O(n + max delay).  Delays are whole frames, so
 :func:`delay_histogram` counts each delay 0..max once, summing one
@@ -165,7 +173,7 @@ class SimConfig:
             raise ValueError(
                 f"relay_forwarding must be one of {FORWARDING_MODES}, "
                 f"got {self.relay_forwarding!r}")
-        # the delays are int32 (see the module docstring)
+        # the tagging is int32 (see the module docstring)
         if self.n_frames + _MAX_RUN_ON_FRAMES >= 2**31:
             raise ValueError(
                 f"n_frames ({self.n_frames!r}) plus the run-on cap "
@@ -174,7 +182,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class DelayStats:
-    """Per-frame delay samples (whole frames, int32) of the tagged bits."""
+    """Per-frame delay samples (whole frames) of the tagged bits.
+
+    The three arrays share the narrowest unsigned dtype that holds the
+    largest delay (uint8, uint16 or uint32), so cast them to a signed type
+    before subtracting one from another.
+    """
 
     hop1_delays: np.ndarray
     hop2_delays: np.ndarray
@@ -317,44 +330,53 @@ class _Tagger:
     """Whole frames the bits tagged in frames first..last-1 wait for a curve.
 
     The non-decreasing cumulative departure curve is fed piece by piece as
-    the simulation makes it.  Entry k of the result is tau_k - (first + k),
-    where tau_k is the number of curve values whose bit index falls short
-    of bit k's, c = first + k + 1, i.e.
+    the simulation makes it.  Entry k of the whole result is
+    tau_k - (first + k), where tau_k is the number of curve values whose bit
+    index falls short of bit k's, c = first + k + 1, i.e.
     ``searchsorted(floor(curve/load + _INDEX_SLACK), c, "left")`` (see the
-    module docstring).
+    module docstring).  Every later value reaches at least the bits the last
+    one fed reaches, so the delays of the bits below those are final, and
+    each :meth:`feed` returns them; the tagger keeps three integers, not a
+    frame-length array.
     """
 
     def __init__(self, load: float, first: int, last: int):
         self.load = load
         self.first = first
         self.n_tagged = last - first
-        # waits[j] = (curve values that reach exactly j tagged bits) - 1,
-        # except that waits[0] starts at -first rather than -1, so its
-        # running sum is tau_k - (first + k) with no frame-length index
-        self.waits = np.full(self.n_tagged, -1, dtype=np.int32)
-        self.waits[0] = -first
-        self.done = False  # a value that reaches the last bit has been fed
+        self.finished = 0  # tagged bits whose delays have been returned
+        # curve values fed so far that reach exactly `finished` tagged bits
+        self.pending = 0
+        # with waits[j] = (curve values that reach exactly j tagged bits) - 1,
+        # delay k is sum(waits[:k + 1]) + 1 - first; the carry is
+        # sum(waits[:finished]) - first, the last delay returned less one
+        self.carry = -first
 
-    def feed(self, part: np.ndarray) -> None:
-        """Count the next piece of the non-decreasing departure curve."""
+    @property
+    def done(self) -> bool:
+        """A value that reaches the last tagged bit has been fed."""
+        return self.finished == self.n_tagged
+
+    def feed(self, part: np.ndarray) -> np.ndarray:
+        """Count the next piece of the curve; the delays it finalised, int32."""
         if self.done or part.size == 0:
-            return
-        n_tagged = self.n_tagged
+            return np.empty(0, dtype=np.int32)
         # m = number of tagged bits first + 1, ..., last each value reaches
         m = np.floor(part / self.load + _INDEX_SLACK).astype(np.int64)
         m -= self.first
-        np.clip(m, 0, n_tagged, out=m)
-        lo = int(m[0])
-        if lo < n_tagged:
-            counts = np.bincount(m - lo)
-            hi = min(lo + counts.size, n_tagged)
-            self.waits[lo:hi] += counts[:hi - lo]
-        # the last value, and every later one, reaches the last bit
-        self.done = int(m[-1]) == n_tagged
-
-    def result(self) -> np.ndarray:
-        """Frames waited per tagged bit, once the whole curve has been fed."""
-        return np.cumsum(self.waits, dtype=np.int32, out=self.waits)
+        np.clip(m, 0, self.n_tagged, out=m)
+        lo, hi = self.finished, int(m[-1])
+        if hi == lo:
+            self.pending += part.size
+            return np.empty(0, dtype=np.int32)
+        counts = np.bincount(m - lo)  # m never falls below the last hi
+        waits = counts[:hi - lo]
+        waits -= 1
+        waits[0] += self.pending + self.carry + 1
+        delays = np.cumsum(waits, dtype=np.int32)
+        self.finished, self.pending = hi, int(counts[-1])
+        self.carry = int(delays[-1]) - 1
+        return delays
 
 
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
@@ -367,7 +389,9 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     tagged bits, so each tagged bit departs in the frame it would with no
     fresh arrivals.  Frame n + j of the run-on takes draws 2n + 2j and
     2n + 2j + 1 of the Philox(seed) stream, whatever the step sizes.  The
-    three delay arrays are int32, 12 B per tagged frame in all.
+    three delay arrays are allocated once as uint8, 3 B per tagged frame in
+    all, and widened together to uint16 or uint32 only if a delay needs it;
+    being unsigned, they are cast before subtracting.
 
     Raises
     ------
@@ -380,7 +404,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     """
     load = scenario.traffic_load
     if load == 0.0:
-        empty = np.empty(0, dtype=np.int32)
+        empty = np.empty(0, dtype=np.uint8)
         return DelayStats(empty, empty, empty, cfg.n_frames, cfg.warmup_frames)
 
     link1 = LinkModel(allocation.kappa1, scenario.hop1_mean_gain, scenario.bt_product)
@@ -399,12 +423,14 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     bt = scenario.bt_product
     rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
     rng2 = _hop2_generator(int(cfg.seed), n)
-    # chunk buffers first: freed, they leave a hole below the frame-length
-    # arrays, so a small block kept there cannot pin those arrays' heap pages
     scan = _TandemScan(load, cfg.relay_forwarding, chunk)
     draws = np.empty(2 * chunk)
     tag1 = _Tagger(load, cfg.warmup_frames, n)
     tag2 = _Tagger(load, cfg.warmup_frames, n)
+    offset = 1 if scan.store_and_forward else 0
+    # the narrowest unsigned type, widened once a finalised delay needs it;
+    # e2e bounds both hops, so hop1 + hop2 + offset never wraps
+    hop1, hop2, e2e = (np.empty(tag1.n_tagged, dtype=np.uint8) for _ in range(3))
     while scan.frames < n or not (tag1.done and tag2.done):
         if scan.frames < n:
             k = min(chunk, n - scan.frames)
@@ -422,14 +448,19 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
         dep1, dep2, _ = scan.step(
             _to_service(u1, bt, allocation.kappa1, scenario.hop1_mean_gain),
             _to_service(u2, bt, allocation.kappa2, scenario.hop2_mean_gain))
-        tag1.feed(dep1)
-        tag2.feed(dep2)
-    # the chunk buffers go before hop2's array comes
-    del draws, u1, u2, dep1, dep2, scan
-    hop1, e2e = tag1.result(), tag2.result()
-    hop2 = np.subtract(e2e, hop1)
-    if cfg.relay_forwarding == "store-and-forward":
-        hop2 -= 1
+        part1, part2 = tag1.feed(dep1), tag2.feed(dep2)
+        top = max(part1.max(initial=0), part2.max(initial=0))
+        if top > np.iinfo(e2e.dtype).max:
+            wide = np.min_scalar_type(top)
+            hop1, hop2, e2e = (a.astype(wide) for a in (hop1, hop2, e2e))
+        hop1[tag1.finished - part1.size:tag1.finished] = part1
+        # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
+        # delays of the bits it finalised are already in place
+        done = slice(tag2.finished - part2.size, tag2.finished)
+        e2e[done] = part2
+        part2 -= hop1[done]
+        part2 -= offset
+        hop2[done] = part2
     return DelayStats(hop1, hop2, e2e, n, cfg.warmup_frames)
 
 

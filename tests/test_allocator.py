@@ -228,6 +228,32 @@ class TestAllocate:
                 assert value <= 1e-8, (scenario, name)
             assert allocation.theta2 <= allocation.theta1
 
+    def test_tiny_loads_close_or_name_the_load(self):
+        # the CLI's default profile at 10^-320 .. 10^-90 bit/s: each load
+        # either closes every constraint, theta2 below theta1 (the relay's
+        # burstiness is carried relative to A^2, so it no longer underflows
+        # to theta2 = 2*theta1), or raises a ValueError naming traffic_load,
+        # never a bare OverflowError; the failures lie below every success
+        from relayqos import cli
+
+        outcomes = []
+        for exponent in range(-320, -89):
+            profile = dataclasses.replace(cli.RadioProfile(),
+                                          traffic_load=10.0 ** exponent)
+            try:
+                allocation = allocate(cli.to_scenario(profile))
+            except ValueError as exc:
+                assert "traffic_load" in str(exc), (exponent, str(exc))
+                assert type(exc) is ValueError, exponent
+                outcomes.append(False)
+                continue
+            for name, value in allocation.residuals.items():
+                assert value <= 1e-8, (exponent, name, value)
+            assert allocation.theta2 < allocation.theta1, exponent
+            outcomes.append(True)
+        assert outcomes[0] is False and outcomes[-1] is True
+        assert outcomes == sorted(outcomes)
+
     def test_tightening_target_costs_power(self):
         loose = dataclasses.replace(HEADLINE, violation_prob=1e-2)
         tight = dataclasses.replace(HEADLINE, violation_prob=1e-6)

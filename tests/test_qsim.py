@@ -115,11 +115,16 @@ def reference_delays(scenario, allocation, cfg):
 
 
 def tagger_waits(curve, load, first, last):
-    """Frames waited per tagged bit, by the O(n) tagger fed part by part."""
+    """Frames waited per tagged bit, by the O(n) tagger fed part by part.
+
+    The tagger returns each bit's delay once it is final.  A last value that
+    reaches every tagged bit, which no delay counts, finalises the bits the
+    curve itself leaves queued.
+    """
     tagger = _Tagger(load, first, last)
-    for part in curve:
-        tagger.feed(part)
-    return tagger.result()
+    parts = [tagger.feed(part) for part in (*curve, np.array([(last + 1.0) * load]))]
+    assert tagger.done
+    return np.concatenate(parts)
 
 
 def searchsorted_waits(curve, load, first, last):
@@ -308,7 +313,7 @@ class TestSimulateTandem:
         for got, want in zip((stats.hop1_delays, stats.hop2_delays,
                               stats.e2e_delays),
                              reference_delays(SCENARIO, headline_allocation, cfg)):
-            assert got.dtype == np.int32
+            assert got.dtype == np.uint8
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
@@ -329,7 +334,7 @@ class TestSimulateTandem:
                 (chunked.hop1_delays, chunked.hop2_delays, chunked.e2e_delays),
                 (whole.hop1_delays, whole.hop2_delays, whole.e2e_delays),
                 reference_delays(SCENARIO, headline_allocation, cfg)):
-            assert got.dtype == np.int32
+            assert got.dtype == np.uint8
             assert np.array_equal(got, default)
             assert np.array_equal(got, want)
 
@@ -386,12 +391,62 @@ class TestSimulateTandem:
         needed = int(stats.e2e_delays[-1])
         assert needed <= sum(frames) - cfg.n_frames < 2 * max(1, needed)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, _SIM_CHUNK])
+    @pytest.mark.parametrize("kappa2", [0.005030050640275492, 10.0])
+    def test_widens_past_one_byte(self, monkeypatch, chunk, kappa2):
+        # hop 1 barely outruns a unit load with exponential-like service, so
+        # its backlog wanders to delays past 255 frames.  With hop 2 as tight
+        # an e2e delay needs 16 bits first; with hop 2 generous a hop-1
+        # delay does, a frame before e2e finalises that bit.  Either way the
+        # arrays widen to uint16, whichever chunk that falls in.
+        scenario = Scenario(traffic_load=1.0, delay_bound=50.0,
+                            violation_prob=1e-2, bt_product=200.0)
+        tight = Allocation(kappa1=0.005030050640275492, kappa2=kappa2,
+                           theta1=1e-3, theta2=1e-3, delay_rate=0.1, residuals={})
+        cfg = SimConfig(n_frames=20_000, warmup_frames=100, seed=0)
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
+        stats = simulate_tandem(scenario, tight, cfg)
+        want = reference_delays(scenario, tight, cfg)
+        assert want[0].max() > 255
+        for got, ref in zip((stats.hop1_delays, stats.hop2_delays,
+                             stats.e2e_delays), want):
+            assert got.dtype == np.uint16
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("chunk", [1, 3, _SIM_CHUNK])
+    @pytest.mark.parametrize("forwarding", ["store-and-forward", "cut-through"])
+    def test_e2e_never_finalises_past_hop1(self, headline_allocation,
+                                           monkeypatch, chunk, forwarding):
+        # hop 2's delay is formed from the hop-1 delay already in place, so
+        # after every step the e2e tagger has finalised no more bits than
+        # hop 1's (dep2 <= arr2 <= dep1)
+        finished = []
+        feed = _Tagger.feed
+
+        def recording(tagger, part):
+            delays = feed(tagger, part)
+            finished.append(tagger.finished)
+            return delays
+
+        monkeypatch.setattr(_Tagger, "feed", recording)
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
+        cfg = SimConfig(n_frames=5000, warmup_frames=50, seed=9,
+                        relay_forwarding=forwarding)
+        simulate_tandem(SCENARIO, headline_allocation, cfg)
+        hop1, e2e = finished[0::2], finished[1::2]
+        assert len(hop1) == len(e2e) > 5000 // chunk
+        assert all(b <= a for a, b in zip(hop1, e2e))
+        assert hop1[-1] == e2e[-1] == 5000 - 50
+        # e2e lags at some step, so the pairing is exercised
+        assert any(b < a for a, b in zip(hop1, e2e))
+
     def test_peak_memory_per_frame(self, headline_allocation):
-        # the three int32 delay arrays returned (12 B per frame) are the only
-        # memory that grows with the horizon: the gain draws, both scans and
-        # the tagging run in chunk-sized buffers, bounded here by fourteen
-        # float64 arrays of _SIM_CHUNK values.  A first short run imports
-        # numpy.random, which is no part of a run's scratch.
+        # the three delay arrays returned, one byte per frame each at this
+        # load, are the only memory that grows with the horizon: the gain
+        # draws, both scans and the tagging run in chunk-sized buffers,
+        # bounded here by twelve float64 arrays of _SIM_CHUNK values.  A
+        # first short run imports numpy.random, which is no part of a run's
+        # scratch.
         simulate_tandem(SCENARIO, headline_allocation, SimConfig(n_frames=2))
         for n in (200_000, 1_000_000):
             cfg = SimConfig(n_frames=n, seed=2)
@@ -403,8 +458,8 @@ class TestSimulateTandem:
                 tracemalloc.stop()
             returned = (stats.hop1_delays.nbytes + stats.hop2_delays.nbytes
                         + stats.e2e_delays.nbytes)
-            assert peak / n <= 24.0
-            assert peak - returned <= 8 * 14 * _SIM_CHUNK
+            assert returned == 3 * n
+            assert peak - returned <= 8 * 12 * _SIM_CHUNK
 
     @pytest.mark.parametrize("forwarding,offset",
                              [("store-and-forward", 1), ("cut-through", 0)])
