@@ -11,7 +11,7 @@ from .allocator import (
     InfeasibleError,
     Scenario,
     allocate,
-    departure_burstiness,
+    relative_departure_burstiness,
     relay_arrival_bandwidth,
     solve_kappa1,
     solve_kappa2,
@@ -68,7 +68,6 @@ __all__ = [
     "StabilityError",
     "allocate",
     "delay_histogram",
-    "departure_burstiness",
     "effective_bandwidth_oracle",
     "effective_bandwidth_service_rayleigh",
     "effective_capacity_oracle",
@@ -81,6 +80,7 @@ __all__ = [
     "log_upper_incomplete_gamma",
     "qos_rate_target",
     "rbm_decorrelation",
+    "relative_departure_burstiness",
     "relay_arrival_bandwidth",
     "simulate_tandem",
     "single_hop_ccdf",

@@ -53,7 +53,7 @@ __all__ = [
     "solve_kappa1",
     "solve_theta2",
     "solve_kappa2",
-    "departure_burstiness",
+    "relative_departure_burstiness",
     "relay_arrival_bandwidth",
     "allocate",
 ]
@@ -223,7 +223,7 @@ def solve_kappa1(theta1: float, scenario: Scenario) -> float:
                         scenario.hop1_mean_gain, scenario.bt_product)
 
 
-def departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
+def relative_departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
     """r = b/A^2 for b in A_D(theta) = A + theta*b, b = Var[D(0, t*)] / (2 t*).
 
     u is the target delay rate; r is in frames.  With Var[Q1] = 1/theta1^2,
@@ -243,11 +243,11 @@ def departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
 def relay_arrival_bandwidth(theta: float, r: float, scenario: Scenario) -> float:
     """Hop 2's arrival law: effective bandwidth of hop 1's departures, nats/frame.
 
-    A_D(theta) = A + theta*A^2*r with r = :func:`departure_burstiness`, the
-    Gaussian t*-frame effective bandwidth of hop 1's departure process at
-    hop 2's dominant time scale (see the module docstring).  It exceeds the
-    load by theta*A^2*r and, for theta up to theta1, stays below hop 1's
-    service bandwidth.
+    A_D(theta) = A + theta*A^2*r with r =
+    :func:`relative_departure_burstiness`, the Gaussian t*-frame effective
+    bandwidth of hop 1's departure process at hop 2's dominant time scale
+    (see the module docstring).  It exceeds the load by theta*A^2*r and,
+    for theta up to theta1, stays below hop 1's service bandwidth.
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be > 0, got {theta!r}")
@@ -277,21 +277,25 @@ def solve_kappa2(theta2: float, r: float, scenario: Scenario) -> float:
 def allocate(scenario: Scenario) -> Allocation:
     """Run the two-step procedure and report constraint-closure residuals.
 
-    A load so small that theta1 = u/A carries the power solves past the
+    A load so small that theta1 = u/A carries hop 1's power solve past the
     float range (below about 1e-301 nats/frame in the CLI's default
     profile) raises ValueError naming traffic_load, not a bare overflow.
+    Only a theta1 whose square overflows counts as such a load; at any
+    other load the solve's own error propagates unchanged.
     """
     u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
     theta1 = solve_theta1(u, scenario)
     try:
         kappa1 = solve_kappa1(theta1, scenario)
-        r = departure_burstiness(u, kappa1, scenario)
-        theta2 = solve_theta2(u, r, scenario)
-        kappa2 = solve_kappa2(theta2, r, scenario)
-    except (ArithmeticError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
+        if math.isfinite(theta1 * theta1):
+            raise
         raise ValueError(
             f"traffic_load {scenario.traffic_load!r} nats/frame is outside the "
             f"solver's floating-point range (theta1 = {theta1:.3g}): {exc}") from exc
+    r = relative_departure_burstiness(u, kappa1, scenario)
+    theta2 = solve_theta2(u, r, scenario)
+    kappa2 = solve_kappa2(theta2, r, scenario)
 
     bt = scenario.bt_product
     c_sr = effective_capacity_rayleigh(theta1, LinkModel(kappa1, scenario.hop1_mean_gain, bt))

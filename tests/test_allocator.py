@@ -14,7 +14,7 @@ from relayqos.allocator import (
     InfeasibleError,
     Scenario,
     allocate,
-    departure_burstiness,
+    relative_departure_burstiness,
     relay_arrival_bandwidth,
     solve_kappa1,
     solve_kappa2,
@@ -46,8 +46,8 @@ def theta1_of(scenario):
     return solve_theta1(target_rate(scenario), scenario)
 
 
-def burstiness_of(kappa1, scenario):
-    return departure_burstiness(target_rate(scenario), kappa1, scenario)
+def relative_burstiness_of(kappa1, scenario):
+    return relative_departure_burstiness(target_rate(scenario), kappa1, scenario)
 
 
 def random_scenarios(n, seed=0):
@@ -133,18 +133,18 @@ class TestRelayArrivalBandwidth:
         for scenario in [HEADLINE] + random_scenarios(5, seed=4):
             theta1 = theta1_of(scenario)
             kappa1 = solve_kappa1(theta1, scenario)
-            b = burstiness_of(kappa1, scenario)
+            r = relative_burstiness_of(kappa1, scenario)
             link1 = LinkModel(kappa1, scenario.hop1_mean_gain, scenario.bt_product)
             for theta in (0.25 * theta1, theta1):
-                got = relay_arrival_bandwidth(theta, b, scenario)
+                got = relay_arrival_bandwidth(theta, r, scenario)
                 assert scenario.traffic_load < got
                 assert got < effective_bandwidth_service_rayleigh(theta, link1)
 
     def test_linear_in_theta(self):
         theta1 = theta1_of(HEADLINE)
-        b = burstiness_of(solve_kappa1(theta1, HEADLINE), HEADLINE)
+        r = relative_burstiness_of(solve_kappa1(theta1, HEADLINE), HEADLINE)
         load = HEADLINE.traffic_load
-        excess = [relay_arrival_bandwidth(t, b, HEADLINE) - load
+        excess = [relay_arrival_bandwidth(t, r, HEADLINE) - load
                   for t in (0.5 * theta1, theta1)]
         assert excess[1] == pytest.approx(2.0 * excess[0], rel=1e-12, abs=0.0)
 
@@ -157,9 +157,9 @@ class TestTheta2:
     def test_root_and_ordering(self):
         theta1 = theta1_of(HEADLINE)
         u = target_rate(HEADLINE)
-        b = burstiness_of(solve_kappa1(theta1, HEADLINE), HEADLINE)
-        theta2 = solve_theta2(u, b, HEADLINE)
-        residual = theta2 * relay_arrival_bandwidth(theta2, b, HEADLINE) - u
+        r = relative_burstiness_of(solve_kappa1(theta1, HEADLINE), HEADLINE)
+        theta2 = solve_theta2(u, r, HEADLINE)
+        residual = theta2 * relay_arrival_bandwidth(theta2, r, HEADLINE) - u
         assert abs(residual) <= 1e-9 * u
         # A_D(theta) > load forces theta2 below u / load = theta1
         assert theta2 < theta1
@@ -168,11 +168,11 @@ class TestTheta2:
         scenario = random_scenarios(1, seed=9)[0]
         theta1 = theta1_of(scenario)
         u = target_rate(scenario)
-        b = burstiness_of(solve_kappa1(theta1, scenario), scenario)
-        theta2 = solve_theta2(u, b, scenario)
+        r = relative_burstiness_of(solve_kappa1(theta1, scenario), scenario)
+        theta2 = solve_theta2(u, r, scenario)
 
         def gap(theta):
-            return theta * relay_arrival_bandwidth(theta, b, scenario) - u
+            return theta * relay_arrival_bandwidth(theta, r, scenario) - u
 
         # fine grid around the root: the sign must flip exactly there.  The
         # middle grid point is theta2 itself, where the gap may be exactly
@@ -189,11 +189,11 @@ class TestKappa2:
     def test_back_substitution_and_asymmetry(self):
         theta1 = theta1_of(HEADLINE)
         kappa1 = solve_kappa1(theta1, HEADLINE)
-        b = burstiness_of(kappa1, HEADLINE)
-        theta2 = solve_theta2(target_rate(HEADLINE), b, HEADLINE)
-        kappa2 = solve_kappa2(theta2, b, HEADLINE)
+        r = relative_burstiness_of(kappa1, HEADLINE)
+        theta2 = solve_theta2(target_rate(HEADLINE), r, HEADLINE)
+        kappa2 = solve_kappa2(theta2, r, HEADLINE)
         link2 = LinkModel(kappa2, HEADLINE.hop2_mean_gain, HEADLINE.bt_product)
-        target = relay_arrival_bandwidth(theta2, b, HEADLINE)
+        target = relay_arrival_bandwidth(theta2, r, HEADLINE)
         got = effective_capacity_rayleigh(theta2, link2)
         assert abs(got - target) <= 1e-9 * target
         # symmetric channels still demand more relay power
@@ -253,6 +253,15 @@ class TestAllocate:
             outcomes.append(True)
         assert outcomes[0] is False and outcomes[-1] is True
         assert outcomes == sorted(outcomes)
+
+    def test_solver_errors_at_ordinary_loads_propagate(self, monkeypatch):
+        # only a load whose theta1 squared overflows is blamed on traffic_load
+        def broken(theta1, scenario):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(allocator, "solve_kappa1", broken)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            allocate(HEADLINE)
 
     def test_tightening_target_costs_power(self):
         loose = dataclasses.replace(HEADLINE, violation_prob=1e-2)
@@ -328,9 +337,9 @@ def reference_allocation(scenario):
                              scenario.bt_product)
     if kappa1 is None:
         return "solve_kappa1"
-    b = departure_burstiness(u, kappa1, scenario)
-    theta2 = solve_theta2(u, b, scenario)
-    kappa2 = reference_power(theta2, relay_arrival_bandwidth(theta2, b, scenario),
+    r = relative_departure_burstiness(u, kappa1, scenario)
+    theta2 = solve_theta2(u, r, scenario)
+    kappa2 = reference_power(theta2, relay_arrival_bandwidth(theta2, r, scenario),
                              scenario.hop2_mean_gain, scenario.bt_product)
     if kappa2 is None:
         return "solve_kappa2"

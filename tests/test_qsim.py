@@ -467,10 +467,12 @@ class TestSimulateTandem:
         cfg = SimConfig(n_frames=20_000, warmup_frames=500, seed=3,
                         relay_forwarding=forwarding)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
-        assert np.array_equal(stats.e2e_delays,
-                              stats.hop1_delays + stats.hop2_delays + offset)
-        assert (stats.hop1_delays >= 0).all()
-        assert (stats.hop2_delays >= 0).all()
+        # the delays are unsigned: cast before adding, or a negative hop 2
+        # would wrap and the identity would hold by construction
+        hop1, hop2, e2e = (a.astype(np.int64) for a in (
+            stats.hop1_delays, stats.hop2_delays, stats.e2e_delays))
+        assert np.array_equal(e2e, hop1 + hop2 + offset)
+        assert (e2e - hop1 - offset >= 0).all()
 
     def test_sample_counts(self, headline_allocation):
         cfg = SimConfig(n_frames=5000, warmup_frames=750, seed=1)
