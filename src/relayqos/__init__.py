@@ -26,12 +26,9 @@ from .delaymodel import (
 )
 from .effcap import (
     LinkModel,
-    effective_bandwidth_oracle,
     effective_bandwidth_service_rayleigh,
-    effective_capacity_oracle,
     effective_capacity_rayleigh,
     ergodic_rate,
-    ergodic_rate_oracle,
 )
 from .qsim import (
     DelayHistogram,
@@ -68,13 +65,10 @@ __all__ = [
     "StabilityError",
     "allocate",
     "delay_histogram",
-    "effective_bandwidth_oracle",
     "effective_bandwidth_service_rayleigh",
-    "effective_capacity_oracle",
     "effective_capacity_rayleigh",
     "empirical_ccdf",
     "ergodic_rate",
-    "ergodic_rate_oracle",
     "invert_equal_rate_ccdf",
     "lambert_w",
     "log_upper_incomplete_gamma",

@@ -183,26 +183,39 @@ def _newton_root(f, x: float, x_max: float) -> float | None:
 
 
 def _solve_power(step: str, theta: float, target: float, mean_gain: float,
-                 bt: float) -> float:
+                 scenario: Scenario) -> float:
     """Power at which a hop's effective capacity at theta equals target.
 
     Newton runs in x = ln(kappa) with the slope from the capacity value.
     Jensen's inequality, C <= BT*ln(1 + snr), puts the start snr =
-    expm1(target/BT) at or below the root.
+    expm1(target/BT) at or below the root.  A load so small that theta =
+    u/A carries the solve past the float range (below about 1e-301
+    nats/frame in the CLI's default profile) raises ValueError naming
+    traffic_load, not a bare overflow.  Only a theta whose square overflows
+    counts as such a load; at any other theta the solve's own error
+    propagates unchanged.
     """
+    bt = scenario.bt_product
 
     def gap(x: float) -> tuple[float, float]:
         link = LinkModel(math.exp(x), mean_gain, bt)
         capacity = effective_capacity_rayleigh(theta, link)
         return capacity - target, _capacity_log_slope(theta, link, capacity)
 
-    t = target / bt
-    # ln(expm1(t)) in a form that cannot overflow
-    x = t + math.log(-math.expm1(-t)) - math.log(mean_gain)
     x_max = math.log(POWER_CEILING)
-    if x <= x_max and math.exp(x) == 0.0:
-        raise InfeasibleError(step, "required power underflows to zero")
-    root = _newton_root(gap, x, x_max)
+    try:
+        t = target / bt
+        # ln(expm1(t)) in a form that cannot overflow
+        x = t + math.log(-math.expm1(-t)) - math.log(mean_gain)
+        if x <= x_max and math.exp(x) == 0.0:
+            raise InfeasibleError(step, "required power underflows to zero")
+        root = _newton_root(gap, x, x_max)
+    except (OverflowError, ValueError) as exc:
+        if math.isfinite(theta * theta):
+            raise
+        raise ValueError(
+            f"{step}: traffic_load {scenario.traffic_load!r} nats/frame is outside "
+            f"the solver's floating-point range (theta = {theta:.3g}): {exc}") from exc
     if root is None:
         raise InfeasibleError(step, f"no solution below the power ceiling {POWER_CEILING:g}")
     return math.exp(root)
@@ -220,7 +233,7 @@ def solve_kappa1(theta1: float, scenario: Scenario) -> float:
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be > 0, got {theta1!r}")
     return _solve_power("solve_kappa1", theta1, scenario.traffic_load,
-                        scenario.hop1_mean_gain, scenario.bt_product)
+                        scenario.hop1_mean_gain, scenario)
 
 
 def relative_departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
@@ -271,28 +284,14 @@ def solve_kappa2(theta2: float, r: float, scenario: Scenario) -> float:
     if not theta2 > 0.0:
         raise ValueError(f"theta2 must be > 0, got {theta2!r}")
     return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, r, scenario),
-                        scenario.hop2_mean_gain, scenario.bt_product)
+                        scenario.hop2_mean_gain, scenario)
 
 
 def allocate(scenario: Scenario) -> Allocation:
-    """Run the two-step procedure and report constraint-closure residuals.
-
-    A load so small that theta1 = u/A carries hop 1's power solve past the
-    float range (below about 1e-301 nats/frame in the CLI's default
-    profile) raises ValueError naming traffic_load, not a bare overflow.
-    Only a theta1 whose square overflows counts as such a load; at any
-    other load the solve's own error propagates unchanged.
-    """
+    """Run the two-step procedure and report constraint-closure residuals."""
     u = qos_rate_target(scenario.delay_bound, scenario.violation_prob)
     theta1 = solve_theta1(u, scenario)
-    try:
-        kappa1 = solve_kappa1(theta1, scenario)
-    except (OverflowError, ValueError) as exc:
-        if math.isfinite(theta1 * theta1):
-            raise
-        raise ValueError(
-            f"traffic_load {scenario.traffic_load!r} nats/frame is outside the "
-            f"solver's floating-point range (theta1 = {theta1:.3g}): {exc}") from exc
+    kappa1 = solve_kappa1(theta1, scenario)
     r = relative_departure_burstiness(u, kappa1, scenario)
     theta2 = solve_theta2(u, r, scenario)
     kappa2 = solve_kappa2(theta2, r, scenario)

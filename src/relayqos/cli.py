@@ -55,7 +55,6 @@ __all__ = [
     "SweepRow",
     "ValidationReport",
     "bits_per_second_to_nats_per_frame",
-    "nats_per_frame_to_bits_per_second",
     "to_scenario",
     "sweep",
     "validate",
@@ -121,11 +120,6 @@ class RadioProfile:
 def bits_per_second_to_nats_per_frame(rate: float, frame_duration: float) -> float:
     """Convert a bit rate to nats per frame of the given duration."""
     return rate * _LN2 * frame_duration
-
-
-def nats_per_frame_to_bits_per_second(rate: float, frame_duration: float) -> float:
-    """Inverse of :func:`bits_per_second_to_nats_per_frame`."""
-    return rate / (_LN2 * frame_duration)
 
 
 def _mean_gain(distance: float, profile: RadioProfile) -> float:

@@ -3,11 +3,9 @@
 A hop transmits at the Shannon rate ``BT * ln(1 + kappa * h)`` nats per frame
 with ``h`` exponentially distributed (Rayleigh power gain), i.i.d. across
 frames.  For a QoS exponent theta > 0 the log-moment generating function of
-that rate has a closed form in the upper incomplete gamma function; this
-module provides the closed forms and an independent adaptive-quadrature
-oracle used to cross-check them.  The oracles call SciPy, which only they
-and the tests need (the ``test`` extra); the closed forms need nothing
-beyond the standard library.
+that rate has a closed form in the upper incomplete gamma function, and so
+do the effective capacity, the effective bandwidth and the ergodic rate this
+module computes; they need nothing beyond the standard library.
 
 The mean gain is absorbed into an effective SNR ``kappa * mean_gain``: for an
 exponential gain this substitution is exact, so all formulas below are
@@ -28,21 +26,12 @@ __all__ = [
     "LinkModel",
     "effective_capacity_rayleigh",
     "effective_bandwidth_service_rayleigh",
-    "effective_capacity_oracle",
-    "effective_bandwidth_oracle",
     "ergodic_rate",
-    "ergodic_rate_oracle",
 ]
-
-# Below this theta the quadrature oracles return the ergodic limit: their
-# log of a moment that is 1 + O(theta) loses the relative O(theta) term.
-THETA_ERGODIC_LIMIT = 1e-8
 
 # The log-moment is formed as log1p(s*H) where |s|*ln(1 + snr), which bounds
 # it for the capacity (Jensen), is below this.
 _LOG1P_MOMENT = 0.05
-
-_QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -152,77 +141,3 @@ def effective_bandwidth_service_rayleigh(theta: float, link: LinkModel) -> float
         raise OverflowError(
             f"effective bandwidth not representable at theta={theta!r}, link={link!r}")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Quadrature oracles
-# ---------------------------------------------------------------------------
-
-def _log_rate_moment_quadrature(s: float, snr: float) -> float:
-    """log E[(1 + snr*h)^s] by adaptive quadrature against the Exp(1) density.
-
-    The integrand is rescaled by its peak value so arbitrarily large moments
-    are integrated without overflow.
-    """
-    from scipy import integrate
-
-    def log_integrand(h: float) -> float:
-        return s * math.log1p(snr * h) - h
-
-    h_star = max((s * snr - 1.0) / snr, 0.0) if s > 0.0 else 0.0
-    g_star = log_integrand(h_star)
-    out = integrate.quad(
-        lambda h: math.exp(log_integrand(h) - g_star),
-        0.0, math.inf, epsabs=0.0, epsrel=_QUAD_TOL, limit=400, full_output=1)
-    value, abserr = out[0], out[1]
-    if not value > 0.0 or abserr > 1e-9 * value:
-        raise RuntimeError(
-            f"rate-moment quadrature did not converge (s={s!r}, snr={snr!r}, "
-            f"value={value!r}, error estimate={abserr!r})")
-    return g_star + math.log(value)
-
-
-def effective_capacity_oracle(theta: float, link: LinkModel) -> float:
-    """Quadrature-based effective capacity; independent of the closed form.
-
-    Needs SciPy, which is installed with the ``test`` extra only.
-    """
-    _require_positive_theta(theta)
-    if theta < THETA_ERGODIC_LIMIT:
-        return ergodic_rate(link)
-    beta = link.bt_product * theta
-    return -_log_rate_moment_quadrature(-beta, link.effective_snr) / theta
-
-
-def effective_bandwidth_oracle(theta: float, link: LinkModel) -> float:
-    """Quadrature-based effective bandwidth; independent of the closed form.
-
-    Needs SciPy, which is installed with the ``test`` extra only.
-    """
-    _require_positive_theta(theta)
-    if theta < THETA_ERGODIC_LIMIT:
-        return ergodic_rate(link)
-    beta = link.bt_product * theta
-    return _log_rate_moment_quadrature(beta, link.effective_snr) / theta
-
-
-def ergodic_rate_oracle(link: LinkModel) -> float:
-    """Quadrature-based mean service rate; independent of the closed form.
-
-    Needs SciPy, which is installed with the ``test`` extra only.
-    """
-    from scipy import integrate
-
-    snr = link.effective_snr
-    # for small snr integrate log1p(snr*h)/snr, an O(1) quantity, so the
-    # relative convergence check stays meaningful
-    scale = min(snr, 1.0)
-    out = integrate.quad(
-        lambda h: math.log1p(snr * h) / scale * math.exp(-h),
-        0.0, math.inf, epsabs=0.0, epsrel=_QUAD_TOL, limit=400, full_output=1)
-    value, abserr = out[0], out[1]
-    if not value > 0.0 or abserr > 1e-9 * value:
-        raise RuntimeError(
-            f"ergodic-rate quadrature did not converge (snr={snr!r}, "
-            f"value={value!r}, error estimate={abserr!r})")
-    return link.bt_product * scale * value

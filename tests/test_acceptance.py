@@ -12,6 +12,7 @@ import numpy as np
 from scipy import integrate
 
 import relayqos as rq
+from oracles import effective_bandwidth_oracle, effective_capacity_oracle
 from relayqos import cli
 
 LOAD_100KBPS = 138.62943611198906
@@ -70,9 +71,9 @@ def test_criterion_2_closed_form_vs_oracle():
         for snr in np.geomspace(0.1, 100.0, 7):
             link = rq.LinkModel(float(snr), 1.0, bt)
             c_closed = rq.effective_capacity_rayleigh(float(theta), link)
-            c_oracle = rq.effective_capacity_oracle(float(theta), link)
+            c_oracle = effective_capacity_oracle(float(theta), link)
             a_closed = rq.effective_bandwidth_service_rayleigh(float(theta), link)
-            a_oracle = rq.effective_bandwidth_oracle(float(theta), link)
+            a_oracle = effective_bandwidth_oracle(float(theta), link)
             worst = max(worst, abs(c_closed / c_oracle - 1.0),
                         abs(a_closed / a_oracle - 1.0))
     ok = worst <= 1e-6

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from oracles import effective_capacity_oracle
 from relayqos import allocator
 from relayqos.allocator import (
     POWER_CEILING,
@@ -25,7 +26,6 @@ from relayqos.delaymodel import HopDelayLaw, two_hop_ccdf
 from relayqos.effcap import (
     LinkModel,
     effective_bandwidth_service_rayleigh,
-    effective_capacity_oracle,
     effective_capacity_rayleigh,
     ergodic_rate,
 )
@@ -254,15 +254,6 @@ class TestAllocate:
         assert outcomes[0] is False and outcomes[-1] is True
         assert outcomes == sorted(outcomes)
 
-    def test_solver_errors_at_ordinary_loads_propagate(self, monkeypatch):
-        # only a load whose theta1 squared overflows is blamed on traffic_load
-        def broken(theta1, scenario):
-            raise ValueError("math domain error")
-
-        monkeypatch.setattr(allocator, "solve_kappa1", broken)
-        with pytest.raises(ValueError, match="^math domain error$"):
-            allocate(HEADLINE)
-
     def test_tightening_target_costs_power(self):
         loose = dataclasses.replace(HEADLINE, violation_prob=1e-2)
         tight = dataclasses.replace(HEADLINE, violation_prob=1e-6)
@@ -448,6 +439,34 @@ class TestBrentq:
 
 
 class TestPowerSolve:
+    def test_float_range_errors_name_the_load(self):
+        # 1e-300 bit/s in the CLI's default profile: theta = u/A ~ 1e302, and
+        # both solves, called directly, blame traffic_load, not a bare overflow
+        from relayqos import cli
+
+        profile = dataclasses.replace(cli.RadioProfile(), traffic_load=1e-300)
+        scenario = cli.to_scenario(profile)
+        theta = theta1_of(scenario)
+        for solve in (lambda: solve_kappa1(theta, scenario),
+                      lambda: solve_kappa2(theta, 0.0, scenario)):
+            with pytest.raises(ValueError, match="traffic_load") as err:
+                solve()
+            assert type(err.value) is ValueError
+            assert "range" in str(err.value)
+
+    def test_solver_errors_at_ordinary_loads_propagate(self, monkeypatch):
+        # only a load whose theta squared overflows is blamed on traffic_load
+        def broken(theta, link):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(allocator, "effective_capacity_rayleigh", broken)
+        theta1 = theta1_of(HEADLINE)
+        for solve in (lambda: solve_kappa1(theta1, HEADLINE),
+                      lambda: solve_kappa2(theta1, 0.0, HEADLINE),
+                      lambda: allocate(HEADLINE)):
+            with pytest.raises(ValueError, match="^math domain error$"):
+                solve()
+
     def test_capacity_evaluations_per_allocate(self, monkeypatch):
         calls = [0]
         capacity = allocator.effective_capacity_rayleigh

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: unit conversions, sweeps, the
 validation report, config handling and exit codes."""
 
+import ast
 import csv
 import dataclasses
 import io
@@ -23,7 +24,6 @@ from relayqos.cli import (
     bits_per_second_to_nats_per_frame,
     ccdf_table,
     main,
-    nats_per_frame_to_bits_per_second,
     sweep,
     to_scenario,
     transmission_time,
@@ -44,8 +44,7 @@ class TestUnitConversions:
         for _ in range(100):
             rate = float(10.0 ** rng.uniform(2.0, 8.0))
             t_f = float(10.0 ** rng.uniform(-4.0, -1.0))
-            back = nats_per_frame_to_bits_per_second(
-                bits_per_second_to_nats_per_frame(rate, t_f), t_f)
+            back = bits_per_second_to_nats_per_frame(rate, t_f) / (math.log(2.0) * t_f)
             assert back == pytest.approx(rate, rel=1e-12, abs=0.0)
 
 
@@ -331,6 +330,32 @@ class TestRuntimeImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_no_module_imports_scipy(self):
+        # a function-local import escapes test_no_scipy_on_import; read every
+        # import statement in the package instead
+        package = Path(relayqos.__file__).resolve().parent
+        found = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [(path.name, node.lineno) for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
+
+    def test_exports_no_test_only_names(self):
+        # the quadrature oracles and the inverse unit conversion live in tests/
+        assert not [name for name in relayqos.__all__ if name.endswith("_oracle")]
+        test_only = ("effective_capacity_oracle", "effective_bandwidth_oracle",
+                     "ergodic_rate_oracle", "THETA_ERGODIC_LIMIT",
+                     "nats_per_frame_to_bits_per_second")
+        for module in (relayqos, relayqos.effcap, cli):
+            assert [name for name in test_only if hasattr(module, name)] == [], module
 
     def test_allocator_path_leaves_numpy_unloaded(self):
         # numpy loads on first use: allocate and sweep run without it
