@@ -26,9 +26,11 @@ QoS target and proceeds in two steps:
    so it is carried as r = Var[D(0, t*)]/(2t* A^2), which stays in range at
    every load the power solves can handle.
 
-Each power equation C(theta, kappa) = target rises strictly in kappa and is
-solved by safeguarded Newton in ln(kappa), from a start at or below the root;
-a power is infeasible exactly when the capacity at the ceiling falls short.
+The rates see a hop's power only in its SNR, snr = kappa * mean_gain, so each
+power equation C(theta, snr) = target is solved free of the gain, by
+safeguarded Newton in ln(snr) from a start at or below the root; kappa =
+snr / mean_gain.  A power is infeasible exactly when the capacity at the
+ceiling snr = POWER_CEILING * mean_gain falls short.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ __all__ = [
 # Largest power kappa a hop may take; above it the scenario is infeasible.
 POWER_CEILING = 1e6
 
-# A converging Newton step in ln(kappa) this short leaves an error of order
+# A converging Newton step in ln(snr) this short leaves an error of order
 # its square, 1e-14.
 _NEWTON_XTOL = 1e-7
 _MAX_ITER = 200
@@ -102,12 +104,11 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("delay_bound", "hop1_mean_gain", "hop2_mean_gain", "bt_product"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        # zero load is allowed for simulation (nothing to tag); the allocator
-        # rejects it
-        if not self.traffic_load >= 0.0:
-            raise ValueError(f"traffic_load must be >= 0, got {self.traffic_load!r}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        # zero load is allowed for simulation (nothing to tag), not allocation
+        if not 0.0 <= self.traffic_load < math.inf:
+            raise ValueError(f"traffic_load must be finite and >= 0, got {self.traffic_load!r}")
         if not 0.0 < self.violation_prob < 1.0:
             raise ValueError(
                 f"violation_prob must lie in (0, 1), got {self.violation_prob!r}")
@@ -182,34 +183,29 @@ def _newton_root(f, x: float, x_max: float) -> float | None:
     raise RuntimeError(f"Newton solve did not converge, last iterate {x!r}")
 
 
-def _solve_power(step: str, theta: float, target: float, mean_gain: float,
+def _solve_power(step: str, theta: float, target: float, snr_ceiling: float,
                  scenario: Scenario) -> float:
-    """Power at which a hop's effective capacity at theta equals target.
+    """SNR at which a hop's effective capacity at theta equals target.
 
-    Newton runs in x = ln(kappa) with the slope from the capacity value.
-    Jensen's inequality, C <= BT*ln(1 + snr), puts the start snr =
-    expm1(target/BT) at or below the root.  A load so small that theta =
-    u/A carries the solve past the float range (below about 1e-301
+    Newton runs in x = ln(snr) up to ln(snr_ceiling), with the slope from the
+    capacity value.  Jensen's inequality, C <= BT*ln(1 + snr), puts the start
+    snr = expm1(target/BT) at or below the root.  A load so small that theta
+    = u/A carries the solve past the float range (below about 1e-301
     nats/frame in the CLI's default profile) raises ValueError naming
-    traffic_load, not a bare overflow.  Only a theta whose square overflows
-    counts as such a load; at any other theta the solve's own error
-    propagates unchanged.
+    traffic_load, not a bare overflow; only a theta whose square overflows
+    counts as such a load, and any other error propagates unchanged.
     """
     bt = scenario.bt_product
 
     def gap(x: float) -> tuple[float, float]:
-        link = LinkModel(math.exp(x), mean_gain, bt)
+        link = LinkModel(math.exp(x), 1.0, bt)
         capacity = effective_capacity_rayleigh(theta, link)
         return capacity - target, _capacity_log_slope(theta, link, capacity)
 
-    x_max = math.log(POWER_CEILING)
     try:
         t = target / bt
         # ln(expm1(t)) in a form that cannot overflow
-        x = t + math.log(-math.expm1(-t)) - math.log(mean_gain)
-        if x <= x_max and math.exp(x) == 0.0:
-            raise InfeasibleError(step, "required power underflows to zero")
-        root = _newton_root(gap, x, x_max)
+        root = _newton_root(gap, t + math.log(-math.expm1(-t)), math.log(snr_ceiling))
     except (OverflowError, ValueError) as exc:
         if math.isfinite(theta * theta):
             raise
@@ -219,6 +215,15 @@ def _solve_power(step: str, theta: float, target: float, mean_gain: float,
     if root is None:
         raise InfeasibleError(step, f"no solution below the power ceiling {POWER_CEILING:g}")
     return math.exp(root)
+
+
+def _hop_power(step: str, theta: float, target: float, mean_gain: float,
+               scenario: Scenario) -> float:
+    """Power kappa = snr / mean_gain of the hop's gain-free SNR solve."""
+    kappa = _solve_power(step, theta, target, POWER_CEILING * mean_gain, scenario) / mean_gain
+    if kappa == 0.0:
+        raise InfeasibleError(step, "required power underflows to zero")
+    return kappa
 
 
 def solve_theta1(u: float, scenario: Scenario) -> float:
@@ -232,8 +237,8 @@ def solve_kappa1(theta1: float, scenario: Scenario) -> float:
     """Hop-1 power: effective capacity at theta1 equals the traffic load."""
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be > 0, got {theta1!r}")
-    return _solve_power("solve_kappa1", theta1, scenario.traffic_load,
-                        scenario.hop1_mean_gain, scenario)
+    return _hop_power("solve_kappa1", theta1, scenario.traffic_load,
+                      scenario.hop1_mean_gain, scenario)
 
 
 def relative_departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
@@ -283,8 +288,8 @@ def solve_kappa2(theta2: float, r: float, scenario: Scenario) -> float:
     """Hop-2 power: effective capacity at theta2 matches hop 2's arrival law."""
     if not theta2 > 0.0:
         raise ValueError(f"theta2 must be > 0, got {theta2!r}")
-    return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, r, scenario),
-                        scenario.hop2_mean_gain, scenario)
+    return _hop_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, r, scenario),
+                      scenario.hop2_mean_gain, scenario)
 
 
 def allocate(scenario: Scenario) -> Allocation:

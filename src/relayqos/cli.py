@@ -95,11 +95,11 @@ class RadioProfile:
     transmission_time: float | None = None
 
     def __post_init__(self):
-        for name in ("frame_duration", "bandwidth", "reference_distance",
-                     "d1", "d2", "traffic_load", "delay_bound"):
+        for name in ("frame_duration", "bandwidth", "reference_distance", "d1", "d2",
+                     "traffic_load", "delay_bound", "transmission_time"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
+            if not (value is None and name == "transmission_time" or 0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         if self.duplex not in DUPLEX_MODES:
             raise ConfigError(f"duplex must be 'full' or 'half', got {self.duplex!r}")
         if not 2.0 <= self.path_loss_exponent <= 6.0:
@@ -108,9 +108,6 @@ class RadioProfile:
         if not 0.0 < self.violation_prob < 1.0:
             raise ConfigError(
                 f"violation_prob must lie in (0, 1), got {self.violation_prob!r}")
-        if self.transmission_time is not None and not self.transmission_time > 0.0:
-            raise ConfigError(
-                f"transmission_time must be > 0, got {self.transmission_time!r}")
 
     @property
     def total_distance(self) -> float:
@@ -122,8 +119,19 @@ def bits_per_second_to_nats_per_frame(rate: float, frame_duration: float) -> flo
     return rate * _LN2 * frame_duration
 
 
-def _mean_gain(distance: float, profile: RadioProfile) -> float:
-    return (distance / profile.reference_distance) ** (-profile.path_loss_exponent)
+def _in_float_range(value: float, what: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{what} is outside the floating-point range, got {value!r}")
+    return value
+
+
+def _mean_gain(name: str, profile: RadioProfile) -> float:
+    try:
+        gain = (getattr(profile, name) / profile.reference_distance) ** (
+            -profile.path_loss_exponent)
+    except (OverflowError, ZeroDivisionError):
+        gain = math.inf
+    return _in_float_range(gain, f"the path-loss gain at {name}")
 
 
 def transmission_time(profile: RadioProfile) -> float:
@@ -145,13 +153,14 @@ def to_scenario(profile: RadioProfile) -> Scenario:
             f"delay_bound {profile.delay_bound!r} s is below one frame "
             f"({profile.frame_duration!r} s)")
     return Scenario(
-        traffic_load=bits_per_second_to_nats_per_frame(
-            profile.traffic_load, profile.frame_duration),
+        traffic_load=_in_float_range(bits_per_second_to_nats_per_frame(
+            profile.traffic_load, profile.frame_duration), "the traffic_load per frame"),
         delay_bound=float(frames),
         violation_prob=profile.violation_prob,
-        hop1_mean_gain=_mean_gain(profile.d1, profile),
-        hop2_mean_gain=_mean_gain(profile.d2, profile),
-        bt_product=profile.bandwidth * transmission_time(profile),
+        hop1_mean_gain=_mean_gain("d1", profile),
+        hop2_mean_gain=_mean_gain("d2", profile),
+        bt_product=_in_float_range(profile.bandwidth * transmission_time(profile),
+                                   "the bandwidth-time product"),
     )
 
 

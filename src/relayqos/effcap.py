@@ -117,10 +117,10 @@ def effective_capacity_rayleigh(theta: float, link: LinkModel) -> float:
 
 
 def _capacity_log_slope(theta: float, link: LinkModel, capacity: float) -> float:
-    """dC/d(ln kappa) of C = effective_capacity_rayleigh(theta, link), from C.
+    """dC/d(ln snr) of C = effective_capacity_rayleigh(theta, link), from C.
 
     With M_s = E[(1 + snr*h)^-s], beta = BT*theta and z = 1/snr,
-    d M_beta / d ln(kappa) = -beta*(M_beta - M_(beta+1)), and DLMF 8.8.2
+    d M_beta / d ln(snr) = -beta*(M_beta - M_(beta+1)), and DLMF 8.8.2
     gives M_(beta+1) = z*(1 - M_beta)/beta.  As M_beta = exp(-theta*C), no
     special function is needed.
     """

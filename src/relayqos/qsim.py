@@ -169,6 +169,8 @@ class SimConfig:
             raise ValueError(
                 f"n_frames ({self.n_frames!r}) must exceed warmup_frames "
                 f"({self.warmup_frames!r})")
+        if not 0 <= self.seed < 2**128:  # the Philox key
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
         if self.relay_forwarding not in FORWARDING_MODES:
             raise ValueError(
                 f"relay_forwarding must be one of {FORWARDING_MODES}, "
@@ -208,18 +210,16 @@ class DelayHistogram:
     n: int
 
 
-def _to_service(s: np.ndarray, bt: float, kappa: float,
-                mean_gain: float) -> np.ndarray:
-    """Turn uniforms U into Shannon services bt*log1p(kappa*h), in place.
+def _to_service(s: np.ndarray, bt: float, snr: float) -> np.ndarray:
+    """Turn uniforms U into Shannon services bt*log1p(snr*g), in place.
 
-    The gain is exponential by inverse-CDF sampling, h = -mean_gain*log1p(-U).
+    g = -log1p(-U) is the unit-mean exponential gain by inverse-CDF sampling.
     The constants are applied one at a time, not folded, so each value is
-    rounded exactly as in bt*log1p(kappa*(-mean_gain*log1p(-U))).
+    rounded exactly as in bt*log1p(-snr*log1p(-U)).
     """
     np.negative(s, out=s)
     np.log1p(s, out=s)
-    np.multiply(-mean_gain, s, out=s)
-    np.multiply(kappa, s, out=s)
+    np.multiply(-snr, s, out=s)
     np.log1p(s, out=s)
     np.multiply(bt, s, out=s)
     return s
@@ -407,20 +407,18 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
         empty = np.empty(0, dtype=np.uint8)
         return DelayStats(empty, empty, empty, cfg.n_frames, cfg.warmup_frames)
 
-    link1 = LinkModel(allocation.kappa1, scenario.hop1_mean_gain, scenario.bt_product)
-    link2 = LinkModel(allocation.kappa2, scenario.hop2_mean_gain, scenario.bt_product)
-    mean1 = ergodic_rate(link1)
-    mean2 = ergodic_rate(link2)
-    if mean1 <= load:
-        raise StabilityError(
-            f"hop 1 unstable: mean service {mean1:.6g} <= arrival {load:.6g} nats/frame")
-    if mean2 <= load:
-        raise StabilityError(
-            f"hop 2 unstable: mean service {mean2:.6g} <= arrival {load:.6g} nats/frame")
+    bt = scenario.bt_product
+    links = (LinkModel(allocation.kappa1, scenario.hop1_mean_gain, bt),
+             LinkModel(allocation.kappa2, scenario.hop2_mean_gain, bt))
+    for hop, link in enumerate(links, 1):
+        mean = ergodic_rate(link)
+        if mean <= load:
+            raise StabilityError(
+                f"hop {hop} unstable: mean service {mean:.6g} <= arrival {load:.6g} nats/frame")
+    snr1, snr2 = (link.effective_snr for link in links)
 
     n = int(cfg.n_frames)
     chunk = min(_SIM_CHUNK, n)
-    bt = scenario.bt_product
     rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
     rng2 = _hop2_generator(int(cfg.seed), n)
     scan = _TandemScan(load, cfg.relay_forwarding, chunk)
@@ -445,9 +443,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
                     "the horizon; queues are effectively unstable")
             # hop 1 takes the even draws and hop 2 the odd ones
             u1, u2 = rng2.random(out=draws[:2 * k]).reshape(k, 2).T
-        dep1, dep2, _ = scan.step(
-            _to_service(u1, bt, allocation.kappa1, scenario.hop1_mean_gain),
-            _to_service(u2, bt, allocation.kappa2, scenario.hop2_mean_gain))
+        dep1, dep2, _ = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
         part1, part2 = tag1.feed(dep1), tag2.feed(dep2)
         top = max(part1.max(initial=0), part2.max(initial=0))
         if top > np.iinfo(e2e.dtype).max:

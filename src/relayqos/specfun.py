@@ -25,7 +25,6 @@ __all__ = [
     "rbm_decorrelation",
 ]
 
-_EULER = 0.5772156649015329
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAX_ITER = 500

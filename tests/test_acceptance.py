@@ -175,7 +175,9 @@ def test_criterion_5_trend_reproduction():
     # (c) relay-placement sweep has an interior minimum past the midpoint:
     # moving the relay from the midpoint toward the destination by any grid
     # step delta costs strictly less power than moving it toward the source.
-    # The required SNRs do not depend on d1, so total power is
+    # The required SNRs do not depend on d1 (hop 1's bit for bit, since the
+    # power solves run in SNR units; hop 2's up to the rounding of
+    # kappa1*gain1 in its burstiness), so total power is
     # snr1*(d1/50)^3 + snr2*(d2/50)^3 and this holds iff snr2 > snr1; the
     # grid argmin alone lands past 50 m only for snr2/snr1 > 1.2214.
     placement = dataclasses.replace(base, delay_bound=0.05)  # 50 ms

@@ -74,6 +74,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(traffic_load=1.0, delay_bound=50.0, violation_prob=1.0)
 
+    @pytest.mark.parametrize("name", ["traffic_load", "delay_bound", "hop1_mean_gain",
+                                      "hop2_mean_gain", "bt_product"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(HEADLINE, **{name: value})
+
     def test_zero_load_allowed_for_simulation_only(self):
         scenario = Scenario(traffic_load=0.0, delay_bound=50.0, violation_prob=1e-2)
         with pytest.raises(ValueError):
@@ -117,6 +124,31 @@ class TestKappa1:
         tiny = dataclasses.replace(HEADLINE, traffic_load=1e-3)
         kappa1 = solve_kappa1(theta1_of(tiny), tiny)
         assert 0.0 < kappa1 < 1e-4
+
+    def test_free_of_the_relay_position(self):
+        # the solve runs in SNR units, so across relay positions on the
+        # solve-grid mix hop 1's power is the unit-gain power over the gain,
+        # bit for bit
+        from relayqos import cli
+
+        rng = np.random.default_rng(7)
+        grid = 10.0 ** rng.uniform([4.0, -9.0], [math.log10(2e6), -1.0], size=(25, 2))
+        checked = 0
+        for bits_per_second, xi in grid:
+            profile = cli.RadioProfile(traffic_load=float(bits_per_second),
+                                       violation_prob=float(xi))
+            for d1 in range(10, 91, 5):
+                scenario = cli.to_scenario(dataclasses.replace(
+                    profile, d1=float(d1), d2=profile.total_distance - d1))
+                unit = dataclasses.replace(scenario, hop1_mean_gain=1.0, hop2_mean_gain=1.0)
+                try:
+                    mine, ref = allocate(scenario), allocate(unit)
+                except InfeasibleError:
+                    continue
+                assert mine.kappa1 == ref.kappa1 / scenario.hop1_mean_gain
+                assert mine.theta1 == ref.theta1
+                checked += 1
+        assert checked > 300
 
     def test_infeasible_when_ceiling_too_low(self):
         # Jensen's start alone lies above the ceiling
@@ -404,12 +436,16 @@ class TestBrentq:
 
         monkeypatch.setattr(allocator, "_newton_root", recording)
         for scenario in wide_scenarios(150, seed=3):
+            first = len(calls)
             try:
                 allocate(scenario)
             except InfeasibleError:
                 pass
+            # each hop's solve runs in ln(snr) up to its own SNR ceiling
+            gains = (scenario.hop1_mean_gain, scenario.hop2_mean_gain)
+            for (_, _, x_max, _), gain in zip(calls[first:], gains):
+                assert x_max == math.log(POWER_CEILING * gain)
         assert len(calls) > 250
-        assert math.log(POWER_CEILING) == calls[0][2]
         for f, x, x_max, root in calls:
             # Jensen's bound puts the start at or below the root
             assert f(x)[0] <= 0.0

@@ -88,6 +88,15 @@ class TestToScenario:
             RadioProfile(violation_prob=0.0)
         with pytest.raises(ConfigError):
             RadioProfile(d1=-10.0)
+        for name in ("bandwidth", "transmission_time"):
+            with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+                RadioProfile(**{name: math.inf})
+
+    def test_gain_past_the_float_range_names_the_distance(self):
+        with pytest.raises(ConfigError, match="path-loss gain at d1 .* got inf"):
+            to_scenario(RadioProfile(d1=1e-320))
+        with pytest.raises(ConfigError, match="path-loss gain at d2 .* got 0.0"):
+            to_scenario(RadioProfile(d2=1e200))
 
 
 FAST = RadioProfile(delay_bound=0.1, violation_prob=1e-2,
@@ -308,6 +317,38 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--reference_distance", "inf"], "reference_distance"),
+        (["--traffic_load", "inf"], "traffic_load"),
+        (["--delay_bound", "inf"], "delay_bound"),
+        (["--d2", "nan"], "d2"),
+        (["--transmission_time", "inf"], "transmission_time"),
+    ])
+    def test_non_finite_input_names_its_field(self, capsys, flags, name):
+        assert main(["allocate", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: {name} must be finite")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags,what", [
+        (["--d1", "1e-320"], "path-loss gain at d1"),
+        (["--d2", "1e200"], "path-loss gain at d2"),
+        (["--reference_distance", "1e-310"], "path-loss gain at d1"),
+        (["--bandwidth", "1e308", "--transmission_time", "1e308"], "bandwidth-time product"),
+        (["--bandwidth", "1e-320", "--transmission_time", "1e-10"], "bandwidth-time product"),
+        (["--traffic_load", "1e308", "--frame_duration", "10", "--delay_bound", "100"],
+         "traffic_load per frame"),
+    ])
+    def test_derived_quantity_out_of_range_names_its_source(self, capsys, flags, what):
+        assert main(["allocate", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: the {what} is outside the "
+                              "floating-point range")
+
+    def test_exit_code_invalid_seed(self, capsys):
+        assert main(["validate", "--frames", "1000", "--warmup", "0", "--seed", "-1"]) == 2
+        assert "seed must lie in [0, 2**128)" in capsys.readouterr().err
 
     def test_exit_code_instability(self, monkeypatch, capsys):
         def boom(profile, cfg):

@@ -247,6 +247,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_frames=10, relay_forwarding="warp")
 
+    def test_seed_is_a_philox_key(self):
+        # Philox takes keys 0 <= key < 2**128; the check names the seed
+        SimConfig(n_frames=10, seed=2**128 - 1)
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*128\)"):
+                SimConfig(n_frames=10, seed=seed)
+
     def test_rejects_horizons_past_int32(self):
         # a constructor check only: no run of this length is simulated
         SimConfig(n_frames=2**31 - _MAX_RUN_ON_FRAMES - 1)

@@ -22,8 +22,6 @@ from relayqos.specfun import (
     upper_incomplete_gamma,
 )
 
-mpmath.mp.dps = 40
-
 INV_E = math.exp(-1.0)
 
 # bisection of w*e^w = -1e-6/e on [-60, -1]
@@ -68,7 +66,8 @@ class TestLambertW:
         rng = np.random.default_rng(3)
         for x in -INV_E * rng.random(200):
             for branch in (0, -1):
-                ref = float(mpmath.lambertw(float(x), branch).real)
+                with mpmath.workdps(40):
+                    ref = float(mpmath.lambertw(float(x), branch).real)
                 assert lambert_w(float(x), branch) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_branch_ordering_on_common_domain(self):
@@ -110,7 +109,8 @@ class TestUpperIncompleteGamma:
     def test_against_mpmath_grid(self):
         for a in np.linspace(-5.0, 10.0, 31):
             for z in (1e-3, 1e-2, 0.1, 0.5, 1.0, 1.4, 2.0, 5.0, 10.0, 30.0, 50.0):
-                ref = float(mpmath.gammainc(mpmath.mpf(float(a)), z, mpmath.inf))
+                with mpmath.workdps(40):
+                    ref = float(mpmath.gammainc(mpmath.mpf(float(a)), z, mpmath.inf))
                 got = upper_incomplete_gamma(float(a), float(z))
                 assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (a, z)
                 assert got > 0.0
@@ -157,7 +157,8 @@ class TestLogUpperIncompleteGamma:
         # values far outside double range for the plain function
         for a, z in ((0.5, 800.0), (-2.0, 2000.0), (180.0, 1.0), (-4.0, 1e6)):
             got = log_upper_incomplete_gamma(a, z)
-            ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
+            with mpmath.workdps(40):
+                ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
             assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_deeply_negative_parameter_small_z(self):
@@ -166,26 +167,30 @@ class TestLogUpperIncompleteGamma:
             with pytest.raises(OverflowError):
                 upper_incomplete_gamma(a, z)
             got = log_upper_incomplete_gamma(a, z)
-            ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
+            with mpmath.workdps(40):
+                ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
             assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
         # still representable here: both routes must agree
         value = upper_incomplete_gamma(-120.0, 0.3)
-        assert value == pytest.approx(
-            float(mpmath.gammainc(mpmath.mpf(-120.0), 0.3, mpmath.inf)), rel=1e-10, abs=0.0)
+        with mpmath.workdps(40):
+            ref = float(mpmath.gammainc(mpmath.mpf(-120.0), 0.3, mpmath.inf))
+        assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_deeply_negative_parameter_is_fast(self):
         # a <= -10 goes to the continued fraction, never to 1e7 recurrence steps
         start = time.perf_counter()
         got = log_upper_incomplete_gamma(-1e7, 1.0)
         assert time.perf_counter() - start < 0.05
-        ref = float(mpmath.log(mpmath.gammainc(-10**7, 1, mpmath.inf)))
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.gammainc(-10**7, 1, mpmath.inf)))
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_huge_parameter_near_z(self):
         # slow-series regime: z just below a + 1 at large a
         for a, z in ((35593.7, 34747.6), (561766.05, 542066.85)):
             got = log_upper_incomplete_gamma(a, z)
-            ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
+            with mpmath.workdps(40):
+                ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), z, mpmath.inf)))
             assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
@@ -243,8 +248,9 @@ class TestGamma1pFrac:
     def test_matches_mpmath(self):
         for magnitude in np.geomspace(1e-8, 0.5, 120):
             for a in (float(magnitude), -float(magnitude)):
-                ref = (mpmath.gamma(1 + mpmath.mpf(a)) - 1) / a
-                assert _gamma1p_frac(a) == pytest.approx(float(ref), rel=1e-14, abs=0.0), a
+                with mpmath.workdps(40):
+                    ref = float((mpmath.gamma(1 + mpmath.mpf(a)) - 1) / a)
+                assert _gamma1p_frac(a) == pytest.approx(ref, rel=1e-14, abs=0.0), a
 
 
 class TestQosRateTarget:
@@ -295,7 +301,8 @@ def _rbm_decorrelation_oracle(t):
     def h1_tail(s):
         r = mpmath.sqrt(s)
         return 2 * ((1 + s) * mpmath.ncdf(-r) - r * mpmath.npdf(r))
-    return float(1 - 2 * mpmath.quad(h1_tail, [t, t + 1, t + 10, mpmath.inf]))
+    with mpmath.workdps(40):
+        return float(1 - 2 * mpmath.quad(h1_tail, [t, t + 1, t + 10, mpmath.inf]))
 
 
 class TestRbmDecorrelation:
@@ -320,3 +327,8 @@ class TestRbmDecorrelation:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             rbm_decorrelation(-1.0)
+
+
+def test_mpmath_precision_is_scoped():
+    # each reference above sets its own precision; none leaks into the session
+    assert mpmath.mp.dps == 15
