@@ -39,7 +39,6 @@ from .delaymodel import (
     two_hop_ccdf,
 )
 from .qsim import (
-    FORWARDING_MODES,
     SimConfig,
     StabilityError,
     delay_histogram,
@@ -63,7 +62,6 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("traffic_load", "delay_bound", "violation_prob", "d1")
-DUPLEX_MODES = ("full", "half")
 
 _LN2 = math.log(2.0)
 
@@ -76,15 +74,13 @@ class ConfigError(ValueError):
 class RadioProfile:
     """Physical-layer scenario description in SI units.
 
-    ``duplex`` selects the per-link transmission time T inside each frame:
-    "full" uses T = frame_duration / 2 (both links active simultaneously on
-    separate bands), "half" uses T = frame_duration.  ``transmission_time``,
-    when set, overrides that mapping with an explicit T in seconds.
+    ``transmission_time`` is the per-link transmission time T in seconds
+    inside each frame; unset, T = frame_duration / 2 (both links active at
+    once on separate bands).
     """
 
     frame_duration: float = 2e-3
     bandwidth: float = 1e5
-    duplex: str = "full"
     path_loss_exponent: float = 3.0
     reference_distance: float = 50.0
     d1: float = 50.0
@@ -100,8 +96,6 @@ class RadioProfile:
             value = getattr(self, name)
             if not (value is None and name == "transmission_time" or 0.0 < value < math.inf):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
-        if self.duplex not in DUPLEX_MODES:
-            raise ConfigError(f"duplex must be 'full' or 'half', got {self.duplex!r}")
         if not 2.0 <= self.path_loss_exponent <= 6.0:
             raise ConfigError(
                 f"path_loss_exponent must lie in [2, 6], got {self.path_loss_exponent!r}")
@@ -135,10 +129,10 @@ def _mean_gain(name: str, profile: RadioProfile) -> float:
 
 
 def transmission_time(profile: RadioProfile) -> float:
-    """Per-link transmission time T in seconds, after the duplex mapping."""
+    """Per-link transmission time T in seconds: the profile's, or half a frame."""
     if profile.transmission_time is not None:
         return profile.transmission_time
-    return profile.frame_duration / 2.0 if profile.duplex == "full" else profile.frame_duration
+    return profile.frame_duration / 2.0
 
 
 def to_scenario(profile: RadioProfile) -> Scenario:
@@ -147,7 +141,9 @@ def to_scenario(profile: RadioProfile) -> Scenario:
     The delay bound is rounded to the nearest whole frame (half up);
     sub-frame bounds are rejected.
     """
-    frames = int(math.floor(profile.delay_bound / profile.frame_duration + 0.5))
+    ratio = _in_float_range(profile.delay_bound / profile.frame_duration,
+                            "the frame count delay_bound / frame_duration")
+    frames = int(math.floor(ratio + 0.5))
     if frames < 1:
         raise ConfigError(
             f"delay_bound {profile.delay_bound!r} s is below one frame "
@@ -406,8 +402,7 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file with RadioProfile fields")
     for field in dataclasses.fields(RadioProfile):
-        kind = {"choices": DUPLEX_MODES} if field.name == "duplex" else {"type": float}
-        parser.add_argument(f"--{field.name}", default=None, **kind)
+        parser.add_argument(f"--{field.name}", type=float, default=None)
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output here instead of stdout")
 
@@ -435,8 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--frames", type=int, default=1_000_000)
     p_val.add_argument("--warmup", type=int, default=10_000)
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--forwarding", choices=FORWARDING_MODES,
-                       default=FORWARDING_MODES[0])
 
     p_ccdf = sub.add_parser("ccdf", help="dump the analytic delay CCDF curve")
     p_ccdf.set_defaults(run=_cmd_ccdf)
@@ -455,8 +448,7 @@ def _cmd_sweep(profile: RadioProfile, args) -> list[tuple]:
 
 
 def _cmd_validate(profile: RadioProfile, args) -> list[tuple]:
-    cfg = SimConfig(n_frames=args.frames, warmup_frames=args.warmup,
-                    seed=args.seed, relay_forwarding=args.forwarding)
+    cfg = SimConfig(n_frames=args.frames, warmup_frames=args.warmup, seed=args.seed)
     return validate(profile, cfg).rows()
 
 

@@ -9,10 +9,9 @@ Delay is sampled at frame resolution: the last bit arriving in each
 post-warm-up frame is tagged.  The bit tagged in frame c - 1 has index c,
 and it has left a hop in the first frame whose cumulative departures v
 reach that index, floor(v/load + _INDEX_SLACK) >= c; its per-hop delay is
-the number of whole frames until then.  The relay either forwards hop-1
-output to the hop-2 queue in the next frame ("store-and-forward", the
-default) or within the same frame ("cut-through"); the two differ by at
-most one frame of end-to-end delay.
+the number of whole frames until then.  The relay decodes a frame before
+forwarding it, so hop 1's output joins the hop-2 queue in the next frame
+(store-and-forward), and the end-to-end delay is hop 1 + hop 2 + 1.
 
 The Lindley recursion is evaluated in vectorized form (cumulative sums plus a
 running minimum), and gains come from a counter-based Philox generator, so a
@@ -61,8 +60,8 @@ frame-length array.  Tagging costs O(n) time and no frame-length memory
 beyond its output, and its output equals searchsorted(m(curve), c, "left")
 bit for bit (tests/test_qsim.py keeps that binary search as the
 reference).  The end-to-end curve never runs ahead of hop 1's, so hop 2's
-delay, e2e minus hop 1 (minus the store-and-forward frame), is formed as
-each e2e delay is fixed.
+delay, e2e minus hop 1 minus the forwarding frame, is formed as each e2e
+delay is fixed.
 
 Tail statistics in O(n + max delay).  Delays are whole frames, so
 :func:`delay_histogram` counts each delay 0..max once, summing one
@@ -79,7 +78,9 @@ negative ones ValueError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ._numpy import np
 from .allocator import Allocation, Scenario
@@ -96,10 +97,7 @@ __all__ = [
     "delay_histogram",
     "tail_slope",
     "suggest_fit_window",
-    "FORWARDING_MODES",
 ]
-
-FORWARDING_MODES = ("store-and-forward", "cut-through")
 
 # Levels of suggest_fit_window's body and tail ends (see its docstring).
 MIN_TAIL_EXCEEDANCES = 100
@@ -155,14 +153,22 @@ class InsufficientTailData(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation horizon, warm-up, seed and relay forwarding policy."""
+    """Simulation horizon, warm-up and seed, each a whole number."""
 
     n_frames: int
     warmup_frames: int = 0
     seed: int = 0
-    relay_forwarding: str = "store-and-forward"
+    # the relay's one forwarding model (see the module docstring), not a setting
+    relay_forwarding: ClassVar[str] = "store-and-forward"
 
     def __post_init__(self):
+        for name in ("n_frames", "warmup_frames", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(
+                    f"{name} must be a whole number, got {value!r}") from None
         if self.warmup_frames < 0:
             raise ValueError(f"warmup_frames must be >= 0, got {self.warmup_frames!r}")
         if self.n_frames <= self.warmup_frames:
@@ -171,10 +177,6 @@ class SimConfig:
                 f"({self.warmup_frames!r})")
         if not 0 <= self.seed < 2**128:  # the Philox key
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
-        if self.relay_forwarding not in FORWARDING_MODES:
-            raise ValueError(
-                f"relay_forwarding must be one of {FORWARDING_MODES}, "
-                f"got {self.relay_forwarding!r}")
         # the tagging is int32 (see the module docstring)
         if self.n_frames + _MAX_RUN_ON_FRAMES >= 2**31:
             raise ValueError(
@@ -277,9 +279,8 @@ class _TandemScan:
     curves equal those of one scan over the whole run bit for bit.
     """
 
-    def __init__(self, load: float, forwarding: str, size: int):
+    def __init__(self, load: float, size: int):
         self.load = load
-        self.store_and_forward = forwarding == "store-and-forward"
         self.frames = 0
         self.cum1 = self.cum2 = 0.0  # cumulative net input of each hop
         self.low1 = self.low2 = math.inf  # running minimum of that sum
@@ -288,7 +289,7 @@ class _TandemScan:
         self.arr2 = 0.0  # last value of hop 2's cumulative arrival curve
         self._frame_number = np.arange(1.0, size + 1.0)
         # hop 1's curve after a leading slot for the previous chunk's last
-        # value, so store-and-forward's one-frame shift copies nothing
+        # value, so hop 2's arrivals, one frame behind it, copy nothing
         self._curve1 = np.empty(size + 1)
         self._curve2 = np.empty(size)
 
@@ -310,7 +311,7 @@ class _TandemScan:
         dep1[0] = max(self.dep1, dep1[0])
         np.fmax.accumulate(dep1, out=dep1)  # exact: see _queue_after_frames
 
-        arr2 = curve1[:-1] if self.store_and_forward else dep1
+        arr2 = curve1[:-1]
         q2 = self._curve2[:k]  # hop 2's arrivals per frame, net input, Q2
         q2[0] = arr2[0] - self.arr2
         np.subtract(arr2[1:], arr2[:-1], out=q2[1:])
@@ -421,13 +422,12 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     chunk = min(_SIM_CHUNK, n)
     rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
     rng2 = _hop2_generator(int(cfg.seed), n)
-    scan = _TandemScan(load, cfg.relay_forwarding, chunk)
+    scan = _TandemScan(load, chunk)
     draws = np.empty(2 * chunk)
     tag1 = _Tagger(load, cfg.warmup_frames, n)
     tag2 = _Tagger(load, cfg.warmup_frames, n)
-    offset = 1 if scan.store_and_forward else 0
     # the narrowest unsigned type, widened once a finalised delay needs it;
-    # e2e bounds both hops, so hop1 + hop2 + offset never wraps
+    # e2e bounds both hops, so hop1 + hop2 + 1 never wraps
     hop1, hop2, e2e = (np.empty(tag1.n_tagged, dtype=np.uint8) for _ in range(3))
     while scan.frames < n or not (tag1.done and tag2.done):
         if scan.frames < n:
@@ -455,7 +455,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
         done = slice(tag2.finished - part2.size, tag2.finished)
         e2e[done] = part2
         part2 -= hop1[done]
-        part2 -= offset
+        part2 -= 1  # the frame the relay holds each bit before forwarding it
         hop2[done] = part2
     return DelayStats(hop1, hop2, e2e, n, cfg.warmup_frames)
 

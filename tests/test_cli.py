@@ -55,7 +55,7 @@ class TestToScenario:
         assert scenario.delay_bound == 125.0  # 250 ms at 2 ms frames
         assert scenario.hop1_mean_gain == 1.0
         assert scenario.hop2_mean_gain == 1.0
-        # duplex=full halves the per-link transmission time
+        # the per-link transmission time defaults to half a frame
         assert scenario.bt_product == pytest.approx(100.0, rel=1e-6, abs=0.0)
 
     def test_mean_gain_power_law(self):
@@ -64,14 +64,20 @@ class TestToScenario:
         assert scenario.hop1_mean_gain == pytest.approx(8.0, rel=1e-6, abs=0.0)  # (0.5)^-3
         assert scenario.hop2_mean_gain == pytest.approx(1.5 ** -3, rel=1e-6, abs=0.0)
 
-    def test_duplex_mapping_and_override(self):
-        assert to_scenario(RadioProfile(duplex="half")).bt_product == pytest.approx(
-            200.0, rel=1e-6, abs=0.0)
-        assert to_scenario(RadioProfile(duplex="full")).bt_product == pytest.approx(
+    def test_transmission_time_default_and_override(self):
+        # unset, T is half a frame; a whole frame is the half-duplex setting
+        assert transmission_time(RadioProfile()) == 1e-3
+        assert transmission_time(RadioProfile(frame_duration=5e-3)) == 2.5e-3
+        assert to_scenario(RadioProfile()).bt_product == pytest.approx(
             100.0, rel=1e-6, abs=0.0)
-        forced = RadioProfile(duplex="full", transmission_time=2e-3)
+        forced = RadioProfile(transmission_time=2e-3)
         assert to_scenario(forced).bt_product == pytest.approx(200.0, rel=1e-6, abs=0.0)
         assert transmission_time(forced) == 2e-3
+
+    def test_duplex_is_not_a_field(self):
+        # transmission_time is the one way to set T
+        with pytest.raises(TypeError, match="duplex"):
+            RadioProfile(duplex="half")
 
     def test_delay_bound_rounding(self):
         assert to_scenario(RadioProfile(delay_bound=0.1)).delay_bound == 50.0
@@ -80,8 +86,6 @@ class TestToScenario:
             to_scenario(RadioProfile(delay_bound=0.0005))
 
     def test_profile_validation(self):
-        with pytest.raises(ConfigError):
-            RadioProfile(duplex="simplex")
         with pytest.raises(ConfigError):
             RadioProfile(path_loss_exponent=1.5)
         with pytest.raises(ConfigError):
@@ -339,12 +343,23 @@ class TestMain:
         (["--bandwidth", "1e-320", "--transmission_time", "1e-10"], "bandwidth-time product"),
         (["--traffic_load", "1e308", "--frame_duration", "10", "--delay_bound", "100"],
          "traffic_load per frame"),
+        (["--delay_bound", "1e300", "--frame_duration", "1e-10"],
+         "frame count delay_bound / frame_duration"),
     ])
     def test_derived_quantity_out_of_range_names_its_source(self, capsys, flags, what):
         assert main(["allocate", *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"invalid configuration: the {what} is outside the "
                               "floating-point range")
+
+    def test_removed_aliases_are_rejected(self, tmp_path, capsys):
+        # the relay has one forwarding model, and T one setting
+        assert main(["validate", "--forwarding", "cut-through"]) == 2
+        config = tmp_path / "half.json"
+        config.write_text(json.dumps({"duplex": "half"}))
+        capsys.readouterr()
+        assert main(["allocate", "--config", str(config)]) == 2
+        assert "unknown config keys: ['duplex']" in capsys.readouterr().err
 
     def test_exit_code_invalid_seed(self, capsys):
         assert main(["validate", "--frames", "1000", "--warmup", "0", "--seed", "-1"]) == 2

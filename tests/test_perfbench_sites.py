@@ -1,13 +1,15 @@
-"""Every function and class the benchmark harness looks up is still there.
+"""Every function, class and attribute the benchmark harness reads is still there.
 
 ``perfbench/spans.py`` installs its tracing wrappers on module attributes
 named in ``CALL_SITES``, and ``perfbench/run.py`` and ``perfbench/probes.py``
 call ``relayqos``, ``cli``, ``specfun``, ``effcap`` and ``delaymodel``
-attributes directly; a renamed or moved name would otherwise only show up
-when the slow benchmark suite runs.
+attributes directly.  All three read attributes of the configs, results and
+reports they pass around.  A renamed, moved or deleted name would otherwise
+only show up when the slow benchmark suite runs.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -15,12 +17,20 @@ from pathlib import Path
 
 import pytest
 
+from relayqos.allocator import Allocation
+from relayqos.cli import SweepRow, ValidationReport
+from relayqos.qsim import DelayStats, SimConfig
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the module each name in the harness's code stands for
 MODULES = {"relayqos": "relayqos", "cli": "relayqos.cli",
            "specfun": "relayqos.specfun", "effcap": "relayqos.effcap",
            "delaymodel": "relayqos.delaymodel"}
+
+# the class of the object each variable name in the harness's code holds
+HOLDERS = {"cfg": SimConfig, "stats": DelayStats, "report": ValidationReport,
+           "swept": SweepRow, "allocation": Allocation}
 
 
 def load_call_sites():
@@ -32,19 +42,21 @@ def load_call_sites():
     return spans.CALL_SITES
 
 
-def harness_lookups():
-    """Sorted (module, attribute) pairs read as ``name.attr`` in the harness."""
+def harness_reads(scripts, names):
+    """Sorted (name, attribute) pairs read as ``name.attr`` in the scripts."""
     found = set()
-    for script in ("run.py", "probes.py"):
+    for script in scripts:
         for node in ast.walk(ast.parse((PERFBENCH / script).read_text())):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in MODULES):
-                found.add((MODULES[node.value.id], node.attr))
+                    and node.value.id in names):
+                found.add((node.value.id, node.attr))
     return sorted(found)
 
 
 CALL_SITES = load_call_sites()
-LOOKUPS = harness_lookups()
+LOOKUPS = [(MODULES[name], attr)
+           for name, attr in harness_reads(("run.py", "probes.py"), MODULES)]
+READS = harness_reads(("run.py", "spans.py", "probes.py"), HOLDERS)
 
 
 @pytest.mark.parametrize("layer, module, attr", CALL_SITES,
@@ -63,3 +75,17 @@ def test_harness_lookups_found():
                          ids=[f"{module}.{attr}" for module, attr in LOOKUPS])
 def test_harness_lookup_resolves(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+def test_harness_reads_found():
+    # the harness reads the simulator's config and delays and the report
+    assert {("cfg", "relay_forwarding"), ("stats", "e2e_delays"),
+            ("report", "allocation"), ("swept", "kappa1")} <= set(READS)
+
+
+@pytest.mark.parametrize("name, attr", READS,
+                         ids=[f"{name}.{attr}" for name, attr in READS])
+def test_harness_read_resolves(name, attr):
+    # a dataclass field, or a class attribute such as a property or constant
+    cls = HOLDERS[name]
+    assert attr in {f.name for f in dataclasses.fields(cls)} or hasattr(cls, attr)
