@@ -39,9 +39,9 @@ from .delaymodel import (
     two_hop_ccdf,
 )
 from .qsim import (
+    DelayHistogram,
     SimConfig,
     StabilityError,
-    delay_histogram,
     empirical_ccdf,
     simulate_tandem,
     suggest_fit_window,
@@ -313,8 +313,7 @@ class ValidationReport:
         return text.getvalue()
 
 
-def _fit_hop_slope(samples) -> tuple[float, tuple[int, int] | None, str]:
-    hist = delay_histogram(samples)  # one count of the hop serves both fits
+def _fit_hop_slope(hist: DelayHistogram) -> tuple[float, tuple[int, int] | None, str]:
     try:
         window = suggest_fit_window(hist)
         return tail_slope(hist, *window), window, ""
@@ -326,13 +325,14 @@ def validate(profile: RadioProfile, sim_cfg: SimConfig) -> ValidationReport:
     """Solve, simulate, and compare delay tails hop by hop and end to end."""
     scenario = to_scenario(profile)
     allocation = allocate(scenario)
-    stats = simulate_tandem(scenario, allocation, sim_cfg)
+    # the fits read the hop histograms the scan counts, so only e2e is kept
+    stats = simulate_tandem(scenario, allocation, sim_cfg, hop_arrays=False)
 
     law = HopDelayLaw(allocation.delay_rate)
     analytic = two_hop_ccdf(law, law, scenario.delay_bound)
     empirical, halfwidth = empirical_ccdf(stats.e2e_delays, scenario.delay_bound)
-    slope1, window1, note1 = _fit_hop_slope(stats.hop1_delays)
-    slope2, window2, note2 = _fit_hop_slope(stats.hop2_delays)
+    slope1, window1, note1 = _fit_hop_slope(stats.hop1_histogram)
+    slope2, window2, note2 = _fit_hop_slope(stats.hop2_histogram)
     notes = "; ".join(n for n in (note1, note2) if n)
     return ValidationReport(
         scenario=scenario, allocation=allocation, sim_config=sim_cfg,

@@ -25,13 +25,15 @@ frame n + j takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).
 The simulation is streamed in chunks of _SIM_CHUNK frames: each chunk's
 uniforms are drawn, turned into services in place, both hops scanned and
 both departure curves tagged in a few chunk-sized buffers that stay in
-cache, so the only memory that grows with the horizon is the three delay
-arrays returned.  They hold the narrowest unsigned type that fits the
-largest delay, uint8 until a delay passes 255 frames (3 B per frame in
-all), so a caller casts them before subtracting.  The tagging itself is
-int32, which is exact: SimConfig keeps n_frames + _MAX_RUN_ON_FRAMES below
-2**31, and every count and partial sum of the tagging lies in
-[-n, n + run-on].  Each hop carries its cumulative
+cache, so the only memory that grows with the horizon is the delay arrays
+returned.  They hold the narrowest unsigned type that fits the largest
+delay, uint8 until a delay passes 255 frames, so a caller casts them
+before subtracting.  By default there are three (hop 1, hop 2 and e2e, 3 B
+per frame); with ``hop_arrays=False`` only the e2e array is kept (1 B per
+frame), for a caller that needs no more of the hops than the histograms
+below.  The tagging itself is int32, which is exact: SimConfig keeps
+n_frames + _MAX_RUN_ON_FRAMES below 2**31, and every count and partial sum
+of the tagging lies in [-n, n + run-on].  Each hop carries its cumulative
 net input, the running minimum of that sum and its departure curve's
 running maximum across a chunk boundary, and hop 2 its last cumulative
 arrival.  Every carry is folded into element 0 of the next chunk before its
@@ -61,18 +63,22 @@ beyond its output, and its output equals searchsorted(m(curve), c, "left")
 bit for bit (tests/test_qsim.py keeps that binary search as the
 reference).  The end-to-end curve never runs ahead of hop 1's, so hop 2's
 delay, e2e minus hop 1 minus the forwarding frame, is formed as each e2e
-delay is fixed.
+delay is fixed; a hop-1 delay is held only until then.  Each hop's pieces
+are counted into its histogram (one ``np.bincount`` per piece) while they
+are in cache, so the run returns both hops' histograms whether or not it
+keeps their arrays, equal to :func:`delay_histogram` of those arrays.
 
 Tail statistics in O(n + max delay).  Delays are whole frames, so
-:func:`delay_histogram` counts each delay 0..max once, summing one
+:func:`delay_histogram` counts an array's delays 0..max once, summing one
 ``np.bincount`` of max + 1 bins per _SIM_CHUNK samples (O(n) while the
 largest delay stays below the chunk), so it copies no more than a chunk of
 the samples (``np.bincount`` copies samples narrower than intp).
-:func:`suggest_fit_window` and :func:`tail_slope` take that histogram and
-read the exceedances #{s > x} at every integer x = 0..max from its
+:func:`suggest_fit_window` and :func:`tail_slope` take either histogram
+and read the exceedances #{s > x} at every integer x = 0..max from its
 cumulative sum; the counts, and with them the windows and slopes, equal
-those of a sort and binary search.  Float samples raise TypeError,
-negative ones ValueError.
+those of a sort and binary search.  The slope is the least-squares line's
+in closed form, so no linear-algebra routine runs.  Float samples raise
+TypeError, negative ones ValueError.
 """
 
 from __future__ import annotations
@@ -185,31 +191,38 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class DelayStats:
-    """Per-frame delay samples (whole frames) of the tagged bits.
-
-    The three arrays share the narrowest unsigned dtype that holds the
-    largest delay (uint8, uint16 or uint32), so cast them to a signed type
-    before subtracting one from another.
-    """
-
-    hop1_delays: np.ndarray
-    hop2_delays: np.ndarray
-    e2e_delays: np.ndarray
-    frames_simulated: int
-    dropped_warmup: int
-
-
-@dataclass(frozen=True)
 class DelayHistogram:
     """Counts of whole-frame delays: ``counts[x]`` samples equal x, x = 0..max.
 
-    Made by :func:`delay_histogram`; ``n`` is the number of samples.  The
-    counts array is read-only.
+    Made by :func:`delay_histogram`, or by :func:`simulate_tandem` as it
+    scans; ``n`` is the number of samples.  The counts array is read-only.
     """
 
     counts: np.ndarray
     n: int
+
+
+@dataclass(frozen=True)
+class DelayStats:
+    """Per-frame delay samples (whole frames) of the tagged bits.
+
+    The arrays share the narrowest unsigned dtype that holds the largest
+    delay (uint8, uint16 or uint32), so cast them to a signed type before
+    subtracting one from another.  ``hop1_histogram`` and
+    ``hop2_histogram`` count each hop's delays as the scan finalises them,
+    equal to :func:`delay_histogram` of the hop arrays.  A run with
+    ``hop_arrays=False`` keeps only ``e2e_delays`` (1 B per frame while
+    the delays fit uint8, against 3 B with all three arrays), and its
+    ``hop1_delays`` and ``hop2_delays`` are None.
+    """
+
+    hop1_delays: np.ndarray | None
+    hop2_delays: np.ndarray | None
+    e2e_delays: np.ndarray
+    frames_simulated: int
+    dropped_warmup: int
+    hop1_histogram: DelayHistogram
+    hop2_histogram: DelayHistogram
 
 
 def _to_service(s: np.ndarray, bt: float, snr: float) -> np.ndarray:
@@ -380,8 +393,25 @@ class _Tagger:
         return delays
 
 
+def _count_into(counts: np.ndarray, delays: np.ndarray) -> np.ndarray:
+    """Add a piece of delays to int counts, growing them to its maximum."""
+    if delays.size == 0:
+        return counts
+    piece = np.bincount(delays)
+    if piece.size > counts.size:
+        piece[:counts.size] += counts
+        return piece
+    counts[:piece.size] += piece
+    return counts
+
+
+def _frozen(counts: np.ndarray, n: int) -> DelayHistogram:
+    counts.flags.writeable = False
+    return DelayHistogram(counts, n)
+
+
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
-                    cfg: SimConfig) -> DelayStats:
+                    cfg: SimConfig, *, hop_arrays: bool = True) -> DelayStats:
     """Simulate the tandem queue and record per-hop and end-to-end delays.
 
     Bits arriving in frames warmup..n-1 are tagged.  The scan runs on past
@@ -390,9 +420,12 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     tagged bits, so each tagged bit departs in the frame it would with no
     fresh arrivals.  Frame n + j of the run-on takes draws 2n + 2j and
     2n + 2j + 1 of the Philox(seed) stream, whatever the step sizes.  The
-    three delay arrays are allocated once as uint8, 3 B per tagged frame in
-    all, and widened together to uint16 or uint32 only if a delay needs it;
-    being unsigned, they are cast before subtracting.
+    delay arrays are allocated once as uint8, 1 B per tagged frame each,
+    and widened together to uint16 or uint32 only if a delay needs it;
+    being unsigned, they are cast before subtracting.  Each hop's delays
+    are counted into its histogram as they are finalised.  With
+    ``hop_arrays=False`` only the e2e array is kept: each hop-1 delay is
+    held only until the e2e tagger finalises its bit.
 
     Raises
     ------
@@ -406,7 +439,9 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     load = scenario.traffic_load
     if load == 0.0:
         empty = np.empty(0, dtype=np.uint8)
-        return DelayStats(empty, empty, empty, cfg.n_frames, cfg.warmup_frames)
+        hop = empty if hop_arrays else None
+        return DelayStats(hop, hop, empty, cfg.n_frames, cfg.warmup_frames,
+                          delay_histogram(empty), delay_histogram(empty))
 
     bt = scenario.bt_product
     links = (LinkModel(allocation.kappa1, scenario.hop1_mean_gain, bt),
@@ -428,7 +463,10 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     tag2 = _Tagger(load, cfg.warmup_frames, n)
     # the narrowest unsigned type, widened once a finalised delay needs it;
     # e2e bounds both hops, so hop1 + hop2 + 1 never wraps
-    hop1, hop2, e2e = (np.empty(tag1.n_tagged, dtype=np.uint8) for _ in range(3))
+    e2e = np.empty(tag1.n_tagged, dtype=np.uint8)
+    hops = [np.empty_like(e2e), np.empty_like(e2e)] if hop_arrays else []
+    counts1, counts2 = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    held = np.empty(0, dtype=np.int32)  # hop-1 delays of bits e2e has yet to finalise
     while scan.frames < n or not (tag1.done and tag2.done):
         if scan.frames < n:
             k = min(chunk, n - scan.frames)
@@ -444,20 +482,26 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
             # hop 1 takes the even draws and hop 2 the odd ones
             u1, u2 = rng2.random(out=draws[:2 * k]).reshape(k, 2).T
         dep1, dep2, _ = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
-        part1, part2 = tag1.feed(dep1), tag2.feed(dep2)
-        top = max(part1.max(initial=0), part2.max(initial=0))
+        part1, part_e2e = tag1.feed(dep1), tag2.feed(dep2)
+        # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
+        # delays of the bits it finalised are held already
+        held = np.concatenate((held, part1))
+        part2 = part_e2e - held[:part_e2e.size]
+        part2 -= 1  # the frame the relay holds each bit before forwarding it
+        held = held[part_e2e.size:]
+        counts1, counts2 = _count_into(counts1, part1), _count_into(counts2, part2)
+        top = max(part1.max(initial=0), part_e2e.max(initial=0))
         if top > np.iinfo(e2e.dtype).max:
             wide = np.min_scalar_type(top)
-            hop1, hop2, e2e = (a.astype(wide) for a in (hop1, hop2, e2e))
-        hop1[tag1.finished - part1.size:tag1.finished] = part1
-        # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
-        # delays of the bits it finalised are already in place
-        done = slice(tag2.finished - part2.size, tag2.finished)
-        e2e[done] = part2
-        part2 -= hop1[done]
-        part2 -= 1  # the frame the relay holds each bit before forwarding it
-        hop2[done] = part2
-    return DelayStats(hop1, hop2, e2e, n, cfg.warmup_frames)
+            e2e, *hops = (a.astype(wide) for a in (e2e, *hops))
+        done = slice(tag2.finished - part_e2e.size, tag2.finished)
+        e2e[done] = part_e2e
+        if hops:
+            hops[0][tag1.finished - part1.size:tag1.finished] = part1
+            hops[1][done] = part2
+    hop1, hop2 = hops or (None, None)
+    return DelayStats(hop1, hop2, e2e, n, cfg.warmup_frames,
+                      _frozen(counts1, tag1.n_tagged), _frozen(counts2, tag2.n_tagged))
 
 
 def empirical_ccdf(samples, x: float) -> tuple[float, float]:
@@ -504,8 +548,7 @@ def delay_histogram(samples) -> DelayHistogram:
     counts = np.zeros(top + 1, dtype=np.int64)
     for i in range(0, samples.size, _SIM_CHUNK):
         counts += np.bincount(samples[i:i + _SIM_CHUNK], minlength=top + 1)
-    counts.flags.writeable = False
-    return DelayHistogram(counts, samples.size)
+    return _frozen(counts, samples.size)
 
 
 def _exceedances(hist: DelayHistogram) -> np.ndarray:
@@ -520,7 +563,7 @@ def tail_slope(hist: DelayHistogram, x_lo: float, x_hi: float) -> float:
     """Least-squares slope of -log(empirical CCDF) over integer x in [x_lo, x_hi].
 
     Estimates the exponential decay rate of the delay tail from a
-    :func:`delay_histogram` (anything else raises TypeError).  Requires at
+    :class:`DelayHistogram` (anything else raises TypeError).  Requires at
     least ``MIN_TAIL_EXCEEDANCES`` samples beyond x_hi so the deepest point
     of the fit is statistically meaningful.  Reading the window's counts
     costs O(max delay), whatever the window.
@@ -540,7 +583,10 @@ def tail_slope(hist: DelayHistogram, x_lo: float, x_hi: float) -> float:
     ccdf = exceed / n
     if ccdf.min() == ccdf.max():
         raise ValueError("degenerate CCDF: constant over the fit window")
-    return float(np.polyfit(xs, -np.log(ccdf), 1)[0])
+    # the least-squares line in closed form, sum(dx*dy) / sum(dx*dx)
+    y = -np.log(ccdf)
+    dx = xs - xs.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
 
 
 def suggest_fit_window(hist: DelayHistogram) -> tuple[int, int]:
@@ -552,7 +598,7 @@ def suggest_fit_window(hist: DelayHistogram) -> tuple[int, int]:
     ``MIN_TAIL_EXCEEDANCES``.  The CCDF floor matters on long runs: below
     ~1e-3 the tail of a single correlated sample path is dominated by a
     handful of busy-period excursions and the fitted slope turns noisy.
-    It reads a :func:`delay_histogram` (anything else raises TypeError) in
+    It reads a :class:`DelayHistogram` (anything else raises TypeError) in
     O(max delay), so one histogram serves both this and :func:`tail_slope`.
     """
     # exceed[x - 1] = samples above x, for x = 1..max; it never rises with x,

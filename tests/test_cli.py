@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from relayqos.cli import (
     validate,
     write_sweep_csv,
 )
-from relayqos.qsim import SimConfig, StabilityError
+from relayqos.qsim import _SIM_CHUNK, SimConfig, StabilityError
 
 
 class TestUnitConversions:
@@ -177,6 +178,30 @@ class TestValidate:
         report_a = validate(FAST, SimConfig(n_frames=100_000, seed=1))
         report_b = validate(FAST, SimConfig(n_frames=100_000, seed=2))
         assert report_a.to_text() != report_b.to_text()
+
+    def test_peak_memory_is_the_e2e_array(self, monkeypatch):
+        # validate keeps one frame-length array, the e2e delays (1 B per
+        # frame at this load): the tail fits read the hop histograms the
+        # scan counts, and the rest is chunk-sized scratch, bounded as in
+        # test_qsim's test_peak_memory_per_frame
+        runs = []
+        simulate = cli.simulate_tandem
+
+        def recording(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "simulate_tandem", recording)
+        validate(FAST, SimConfig(n_frames=20_000, seed=1))  # first-call set-up
+        tracemalloc.start()
+        try:
+            validate(FAST, SimConfig(n_frames=1_000_000, warmup_frames=10_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        e2e = runs[-1].e2e_delays
+        assert e2e.nbytes == 990_000
+        assert peak - e2e.nbytes <= 8 * 12 * _SIM_CHUNK
 
 
 class TestCcdfTable:

@@ -17,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from relayqos import cli
 from relayqos.allocator import Allocation
 from relayqos.cli import SweepRow, ValidationReport
-from relayqos.qsim import DelayStats, SimConfig
+from relayqos.qsim import DelayStats, SimConfig, simulate_tandem
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,13 +34,13 @@ HOLDERS = {"cfg": SimConfig, "stats": DelayStats, "report": ValidationReport,
            "swept": SweepRow, "allocation": Allocation}
 
 
-def load_call_sites():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans",
                                                   PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = spans  # dataclasses look their module up there
     spec.loader.exec_module(spans)
-    return spans.CALL_SITES
+    return spans
 
 
 def harness_reads(scripts, names):
@@ -53,7 +54,8 @@ def harness_reads(scripts, names):
     return sorted(found)
 
 
-CALL_SITES = load_call_sites()
+SPANS = load_spans()
+CALL_SITES = SPANS.CALL_SITES
 LOOKUPS = [(MODULES[name], attr)
            for name, attr in harness_reads(("run.py", "probes.py"), MODULES)]
 READS = harness_reads(("run.py", "spans.py", "probes.py"), HOLDERS)
@@ -89,3 +91,25 @@ def test_harness_read_resolves(name, attr):
     # a dataclass field, or a class attribute such as a property or constant
     cls = HOLDERS[name]
     assert attr in {f.name for f in dataclasses.fields(cls)} or hasattr(cls, attr)
+
+
+def test_traced_validate_records_the_simulator_spans():
+    # the harness reads the sample count and largest e2e delay of the
+    # simulate_tandem call validate makes, and times its empirical_ccdf
+    # call, through the wrappers on those two cli lookup sites
+    profile = cli.RadioProfile(delay_bound=0.1, violation_prob=1e-2,
+                               transmission_time=2e-3)
+    cfg = SimConfig(n_frames=30_000, warmup_frames=1_000, seed=3)
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        cli.validate(profile, cfg)
+    finally:
+        tracer.uninstall()
+    sims = [s for s in tracer.spans if s.name == "qsim.simulate_tandem"]
+    assert len(sims) == 1 and not sims[0].error
+    scenario = cli.to_scenario(profile)
+    e2e = simulate_tandem(scenario, cli.allocate(scenario), cfg).e2e_delays
+    assert sims[0].attrs == {"frames": 30_000, "samples": 29_000,
+                             "max_e2e": int(e2e.max())}
+    assert any(s.name == "qsim.empirical_ccdf" and not s.error for s in tracer.spans)

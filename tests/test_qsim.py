@@ -5,7 +5,8 @@ straightforward per-frame Python reference simulator that tags bits by a
 binary search of each curve value's bit index floor(dep/load + 1e-6), at
 chunk sizes down to one frame; the O(n) tagging helper against that binary
 search on curves placed on, and one ulp beside, the smallest value that
-reaches each bit's index; the histogram tail statistics against the
+reaches each bit's index; the hop histograms the scan counts against
+np.bincount of its hop arrays; the histogram tail statistics against the
 sort-based originals kept here; the batch-means half-width against a Markov
 series of known asymptotic variance; and the tail-slope estimator against
 synthetic exponential samples with a known rate.
@@ -154,6 +155,12 @@ def near_boundaries(load, cs, where):
             "above": np.nextafter(t, np.inf), "mid": t + 0.5 * load}[where]
 
 
+def least_squares_slope(xs, ys):
+    """Slope of the least-squares line, sum(dx*dy) / sum(dx*dx)."""
+    dx = xs - xs.mean()
+    return float(np.sum(dx * (ys - ys.mean())) / np.sum(dx * dx))
+
+
 def sorted_tail_slope(samples, x_lo, x_hi):
     """tail_slope's sort-based original: exceedances by binary search."""
     xs = np.arange(math.ceil(x_lo), math.floor(x_hi) + 1, dtype=np.float64)
@@ -168,7 +175,7 @@ def sorted_tail_slope(samples, x_lo, x_hi):
     ccdf = exceed / n
     if ccdf.min() == ccdf.max():
         raise ValueError("degenerate CCDF: constant over the fit window")
-    return float(np.polyfit(xs, -np.log(ccdf), 1)[0])
+    return least_squares_slope(xs, -np.log(ccdf))
 
 
 def sorted_suggest_fit_window(samples, min_exceedances=MIN_TAIL_EXCEEDANCES,
@@ -236,6 +243,25 @@ FORWARDING = ["store-and-forward"]
 @pytest.fixture(scope="module")
 def headline_allocation():
     return allocate(SCENARIO)
+
+
+def assert_histograms_count_hops(stats):
+    """The histograms streamed by the scan are np.bincount of the hop arrays."""
+    for hist, delays in ((stats.hop1_histogram, stats.hop1_delays),
+                         (stats.hop2_histogram, stats.hop2_delays)):
+        assert hist.n == delays.size
+        assert np.array_equal(hist.counts, np.bincount(delays, minlength=1))
+
+
+def assert_lean_run_matches(scenario, allocation, cfg, stats):
+    """hop_arrays=False keeps e2e and both histograms, bit for bit, and no hop arrays."""
+    lean = simulate_tandem(scenario, allocation, cfg, hop_arrays=False)
+    assert lean.hop1_delays is None and lean.hop2_delays is None
+    assert lean.e2e_delays.dtype == stats.e2e_delays.dtype
+    assert np.array_equal(lean.e2e_delays, stats.e2e_delays)
+    for got, want in ((lean.hop1_histogram, stats.hop1_histogram),
+                      (lean.hop2_histogram, stats.hop2_histogram)):
+        assert got.n == want.n and np.array_equal(got.counts, want.counts)
 
 
 class TestSimConfig:
@@ -356,6 +382,8 @@ class TestSimulateTandem:
             assert got.dtype == np.uint8
             assert np.array_equal(got, default)
             assert np.array_equal(got, want)
+        assert_histograms_count_hops(chunked)
+        assert_lean_run_matches(SCENARIO, headline_allocation, cfg, chunked)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 1001])
     def test_hop2_generator_continues_hop1_stream(self, n):
@@ -430,6 +458,8 @@ class TestSimulateTandem:
                              stats.e2e_delays), want):
             assert got.dtype == np.uint16
             assert np.array_equal(got, ref)
+        assert_histograms_count_hops(stats)
+        assert_lean_run_matches(scenario, tight, cfg, stats)
 
     @pytest.mark.parametrize("chunk", [1, 3, _SIM_CHUNK])
     @pytest.mark.parametrize("forwarding", FORWARDING)
@@ -552,6 +582,8 @@ class TestSimulateTandem:
         stats = simulate_tandem(idle, generous, SimConfig(n_frames=100, seed=0))
         assert stats.e2e_delays.size == 0
         assert stats.frames_simulated == 100
+        assert_histograms_count_hops(stats)
+        assert_lean_run_matches(idle, generous, SimConfig(n_frames=100, seed=0), stats)
 
     def test_unstable_configuration_rejected(self):
         starved = Allocation(kappa1=1e-3, kappa2=1.0, theta1=1e-3, theta2=1e-3,
@@ -709,6 +741,20 @@ class TestTailSlope:
     def test_rejects_narrow_window(self):
         with pytest.raises(ValueError, match="fewer than two"):
             tail_slope(delay_histogram(np.arange(1000)), 5.0, 5.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_matches_polyfit(self, seed):
+        # the closed-form least-squares slope is np.polyfit's degree-1 fit
+        # up to rounding, over the windows validate uses and wider ones
+        rng = np.random.default_rng(seed)
+        samples = whole_frames(rng.exponential(rng.uniform(2.0, 20.0), 400_000))
+        hist = delay_histogram(samples)
+        x_lo, x_hi = suggest_fit_window(hist)
+        for lo, hi in ((x_lo, x_hi), (0, x_hi), (x_lo, x_lo + 1), (-1.5, x_hi - 0.5)):
+            xs = np.arange(math.ceil(lo), math.floor(hi) + 1)
+            exceed = np.array([np.count_nonzero(samples > x) for x in xs])
+            want = np.polyfit(xs, -np.log(exceed / samples.size), 1)[0]
+            assert tail_slope(hist, lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(samples=tail_samples(),
