@@ -36,7 +36,6 @@ from .qsim import (
     InsufficientTailData,
     SimConfig,
     StabilityError,
-    delay_histogram,
     empirical_ccdf,
     simulate_tandem,
     suggest_fit_window,
@@ -64,7 +63,6 @@ __all__ = [
     "SimConfig",
     "StabilityError",
     "allocate",
-    "delay_histogram",
     "effective_bandwidth_service_rayleigh",
     "effective_capacity_rayleigh",
     "empirical_ccdf",

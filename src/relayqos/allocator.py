@@ -103,12 +103,10 @@ class Scenario:
     bt_product: float = 200.0
 
     def __post_init__(self):
-        for name in ("delay_bound", "hop1_mean_gain", "hop2_mean_gain", "bt_product"):
+        for name in ("traffic_load", "delay_bound", "hop1_mean_gain", "hop2_mean_gain",
+                     "bt_product"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        # zero load is allowed for simulation (nothing to tag), not allocation
-        if not 0.0 <= self.traffic_load < math.inf:
-            raise ValueError(f"traffic_load must be finite and >= 0, got {self.traffic_load!r}")
         if not 0.0 < self.violation_prob < 1.0:
             raise ValueError(
                 f"violation_prob must lie in (0, 1), got {self.violation_prob!r}")
@@ -228,8 +226,6 @@ def _hop_power(step: str, theta: float, target: float, mean_gain: float,
 
 def solve_theta1(u: float, scenario: Scenario) -> float:
     """Hop-1 QoS exponent: the target delay rate u per nat of offered load."""
-    if scenario.traffic_load == 0.0:
-        raise ValueError("cannot allocate power for zero traffic load")
     return u / scenario.traffic_load
 
 

@@ -331,9 +331,14 @@ def validate(profile: RadioProfile, sim_cfg: SimConfig) -> ValidationReport:
     law = HopDelayLaw(allocation.delay_rate)
     analytic = two_hop_ccdf(law, law, scenario.delay_bound)
     empirical, halfwidth = empirical_ccdf(stats.e2e_delays, scenario.delay_bound)
+    ccdf_note = ""
+    if math.isnan(halfwidth):
+        ccdf_note = (f"{'no' if empirical == 0.0 else 'every'} tagged bit exceeded "
+                 f"D = {scenario.delay_bound:g} frames in {stats.e2e_delays.size} "
+                 "samples, so the batch-means half-width is undefined")
     slope1, window1, note1 = _fit_hop_slope(stats.hop1_histogram)
     slope2, window2, note2 = _fit_hop_slope(stats.hop2_histogram)
-    notes = "; ".join(n for n in (note1, note2) if n)
+    notes = "; ".join(n for n in (ccdf_note, note1, note2) if n)
     return ValidationReport(
         scenario=scenario, allocation=allocation, sim_config=sim_cfg,
         analytic_violation=analytic, empirical_violation=empirical,

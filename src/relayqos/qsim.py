@@ -66,19 +66,14 @@ delay, e2e minus hop 1 minus the forwarding frame, is formed as each e2e
 delay is fixed; a hop-1 delay is held only until then.  Each hop's pieces
 are counted into its histogram (one ``np.bincount`` per piece) while they
 are in cache, so the run returns both hops' histograms whether or not it
-keeps their arrays, equal to :func:`delay_histogram` of those arrays.
+keeps their arrays, equal to ``np.bincount`` of those arrays.
 
-Tail statistics in O(n + max delay).  Delays are whole frames, so
-:func:`delay_histogram` counts an array's delays 0..max once, summing one
-``np.bincount`` of max + 1 bins per _SIM_CHUNK samples (O(n) while the
-largest delay stays below the chunk), so it copies no more than a chunk of
-the samples (``np.bincount`` copies samples narrower than intp).
-:func:`suggest_fit_window` and :func:`tail_slope` take either histogram
-and read the exceedances #{s > x} at every integer x = 0..max from its
-cumulative sum; the counts, and with them the windows and slopes, equal
-those of a sort and binary search.  The slope is the least-squares line's
-in closed form, so no linear-algebra routine runs.  Float samples raise
-TypeError, negative ones ValueError.
+Tail statistics in O(max delay).  Delays are whole frames, so a hop's
+histogram holds one count per delay 0..max.  :func:`suggest_fit_window` and
+:func:`tail_slope` read the exceedances #{s > x} at every integer
+x = -1..max from its cumulative sum; the counts, and with them the windows
+and slopes, equal those of a sort and binary search.  The slope is the
+least-squares line's in closed form, so no linear-algebra routine runs.
 """
 
 from __future__ import annotations
@@ -100,7 +95,6 @@ __all__ = [
     "InsufficientTailData",
     "simulate_tandem",
     "empirical_ccdf",
-    "delay_histogram",
     "tail_slope",
     "suggest_fit_window",
 ]
@@ -194,12 +188,12 @@ class SimConfig:
 class DelayHistogram:
     """Counts of whole-frame delays: ``counts[x]`` samples equal x, x = 0..max.
 
-    Made by :func:`delay_histogram`, or by :func:`simulate_tandem` as it
-    scans; ``n`` is the number of samples.  The counts array is read-only.
+    :func:`simulate_tandem` counts one per hop as it scans, with at least
+    one bin and its counts array read-only; the number of samples is
+    ``counts.sum()``.
     """
 
     counts: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -210,17 +204,17 @@ class DelayStats:
     delay (uint8, uint16 or uint32), so cast them to a signed type before
     subtracting one from another.  ``hop1_histogram`` and
     ``hop2_histogram`` count each hop's delays as the scan finalises them,
-    equal to :func:`delay_histogram` of the hop arrays.  A run with
+    equal to ``np.bincount`` of the hop arrays.  A run with
     ``hop_arrays=False`` keeps only ``e2e_delays`` (1 B per frame while
     the delays fit uint8, against 3 B with all three arrays), and its
-    ``hop1_delays`` and ``hop2_delays`` are None.
+    ``hop1_delays`` and ``hop2_delays`` are None.  Each array holds one
+    delay per tagged frame: ``frames_simulated`` less the warm-up.
     """
 
     hop1_delays: np.ndarray | None
     hop2_delays: np.ndarray | None
     e2e_delays: np.ndarray
     frames_simulated: int
-    dropped_warmup: int
     hop1_histogram: DelayHistogram
     hop2_histogram: DelayHistogram
 
@@ -395,19 +389,14 @@ class _Tagger:
 
 def _count_into(counts: np.ndarray, delays: np.ndarray) -> np.ndarray:
     """Add a piece of delays to int counts, growing them to its maximum."""
-    if delays.size == 0:
-        return counts
-    piece = np.bincount(delays)
-    if piece.size > counts.size:
-        piece[:counts.size] += counts
-        return piece
-    counts[:piece.size] += piece
-    return counts
+    piece = np.bincount(delays, minlength=counts.size)
+    piece[:counts.size] += counts
+    return piece
 
 
-def _frozen(counts: np.ndarray, n: int) -> DelayHistogram:
+def _frozen(counts: np.ndarray) -> DelayHistogram:
     counts.flags.writeable = False
-    return DelayHistogram(counts, n)
+    return DelayHistogram(counts)
 
 
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
@@ -437,12 +426,6 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
         horizon; the queues are then effectively unstable.
     """
     load = scenario.traffic_load
-    if load == 0.0:
-        empty = np.empty(0, dtype=np.uint8)
-        hop = empty if hop_arrays else None
-        return DelayStats(hop, hop, empty, cfg.n_frames, cfg.warmup_frames,
-                          delay_histogram(empty), delay_histogram(empty))
-
     bt = scenario.bt_product
     links = (LinkModel(allocation.kappa1, scenario.hop1_mean_gain, bt),
              LinkModel(allocation.kappa2, scenario.hop2_mean_gain, bt))
@@ -500,8 +483,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
             hops[0][tag1.finished - part1.size:tag1.finished] = part1
             hops[1][done] = part2
     hop1, hop2 = hops or (None, None)
-    return DelayStats(hop1, hop2, e2e, n, cfg.warmup_frames,
-                      _frozen(counts1, tag1.n_tagged), _frozen(counts2, tag2.n_tagged))
+    return DelayStats(hop1, hop2, e2e, n, _frozen(counts1), _frozen(counts2))
 
 
 def empirical_ccdf(samples, x: float) -> tuple[float, float]:
@@ -512,7 +494,8 @@ def empirical_ccdf(samples, x: float) -> tuple[float, float]:
     method of batch means (Law & Kelton): the series is cut into
     min(30, n) contiguous batches of near-equal size and the half-width is
     t(0.975, b - 1) * sd(batch fractions) / sqrt(b).  With a single sample
-    it is infinite.
+    it is infinite.  When no sample exceeds x, or every one does, the batch
+    fractions cannot spread, so the half-width is undefined (NaN), not 0.
     """
     samples = np.asarray(samples)
     n = samples.size
@@ -520,43 +503,23 @@ def empirical_ccdf(samples, x: float) -> tuple[float, float]:
         raise ValueError("empirical_ccdf needs at least one sample")
     batches = np.array_split(samples, min(_CCDF_BATCHES, n))
     exceed = [int(np.count_nonzero(b > x)) for b in batches]
-    p = sum(exceed) / n
+    total = sum(exceed)
+    p = total / n
     b = len(batches)
     if b == 1:
         return p, math.inf
+    if total in (0, n):
+        return p, math.nan
     means = [e / batch.size for e, batch in zip(exceed, batches)]
     return p, _T975[b - 2] * float(np.std(means, ddof=1)) / math.sqrt(b)
 
 
-def delay_histogram(samples) -> DelayHistogram:
-    """Histogram of whole-frame delays, the input of the tail fits.
-
-    ``samples`` are non-negative integers: a dtype that does not cast safely
-    to intp (floats among them) raises TypeError, a negative sample
-    ValueError.  The count sums one ``np.bincount`` per _SIM_CHUNK samples
-    into max + 1 int64 bins, so it copies at most a chunk of the samples.
-    """
-    samples = np.asarray(samples)
-    if not np.can_cast(samples.dtype, np.intp):
-        raise TypeError(
-            f"delays must be whole frames (integers), got dtype {samples.dtype}")
-    top = 0  # one bin at least, so the exceedances at x = 0 always exist
-    if samples.size:
-        if samples.min() < 0:
-            raise ValueError("delays must be non-negative")
-        top = int(samples.max())
-    counts = np.zeros(top + 1, dtype=np.int64)
-    for i in range(0, samples.size, _SIM_CHUNK):
-        counts += np.bincount(samples[i:i + _SIM_CHUNK], minlength=top + 1)
-    return _frozen(counts, samples.size)
-
-
 def _exceedances(hist: DelayHistogram) -> np.ndarray:
-    """Number of samples strictly above x, for every integer x in 0..max."""
+    """Number of samples strictly above x, entry x + 1 for every integer x in -1..max."""
     if not isinstance(hist, DelayHistogram):
-        raise TypeError(
-            f"expected a DelayHistogram (see delay_histogram), got {type(hist).__name__}")
-    return hist.n - np.cumsum(hist.counts)
+        raise TypeError(f"expected a DelayHistogram, got {type(hist).__name__}")
+    # entry x counts the samples >= x, which are those above x - 1
+    return np.append(np.cumsum(hist.counts[::-1])[::-1], 0)
 
 
 def tail_slope(hist: DelayHistogram, x_lo: float, x_hi: float) -> float:
@@ -568,14 +531,12 @@ def tail_slope(hist: DelayHistogram, x_lo: float, x_hi: float) -> float:
     of the fit is statistically meaningful.  Reading the window's counts
     costs O(max delay), whatever the window.
     """
-    exceedances = _exceedances(hist)
+    counts = _exceedances(hist)
     lo, hi = math.ceil(x_lo), math.floor(x_hi)
     if hi <= lo:
         raise ValueError(
             f"fit window [{x_lo:g}, {x_hi:g}] holds fewer than two integer points")
-    n = hist.n
-    # counts at x = -1, 0, ..., max + 1 (all samples exceed -1, none max + 1)
-    counts = np.concatenate(([n], exceedances, [0]))
+    n = counts[0]  # every sample exceeds -1, and none exceeds max
     xs = np.arange(lo, hi + 1)
     exceed = counts[np.clip(xs, -1, counts.size - 2) + 1]
     if exceed[-1] < MIN_TAIL_EXCEEDANCES:
@@ -603,8 +564,8 @@ def suggest_fit_window(hist: DelayHistogram) -> tuple[int, int]:
     """
     # exceed[x - 1] = samples above x, for x = 1..max; it never rises with x,
     # so counting the entries above a level gives the last x above it
-    exceed = _exceedances(hist)[1:]
-    n = hist.n
+    counts = _exceedances(hist)
+    exceed, n = counts[2:], int(counts[0])
     if n == 0:
         raise ValueError("no samples")
     floor = max(MIN_TAIL_EXCEEDANCES, TAIL_CCDF * n)

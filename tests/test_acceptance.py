@@ -215,8 +215,7 @@ def test_criterion_6_simulator_validation():
     ratio = empirical / scenario.violation_prob
     ratio_ok = 1.0 / 3.0 <= ratio <= 3.0
 
-    hist1 = rq.delay_histogram(stats.hop1_delays)
-    hist2 = rq.delay_histogram(stats.hop2_delays)
+    hist1, hist2 = stats.hop1_histogram, stats.hop2_histogram
     slope1 = rq.tail_slope(hist1, *rq.suggest_fit_window(hist1))
     slope2 = rq.tail_slope(hist2, *rq.suggest_fit_window(hist2))
     slope1_ok = abs(slope1 / u - 1.0) <= 0.10

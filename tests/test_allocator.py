@@ -69,6 +69,8 @@ class TestScenario:
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             Scenario(traffic_load=-1.0, delay_bound=50.0, violation_prob=1e-6)
+        with pytest.raises(ValueError, match="traffic_load"):
+            Scenario(traffic_load=0.0, delay_bound=50.0, violation_prob=1e-6)
         with pytest.raises(ValueError):
             Scenario(traffic_load=1.0, delay_bound=0.0, violation_prob=1e-6)
         with pytest.raises(ValueError):
@@ -80,11 +82,6 @@ class TestScenario:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             dataclasses.replace(HEADLINE, **{name: value})
-
-    def test_zero_load_allowed_for_simulation_only(self):
-        scenario = Scenario(traffic_load=0.0, delay_bound=50.0, violation_prob=1e-2)
-        with pytest.raises(ValueError):
-            theta1_of(scenario)
 
 
 class TestTheta1:

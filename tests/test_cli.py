@@ -4,10 +4,12 @@ validation report, config handling and exit codes."""
 import ast
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -282,18 +284,30 @@ class TestMain:
     def test_validate_notes_name_the_shortfall(self, capsys):
         # too short a run for a five-point fit window on either hop: each
         # note gives the count at the shallowest window end, x_lo + 4, which
-        # is short of the floor
+        # is short of the floor; no bit exceeds D either, and that note leads
         assert main(["validate", "--violation_prob", "1e-2", "--delay_bound", "0.1",
                      "--frames", "1500", "--warmup", "0", "--seed", "1"]) == 0
         rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows["hop1_fit_window"] == rows["hop2_fit_window"] == "None"
-        notes = rows["notes"].split("; ")
+        ccdf_note, *notes = rows["notes"].split("; ")
+        assert ccdf_note.startswith("no tagged bit exceeded D = 50 frames in 1500 samples")
         assert [note.split(" (")[0] for note in notes] == [
             "only 2 exceedances beyond x=10", "only 46 exceedances beyond x=16"]
         assert all("(need >= 100)" in note for note in notes)
         # no x_hi is given to validate's fits, so none is advised lowered
         assert all(note.endswith("— simulate more frames") for note in notes)
         assert "lower x_hi" not in rows["notes"]
+
+    def test_validate_names_an_undefined_halfwidth(self, capsys):
+        # at the default profile (D = 125 frames, target 1e-6) no tagged bit
+        # of a 1e6-frame run exceeds D: the report gives no half-width, not
+        # 0 +/- 0, and says why
+        assert main(["validate", "--frames", "1000000"]) == 0
+        rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows["empirical_violation"] == "0.0"
+        assert rows["empirical_halfwidth"] == "nan"
+        assert rows["notes"] == ("no tagged bit exceeded D = 125 frames in 990000 "
+                                 "samples, so the batch-means half-width is undefined")
 
     def test_validate_repeats_allocate_rows(self, capsys):
         args = ["--delay_bound", "0.1", "--violation_prob", "1e-2",
@@ -437,6 +451,17 @@ class TestRuntimeImports:
                      "nats_per_frame_to_bits_per_second")
         for module in (relayqos, relayqos.effcap, cli):
             assert [name for name in test_only if hasattr(module, name)] == [], module
+
+    def test_every_export_resolves(self):
+        # a name deleted from a module must leave no dangling entry in its
+        # __all__ or in the package's
+        modules = [relayqos, *(importlib.import_module(info.name) for info in
+                               pkgutil.iter_modules(relayqos.__path__, "relayqos."))]
+        assert {m.__name__ for m in modules} >= {"relayqos.cli", "relayqos.qsim"}
+        for module in modules:
+            missing = [name for name in getattr(module, "__all__", ())
+                       if not hasattr(module, name)]
+            assert missing == [], module.__name__
 
     def test_allocator_path_leaves_numpy_unloaded(self):
         # numpy loads on first use: allocate and sweep run without it

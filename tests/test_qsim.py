@@ -30,14 +30,15 @@ from relayqos.qsim import (
     _T975,
     _Tagger,
     _TandemScan,
+    _count_into,
     _hop2_generator,
     BODY_CCDF,
     MIN_TAIL_EXCEEDANCES,
     TAIL_CCDF,
+    DelayHistogram,
     InsufficientTailData,
     SimConfig,
     StabilityError,
-    delay_histogram,
     empirical_ccdf,
     simulate_tandem,
     suggest_fit_window,
@@ -249,7 +250,7 @@ def assert_histograms_count_hops(stats):
     """The histograms streamed by the scan are np.bincount of the hop arrays."""
     for hist, delays in ((stats.hop1_histogram, stats.hop1_delays),
                          (stats.hop2_histogram, stats.hop2_delays)):
-        assert hist.n == delays.size
+        assert hist.counts.sum() == delays.size
         assert np.array_equal(hist.counts, np.bincount(delays, minlength=1))
 
 
@@ -261,7 +262,7 @@ def assert_lean_run_matches(scenario, allocation, cfg, stats):
     assert np.array_equal(lean.e2e_delays, stats.e2e_delays)
     for got, want in ((lean.hop1_histogram, stats.hop1_histogram),
                       (lean.hop2_histogram, stats.hop2_histogram)):
-        assert got.n == want.n and np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.counts, want.counts)
 
 
 class TestSimConfig:
@@ -523,7 +524,6 @@ class TestSimulateTandem:
         cfg = SimConfig(n_frames=5000, warmup_frames=750, seed=1)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         assert stats.frames_simulated == 5000
-        assert stats.dropped_warmup == 750
         assert stats.e2e_delays.size == 5000 - 750
         assert stats.hop1_delays.size == stats.hop2_delays.size == 4250
 
@@ -575,16 +575,6 @@ class TestSimulateTandem:
         stats = simulate_tandem(SCENARIO, generous, cfg)
         assert (stats.e2e_delays <= 2).all()
 
-    def test_zero_load_yields_empty_stats(self):
-        idle = Scenario(traffic_load=0.0, delay_bound=50.0, violation_prob=1e-2)
-        generous = Allocation(kappa1=1.0, kappa2=1.0, theta1=1e-3, theta2=1e-3,
-                              delay_rate=0.1, residuals={})
-        stats = simulate_tandem(idle, generous, SimConfig(n_frames=100, seed=0))
-        assert stats.e2e_delays.size == 0
-        assert stats.frames_simulated == 100
-        assert_histograms_count_hops(stats)
-        assert_lean_run_matches(idle, generous, SimConfig(n_frames=100, seed=0), stats)
-
     def test_unstable_configuration_rejected(self):
         starved = Allocation(kappa1=1e-3, kappa2=1.0, theta1=1e-3, theta2=1e-3,
                              delay_rate=0.1, residuals={})
@@ -609,7 +599,7 @@ class TestSimulateTandem:
         # lives in the acceptance suite
         cfg = SimConfig(n_frames=2_000_000, warmup_frames=50_000, seed=4)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
-        hist = delay_histogram(stats.hop1_delays)
+        hist = stats.hop1_histogram
         slope = tail_slope(hist, *suggest_fit_window(hist))
         assert slope == pytest.approx(headline_allocation.delay_rate, rel=0.15, abs=0.0)
 
@@ -638,6 +628,17 @@ class TestEmpiricalCcdf:
         t = scipy_stats.t.ppf(0.975, 2)
         assert hw == pytest.approx(t * np.std([0, 0, 1], ddof=1) / math.sqrt(3), rel=1e-6, abs=0.0)
         assert empirical_ccdf([7], 1) == (1.0, math.inf)
+
+    def test_halfwidth_undefined_without_spread(self):
+        # every batch fraction 0, or every one 1: no spread to measure, so
+        # no half-width, not 0 +/- 0
+        for samples, x, p in (([5] * 40, 5, 0.0), ([6] * 40, 5, 1.0),
+                              (np.zeros(10**5, dtype=np.uint8), 125, 0.0)):
+            got, hw = empirical_ccdf(samples, x)
+            assert got == p and math.isnan(hw)
+        assert empirical_ccdf([6], 5) == (1.0, math.inf)
+        p, hw = empirical_ccdf([5] * 39 + [6], 5)
+        assert p == 1.0 / 40.0 and 0.0 < hw < math.inf
 
     def test_t_quantiles(self):
         assert len(_T975) == 29
@@ -669,41 +670,30 @@ def whole_frames(samples):
     return np.ceil(samples).astype(np.int64)
 
 
+def histogram(samples):
+    """The DelayHistogram of an integer sample array, one bin at least."""
+    return DelayHistogram(np.bincount(samples, minlength=1))
+
+
 class TestDelayHistogram:
     def test_matches_bincount(self):
+        # the scan's counting adds pieces of delays, empty ones among them,
+        # to counts that grow to the largest delay seen so far
         rng = np.random.default_rng(3)
-        for samples in (rng.integers(0, 300, 100_000, dtype=np.int32),
-                        rng.geometric(0.05, 50_000).astype(np.int32),
-                        np.array([0, 0, 7], dtype=np.uint8)):
-            hist = delay_histogram(samples)
-            assert hist.n == samples.size
-            assert hist.counts.dtype == np.int64
-            assert np.array_equal(hist.counts, np.bincount(samples.astype(np.int64)))
-        empty = delay_histogram(np.empty(0, dtype=np.int32))
-        assert empty.n == 0 and list(empty.counts) == [0]
+        pieces = [rng.integers(0, top, size, dtype=np.int32) for top, size in
+                  ((5, 100), (300, 10_000), (1, 0), (40, 7), (1, 1), (700, 3))]
+        counts = np.zeros(1, dtype=np.int64)
+        for i, piece in enumerate(pieces, 1):
+            counts = _count_into(counts, piece)
+            assert counts.dtype == np.int64
+            want = np.bincount(np.concatenate(pieces[:i]), minlength=1)
+            assert np.array_equal(counts, want)
 
-    def test_counts_are_read_only(self):
-        with pytest.raises(ValueError):
-            delay_histogram(np.arange(5)).counts[0] = 9
-
-    def test_makes_no_frame_length_copy(self):
-        # np.bincount would copy these 12 MB of int32 samples to 24 MB of
-        # intp; the histogram needs only its max + 1 bins
-        samples = np.random.default_rng(4).geometric(0.02, 3_000_000).astype(np.int32)
-        delay_histogram(samples[:10])  # first-call set-up is no part of the count
-        tracemalloc.start()
-        try:
-            delay_histogram(samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-
-    def test_rejects_floats_and_negatives(self):
-        with pytest.raises(TypeError):
-            delay_histogram(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="non-negative"):
-            delay_histogram(np.array([3, -1, 2], dtype=np.int32))
+    def test_counts_are_read_only(self, headline_allocation):
+        stats = simulate_tandem(SCENARIO, headline_allocation, SimConfig(n_frames=100))
+        for hist in (stats.hop1_histogram, stats.hop2_histogram):
+            with pytest.raises(ValueError):
+                hist.counts[0] = 9
 
     def test_fits_reject_raw_arrays(self):
         # a sample array is not a histogram, even though both are integers
@@ -713,7 +703,7 @@ class TestDelayHistogram:
         with pytest.raises(TypeError, match="DelayHistogram"):
             tail_slope(samples, 2.0, 20.0)
         with pytest.raises(TypeError, match="DelayHistogram"):
-            tail_slope(delay_histogram(samples).counts, 2.0, 20.0)
+            tail_slope(histogram(samples).counts, 2.0, 20.0)
 
 
 class TestTailSlope:
@@ -722,25 +712,23 @@ class TestTailSlope:
         # for integer x, ceil(X) > x exactly when X > x
         rng = np.random.default_rng(0)
         samples = rng.exponential(2.0, 3_000_000)  # rate 0.5
-        with pytest.raises(TypeError):
-            delay_histogram(samples)  # delays are whole frames
-        slope = tail_slope(delay_histogram(whole_frames(samples)), 2.0, 20.0)
+        slope = tail_slope(histogram(whole_frames(samples)), 2.0, 20.0)
         assert abs(slope - 0.5) <= 0.02
 
     def test_requires_exceedances(self):
         rng = np.random.default_rng(1)
         samples = whole_frames(rng.exponential(1.0, 2000))
         with pytest.raises(InsufficientTailData) as err:
-            tail_slope(delay_histogram(samples), 2.0, 25.0)
+            tail_slope(histogram(samples), 2.0, 25.0)
         assert err.value.achieved < 100
 
     def test_rejects_degenerate_samples(self):
         with pytest.raises(ValueError, match="degenerate"):
-            tail_slope(delay_histogram(np.full(10_000, 50)), 2.0, 10.0)
+            tail_slope(histogram(np.full(10_000, 50)), 2.0, 10.0)
 
     def test_rejects_narrow_window(self):
         with pytest.raises(ValueError, match="fewer than two"):
-            tail_slope(delay_histogram(np.arange(1000)), 5.0, 5.5)
+            tail_slope(histogram(np.arange(1000)), 5.0, 5.5)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_form_matches_polyfit(self, seed):
@@ -748,7 +736,7 @@ class TestTailSlope:
         # up to rounding, over the windows validate uses and wider ones
         rng = np.random.default_rng(seed)
         samples = whole_frames(rng.exponential(rng.uniform(2.0, 20.0), 400_000))
-        hist = delay_histogram(samples)
+        hist = histogram(samples)
         x_lo, x_hi = suggest_fit_window(hist)
         for lo, hi in ((x_lo, x_hi), (0, x_hi), (x_lo, x_lo + 1), (-1.5, x_hi - 0.5)):
             xs = np.arange(math.ceil(lo), math.floor(hi) + 1)
@@ -765,7 +753,7 @@ class TestTailSlope:
         # the sort-based originals, for windows reaching below 0 and past
         # the largest sample too; a shortfall reported is always short of
         # what it needs
-        hist = delay_histogram(samples)
+        hist = histogram(samples)
         seen = [outcome(suggest_fit_window, hist)]
         assert seen[-1] == outcome(sorted_suggest_fit_window, samples)
         seen.append(outcome(tail_slope, hist, x_lo, x_lo + width))
@@ -785,7 +773,7 @@ class TestTailSlope:
         # exceedance minimum
         rng = np.random.default_rng(2)
         samples = whole_frames(rng.exponential(5.0, 500_000))
-        hist = delay_histogram(samples)
+        hist = histogram(samples)
         x_lo, x_hi = suggest_fit_window(hist)
         assert (x_lo, x_hi) == sorted_suggest_fit_window(samples)
         n = samples.size
