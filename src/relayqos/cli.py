@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -250,10 +249,6 @@ def _sweep_table(rows) -> list[tuple]:
     return [SWEEP_COLUMNS, *(dataclasses.astuple(row) for row in rows)]
 
 
-def write_sweep_csv(rows, stream) -> None:
-    _write_rows(stream, _sweep_table(rows))
-
-
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -305,12 +300,6 @@ class ValidationReport:
             ("hop2_fit_window", str(self.hop2_fit_window)),
             ("notes", self.notes),
         ]
-
-    def to_text(self) -> str:
-        """Deterministic two-column CSV rendering of the report."""
-        text = io.StringIO()
-        _write_rows(text, self.rows())
-        return text.getvalue()
 
 
 def _fit_hop_slope(hist: DelayHistogram) -> tuple[float, tuple[int, int] | None, str]:
@@ -372,13 +361,16 @@ def _parse_grid(text: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid endpoints must be finite, got {text!r}")
     if n < 1:
         raise ConfigError(f"grid needs at least one point, got {n}")
-    if len(parts) == 4:
-        if lo <= 0 or hi <= 0:
-            raise ConfigError("log grid endpoints must be positive")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    if len(parts) == 4 and (lo <= 0 or hi <= 0):
+        raise ConfigError("log grid endpoints must be positive")
+    try:
+        return np.geomspace(lo, hi, n) if len(parts) == 4 else np.linspace(lo, hi, n)
+    except MemoryError as exc:
+        raise ConfigError(f"grid of {n} points does not fit in memory") from exc
 
 
 def _load_profile(args) -> RadioProfile:

@@ -34,14 +34,14 @@ class HopDelayLaw:
 
 
 def single_hop_ccdf(law: HopDelayLaw, x: float) -> float:
-    """P(D > x) for one hop, x in frames."""
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
+    """P(D > x) for one hop, x in frames, finite and >= 0."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x!r}")
     return math.exp(-law.rate * x)
 
 
 def two_hop_ccdf(law1: HopDelayLaw, law2: HopDelayLaw, x: float) -> float:
-    """P(D1 + D2 > x) for independent exponential hop delays.
+    """P(D1 + D2 > x) for independent exponential hop delays, x finite and >= 0.
 
     With b the slower rate and a the faster, the hypoexponential CCDF
     (a*e^{-bx} - b*e^{-ax}) / (a - b) is evaluated as
@@ -49,8 +49,8 @@ def two_hop_ccdf(law1: HopDelayLaw, law2: HopDelayLaw, x: float) -> float:
     That form has no cancellation as a - b -> 0 and reduces exactly to the
     Erlang-2 CCDF (1 + bx) * e^{-bx} at equal rates.
     """
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x!r}")
     a, b = max(law1.rate, law2.rate), min(law1.rate, law2.rate)
     t = (a - b) * x
     phi = 1.0 if t == 0.0 else -math.expm1(-t) / t

@@ -27,13 +27,13 @@ uniforms are drawn, turned into services in place, both hops scanned and
 both departure curves tagged in a few chunk-sized buffers that stay in
 cache, so the only memory that grows with the horizon is the delay arrays
 returned.  They hold the narrowest unsigned type that fits the largest
-delay, uint8 until a delay passes 255 frames, so a caller casts them
-before subtracting.  By default there are three (hop 1, hop 2 and e2e, 3 B
-per frame); with ``hop_arrays=False`` only the e2e array is kept (1 B per
-frame), for a caller that needs no more of the hops than the histograms
-below.  The tagging itself is int32, which is exact: SimConfig keeps
-n_frames + _MAX_RUN_ON_FRAMES below 2**31, and every count and partial sum
-of the tagging lies in [-n, n + run-on].  Each hop carries its cumulative
+delay, uint8 until an e2e delay passes 255 frames (e2e bounds both hops),
+so a caller casts them before subtracting.  By default there are three
+(hop 1, hop 2 and e2e, 3 B per frame); with ``hop_arrays=False`` only the
+e2e array is kept (1 B per frame), for a caller that needs no more of the
+hops than the histograms below.  The tagging itself is int32, which is
+exact: SimConfig keeps n_frames + _MAX_RUN_ON_FRAMES below 2**31, and every
+count and partial sum of the tagging lies in [-n, n + run-on].  Each hop carries its cumulative
 net input, the running minimum of that sum and its departure curve's
 running maximum across a chunk boundary, and hop 2 its last cumulative
 arrival.  Every carry is folded into element 0 of the next chunk before its
@@ -61,12 +61,13 @@ hands those delays on and the tagger keeps a count and a carry, not a
 frame-length array.  Tagging costs O(n) time and no frame-length memory
 beyond its output, and its output equals searchsorted(m(curve), c, "left")
 bit for bit (tests/test_qsim.py keeps that binary search as the
-reference).  The end-to-end curve never runs ahead of hop 1's, so hop 2's
-delay, e2e minus hop 1 minus the forwarding frame, is formed as each e2e
-delay is fixed; a hop-1 delay is held only until then.  Each hop's pieces
-are counted into its histogram (one ``np.bincount`` per piece) while they
-are in cache, so the run returns both hops' histograms whether or not it
-keeps their arrays, equal to ``np.bincount`` of those arrays.
+reference).  The end-to-end curve never runs ahead of hop 1's, so a hop-1
+delay is held only until its bit's e2e delay is fixed.  Then hop 2's delay,
+e2e minus hop 1 minus the forwarding frame, is formed, the bit's three
+delays are written and each hop's piece is counted into its histogram (one
+``np.bincount`` per piece) while it is in cache, so the run returns both
+hops' histograms whether or not it keeps their arrays, equal to
+``np.bincount`` of those arrays.
 
 Tail statistics in O(max delay).  Delays are whole frames, so a hop's
 histogram holds one count per delay 0..max.  :func:`suggest_fit_window` and
@@ -189,11 +190,14 @@ class DelayHistogram:
     """Counts of whole-frame delays: ``counts[x]`` samples equal x, x = 0..max.
 
     :func:`simulate_tandem` counts one per hop as it scans, with at least
-    one bin and its counts array read-only; the number of samples is
-    ``counts.sum()``.
+    one bin; the number of samples is ``counts.sum()``.  The counts array
+    is made read-only on construction.
     """
 
     counts: np.ndarray
+
+    def __post_init__(self):
+        self.counts.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -203,8 +207,8 @@ class DelayStats:
     The arrays share the narrowest unsigned dtype that holds the largest
     delay (uint8, uint16 or uint32), so cast them to a signed type before
     subtracting one from another.  ``hop1_histogram`` and
-    ``hop2_histogram`` count each hop's delays as the scan finalises them,
-    equal to ``np.bincount`` of the hop arrays.  A run with
+    ``hop2_histogram`` count each hop's delays as the scan finalises each
+    bit's e2e delay, equal to ``np.bincount`` of the hop arrays.  A run with
     ``hop_arrays=False`` keeps only ``e2e_delays`` (1 B per frame while
     the delays fit uint8, against 3 B with all three arrays), and its
     ``hop1_delays`` and ``hop2_delays`` are None.  Each array holds one
@@ -394,11 +398,6 @@ def _count_into(counts: np.ndarray, delays: np.ndarray) -> np.ndarray:
     return piece
 
 
-def _frozen(counts: np.ndarray) -> DelayHistogram:
-    counts.flags.writeable = False
-    return DelayHistogram(counts)
-
-
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
                     cfg: SimConfig, *, hop_arrays: bool = True) -> DelayStats:
     """Simulate the tandem queue and record per-hop and end-to-end delays.
@@ -410,11 +409,12 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     fresh arrivals.  Frame n + j of the run-on takes draws 2n + 2j and
     2n + 2j + 1 of the Philox(seed) stream, whatever the step sizes.  The
     delay arrays are allocated once as uint8, 1 B per tagged frame each,
-    and widened together to uint16 or uint32 only if a delay needs it;
-    being unsigned, they are cast before subtracting.  Each hop's delays
-    are counted into its histogram as they are finalised.  With
-    ``hop_arrays=False`` only the e2e array is kept: each hop-1 delay is
-    held only until the e2e tagger finalises its bit.
+    and widened together to uint16 or uint32 only if an e2e delay needs it
+    (e2e bounds both hops); being unsigned, they are cast before
+    subtracting.  Each hop-1 delay is held until the e2e tagger finalises
+    its bit; then the bit's three delays are written and counted into the
+    hop histograms in one place.  With ``hop_arrays=False`` only the e2e
+    array is allocated.
 
     Raises
     ------
@@ -465,25 +465,22 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
             # hop 1 takes the even draws and hop 2 the odd ones
             u1, u2 = rng2.random(out=draws[:2 * k]).reshape(k, 2).T
         dep1, dep2, _ = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
-        part1, part_e2e = tag1.feed(dep1), tag2.feed(dep2)
         # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
         # delays of the bits it finalised are held already
-        held = np.concatenate((held, part1))
-        part2 = part_e2e - held[:part_e2e.size]
+        held = np.concatenate((held, tag1.feed(dep1)))
+        part_e2e = tag2.feed(dep2)
+        part1, held = held[:part_e2e.size], held[part_e2e.size:]
+        part2 = part_e2e - part1
         part2 -= 1  # the frame the relay holds each bit before forwarding it
-        held = held[part_e2e.size:]
         counts1, counts2 = _count_into(counts1, part1), _count_into(counts2, part2)
-        top = max(part1.max(initial=0), part_e2e.max(initial=0))
+        top = part_e2e.max(initial=0)  # e2e = hop 1 + hop 2 + 1 bounds both hops
         if top > np.iinfo(e2e.dtype).max:
-            wide = np.min_scalar_type(top)
-            e2e, *hops = (a.astype(wide) for a in (e2e, *hops))
+            e2e, *hops = (a.astype(np.min_scalar_type(top)) for a in (e2e, *hops))
         done = slice(tag2.finished - part_e2e.size, tag2.finished)
-        e2e[done] = part_e2e
-        if hops:
-            hops[0][tag1.finished - part1.size:tag1.finished] = part1
-            hops[1][done] = part2
+        for array, part in zip((e2e, *hops), (part_e2e, part1, part2)):
+            array[done] = part
     hop1, hop2 = hops or (None, None)
-    return DelayStats(hop1, hop2, e2e, n, _frozen(counts1), _frozen(counts2))
+    return DelayStats(hop1, hop2, e2e, n, DelayHistogram(counts1), DelayHistogram(counts2))
 
 
 def empirical_ccdf(samples, x: float) -> tuple[float, float]:
@@ -496,7 +493,10 @@ def empirical_ccdf(samples, x: float) -> tuple[float, float]:
     t(0.975, b - 1) * sd(batch fractions) / sqrt(b).  With a single sample
     it is infinite.  When no sample exceeds x, or every one does, the batch
     fractions cannot spread, so the half-width is undefined (NaN), not 0.
+    A NaN x raises ValueError.
     """
+    if math.isnan(x):
+        raise ValueError(f"x must not be NaN, got {x!r}")
     samples = np.asarray(samples)
     n = samples.size
     if n == 0:

@@ -5,7 +5,6 @@ are fixed here; nothing is deferred to later calibration.
 """
 
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -233,19 +232,20 @@ def test_criterion_6_simulator_validation():
 # 7. determinism
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_determinism():
-    profile = cli.RadioProfile(delay_bound=0.1, violation_prob=1e-2,
-                               transmission_time=2e-3)
-    grid = list(np.linspace(20.0, 80.0, 7))
-    first, second = io.StringIO(), io.StringIO()
-    cli.write_sweep_csv(cli.sweep(profile, "d1", grid), first)
-    cli.write_sweep_csv(cli.sweep(profile, "d1", grid), second)
-    sweep_ok = first.getvalue() == second.getvalue()
+def test_criterion_7_determinism(tmp_path):
+    profile = ["--delay_bound", "0.1", "--violation_prob", "1e-2",
+               "--transmission_time", "2e-3"]
 
-    cfg = rq.SimConfig(n_frames=200_000, warmup_frames=5_000, seed=17)
-    report_a = cli.validate(profile, cfg).to_text()
-    report_b = cli.validate(profile, cfg).to_text()
-    report_ok = report_a == report_b
+    def rendered(command, name):
+        out = tmp_path / name
+        assert cli.main([*command, *profile, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    sweep = ["sweep", "--axis", "d1", "--grid", "20:80:7"]
+    sweep_ok = rendered(sweep, "sweep_a.csv") == rendered(sweep, "sweep_b.csv")
+
+    validate = ["validate", "--frames", "200000", "--warmup", "5000", "--seed", "17"]
+    report_ok = rendered(validate, "report_a.csv") == rendered(validate, "report_b.csv")
 
     ok = sweep_ok and report_ok
     assert _report(7, "determinism", ok,

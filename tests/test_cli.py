@@ -31,7 +31,6 @@ from relayqos.cli import (
     to_scenario,
     transmission_time,
     validate,
-    write_sweep_csv,
 )
 from relayqos.qsim import _SIM_CHUNK, SimConfig, StabilityError
 
@@ -108,6 +107,14 @@ class TestToScenario:
 
 FAST = RadioProfile(delay_bound=0.1, violation_prob=1e-2,
                     transmission_time=2e-3)
+FAST_FLAGS = ["--delay_bound", "0.1", "--violation_prob", "1e-2",
+              "--transmission_time", "2e-3"]
+
+
+def fast_output(capsys, *args):
+    """What ``main`` writes to stdout for a command at the FAST profile."""
+    assert main([*args, *FAST_FLAGS]) == 0
+    return capsys.readouterr().out
 
 
 class TestSweep:
@@ -151,13 +158,11 @@ class TestSweep:
         assert [r["feasible"] for r in rows] == ["False", "True", "True"]
         assert "range" in rows[0]["error"]
 
-    def test_deterministic(self):
-        grid = list(np.geomspace(1e-4, 1e-1, 5))
-        first = io.StringIO()
-        second = io.StringIO()
-        write_sweep_csv(sweep(FAST, "violation_prob", grid), first)
-        write_sweep_csv(sweep(FAST, "violation_prob", grid), second)
-        assert first.getvalue() == second.getvalue()
+    def test_deterministic(self, capsys):
+        args = ["sweep", "--axis", "violation_prob", "--grid", "1e-4:1e-1:5:log"]
+        first = fast_output(capsys, *args)
+        second = fast_output(capsys, *args)
+        assert first == second
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ConfigError):
@@ -165,21 +170,21 @@ class TestSweep:
 
 
 class TestValidate:
-    def test_report_contents_and_determinism(self):
-        cfg = SimConfig(n_frames=200_000, warmup_frames=5_000, seed=21)
-        report = validate(FAST, cfg)
-        again = validate(FAST, cfg)
-        assert report.to_text() == again.to_text()
-        assert report.analytic_violation == pytest.approx(1e-2, rel=1e-6, abs=0.0)
-        assert 0.0 <= report.empirical_violation <= 1.0
-        text = report.to_text()
+    def test_report_contents_and_determinism(self, capsys):
+        args = ["validate", "--frames", "200000", "--warmup", "5000", "--seed", "21"]
+        text = fast_output(capsys, *args)
+        assert text == fast_output(capsys, *args)
+        rows = dict(csv.reader(io.StringIO(text)))
+        assert float(rows["analytic_violation"]) == pytest.approx(1e-2, rel=1e-6, abs=0.0)
+        assert 0.0 <= float(rows["empirical_violation"]) <= 1.0
         assert "empirical_violation" in text
         assert "residual_load" in text
 
-    def test_different_seed_changes_report(self):
-        report_a = validate(FAST, SimConfig(n_frames=100_000, seed=1))
-        report_b = validate(FAST, SimConfig(n_frames=100_000, seed=2))
-        assert report_a.to_text() != report_b.to_text()
+    def test_different_seed_changes_report(self, capsys):
+        args = ["validate", "--frames", "100000", "--warmup", "0"]
+        report_a = fast_output(capsys, *args, "--seed", "1")
+        report_b = fast_output(capsys, *args, "--seed", "2")
+        assert report_a != report_b
 
     def test_peak_memory_is_the_e2e_array(self, monkeypatch):
         # validate keeps one frame-length array, the e2e delays (1 B per
@@ -318,6 +323,20 @@ class TestMain:
         validate_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         start = validate_rows.index(allocate_rows[1])
         assert validate_rows[start:start + len(allocate_rows) - 1] == allocate_rows[1:]
+
+    @pytest.mark.parametrize("command", [["ccdf"], ["sweep", "--axis", "d1"]])
+    @pytest.mark.parametrize("grid,reason", [
+        ("nan:1:3", "grid endpoints must be finite"),
+        ("0:inf:3", "grid endpoints must be finite"),
+        ("1:inf:3:log", "grid endpoints must be finite"),
+        # 7.3 TiB: numpy refuses the allocation at once
+        ("0:1:1000000000000", "grid of 1000000000000 points does not fit in memory"),
+    ])
+    def test_unusable_grid_is_invalid_config(self, capsys, command, grid, reason):
+        assert main([*command, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"invalid configuration: {reason}")
+        assert captured.out == ""
 
     def test_ccdf_command(self, tmp_path):
         out = tmp_path / "ccdf.csv"

@@ -46,14 +46,22 @@ class TestSingleHop:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             HopDelayLaw(0.0)
-        with pytest.raises(ValueError):
-            single_hop_ccdf(HopDelayLaw(1.0), -1.0)
+        for x in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^x must be finite and >= 0"):
+                single_hop_ccdf(HopDelayLaw(1.0), x)
 
 
 class TestTwoHop:
     def test_at_zero(self):
         law = HopDelayLaw(0.5)
         assert two_hop_ccdf(law, law, 0.0) == 1.0
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_x(self, x):
+        # at x = inf the closed form would be 0 * inf = NaN
+        law = HopDelayLaw(0.5)
+        with pytest.raises(ValueError, match="^x must be finite and >= 0"):
+            two_hop_ccdf(law, law, x)
 
     def test_distinct_rates_example(self):
         # (a=1, b=2, x=1): 2/e - e^-2, cross-checked by convolution

@@ -442,10 +442,11 @@ class TestSimulateTandem:
     @pytest.mark.parametrize("kappa2", [0.005030050640275492, 10.0])
     def test_widens_past_one_byte(self, monkeypatch, chunk, kappa2):
         # hop 1 barely outruns a unit load with exponential-like service, so
-        # its backlog wanders to delays past 255 frames.  With hop 2 as tight
-        # an e2e delay needs 16 bits first; with hop 2 generous a hop-1
-        # delay does, a frame before e2e finalises that bit.  Either way the
-        # arrays widen to uint16, whichever chunk that falls in.
+        # its backlog wanders to delays past 255 frames.  A bit's three
+        # delays are written when its e2e delay is final, and the arrays
+        # widen on that e2e delay, which bounds both hops (e2e = hop 1 +
+        # hop 2 + 1).  With hop 2 as tight as hop 1 or generous, they widen
+        # to uint16, whichever chunk that falls in.
         scenario = Scenario(traffic_load=1.0, delay_bound=50.0,
                             violation_prob=1e-2, bt_product=200.0)
         tight = Allocation(kappa1=0.005030050640275492, kappa2=kappa2,
@@ -664,6 +665,13 @@ class TestEmpiricalCcdf:
         with pytest.raises(ValueError):
             empirical_ccdf([], 1)
 
+    def test_nan_x_rejected(self):
+        # every comparison with NaN is false, which would read as P = 0
+        with pytest.raises(ValueError, match="^x must not be NaN"):
+            empirical_ccdf([1, 2, 3], math.nan)
+        with pytest.raises(ValueError, match="^x must not be NaN"):
+            empirical_ccdf(np.arange(100), np.float64("nan"))
+
 
 def whole_frames(samples):
     """Float delays rounded up to the whole frames the simulator counts."""
@@ -691,7 +699,8 @@ class TestDelayHistogram:
 
     def test_counts_are_read_only(self, headline_allocation):
         stats = simulate_tandem(SCENARIO, headline_allocation, SimConfig(n_frames=100))
-        for hist in (stats.hop1_histogram, stats.hop2_histogram):
+        built = DelayHistogram(np.array([3, 1, 4]))
+        for hist in (stats.hop1_histogram, stats.hop2_histogram, built):
             with pytest.raises(ValueError):
                 hist.counts[0] = 9
 
