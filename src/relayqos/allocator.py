@@ -181,17 +181,18 @@ def _newton_root(f, x: float, x_max: float) -> float | None:
     raise RuntimeError(f"Newton solve did not converge, last iterate {x!r}")
 
 
-def _solve_power(step: str, theta: float, target: float, snr_ceiling: float,
+def _solve_power(step: str, theta: float, target: float, mean_gain: float,
                  scenario: Scenario) -> float:
-    """SNR at which a hop's effective capacity at theta equals target.
+    """Power kappa = snr / mean_gain at which a hop's capacity at theta is target.
 
-    Newton runs in x = ln(snr) up to ln(snr_ceiling), with the slope from the
-    capacity value.  Jensen's inequality, C <= BT*ln(1 + snr), puts the start
-    snr = expm1(target/BT) at or below the root.  A load so small that theta
-    = u/A carries the solve past the float range (below about 1e-301
-    nats/frame in the CLI's default profile) raises ValueError naming
-    traffic_load, not a bare overflow; only a theta whose square overflows
-    counts as such a load, and any other error propagates unchanged.
+    Newton runs in x = ln(snr) up to ln(POWER_CEILING * mean_gain), with the
+    slope from the capacity value.  Jensen's inequality, C <= BT*ln(1 + snr),
+    puts the start snr = expm1(target/BT) at or below the root.  A load so
+    small that theta = u/A carries the solve past the float range (below
+    about 1e-301 nats/frame in the CLI's default profile) raises ValueError
+    naming traffic_load, not a bare overflow; only a theta whose square
+    overflows counts as such a load, and any other error propagates
+    unchanged.  A power that underflows to zero is infeasible.
     """
     bt = scenario.bt_product
 
@@ -203,7 +204,8 @@ def _solve_power(step: str, theta: float, target: float, snr_ceiling: float,
     try:
         t = target / bt
         # ln(expm1(t)) in a form that cannot overflow
-        root = _newton_root(gap, t + math.log(-math.expm1(-t)), math.log(snr_ceiling))
+        root = _newton_root(gap, t + math.log(-math.expm1(-t)),
+                            math.log(POWER_CEILING * mean_gain))
     except (OverflowError, ValueError) as exc:
         if math.isfinite(theta * theta):
             raise
@@ -212,13 +214,7 @@ def _solve_power(step: str, theta: float, target: float, snr_ceiling: float,
             f"the solver's floating-point range (theta = {theta:.3g}): {exc}") from exc
     if root is None:
         raise InfeasibleError(step, f"no solution below the power ceiling {POWER_CEILING:g}")
-    return math.exp(root)
-
-
-def _hop_power(step: str, theta: float, target: float, mean_gain: float,
-               scenario: Scenario) -> float:
-    """Power kappa = snr / mean_gain of the hop's gain-free SNR solve."""
-    kappa = _solve_power(step, theta, target, POWER_CEILING * mean_gain, scenario) / mean_gain
+    kappa = math.exp(root) / mean_gain
     if kappa == 0.0:
         raise InfeasibleError(step, "required power underflows to zero")
     return kappa
@@ -233,8 +229,8 @@ def solve_kappa1(theta1: float, scenario: Scenario) -> float:
     """Hop-1 power: effective capacity at theta1 equals the traffic load."""
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be > 0, got {theta1!r}")
-    return _hop_power("solve_kappa1", theta1, scenario.traffic_load,
-                      scenario.hop1_mean_gain, scenario)
+    return _solve_power("solve_kappa1", theta1, scenario.traffic_load,
+                        scenario.hop1_mean_gain, scenario)
 
 
 def relative_departure_burstiness(u: float, kappa1: float, scenario: Scenario) -> float:
@@ -284,8 +280,8 @@ def solve_kappa2(theta2: float, r: float, scenario: Scenario) -> float:
     """Hop-2 power: effective capacity at theta2 matches hop 2's arrival law."""
     if not theta2 > 0.0:
         raise ValueError(f"theta2 must be > 0, got {theta2!r}")
-    return _hop_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, r, scenario),
-                      scenario.hop2_mean_gain, scenario)
+    return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, r, scenario),
+                        scenario.hop2_mean_gain, scenario)
 
 
 def allocate(scenario: Scenario) -> Allocation:

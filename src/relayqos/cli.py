@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -90,10 +91,13 @@ class RadioProfile:
     transmission_time: float | None = None
 
     def __post_init__(self):
-        for name in ("frame_duration", "bandwidth", "reference_distance", "d1", "d2",
-                     "traffic_load", "delay_bound", "transmission_time"):
-            value = getattr(self, name)
-            if not (value is None and name == "transmission_time" or 0.0 < value < math.inf):
+        for name, value in vars(self).items():
+            if value is None and name == "transmission_time":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if (name not in ("path_loss_exponent", "violation_prob")
+                    and not 0.0 < value < math.inf):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         if not 2.0 <= self.path_loss_exponent <= 6.0:
             raise ConfigError(
@@ -389,10 +393,7 @@ def _load_profile(args) -> RadioProfile:
         values.update(loaded)
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(RadioProfile)}
     values.update((name, value) for name, value in flags.items() if value is not None)
-    try:
-        return RadioProfile(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RadioProfile(**values)
 
 
 def _add_profile_flags(parser: argparse.ArgumentParser) -> None:

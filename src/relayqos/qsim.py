@@ -33,9 +33,10 @@ so a caller casts them before subtracting.  By default there are three
 e2e array is kept (1 B per frame), for a caller that needs no more of the
 hops than the histograms below.  The tagging itself is int32, which is
 exact: SimConfig keeps n_frames + _MAX_RUN_ON_FRAMES below 2**31, and every
-count and partial sum of the tagging lies in [-n, n + run-on].  Each hop carries its cumulative
-net input, the running minimum of that sum and its departure curve's
-running maximum across a chunk boundary, and hop 2 its last cumulative
+count and partial sum of the tagging lies in [-n, n + run-on].  Both hops
+run one Lindley scan, each hop's queue carrying its cumulative net input,
+the running minimum of that sum and its departure curve's running maximum
+across a chunk boundary; the tandem carries only hop 2's last cumulative
 arrival.  Every carry is folded into element 0 of the next chunk before its
 cumulative sum or accumulate, so each float operation is the one a single
 scan over the whole run makes and the delays do not depend on the chunk.
@@ -53,20 +54,20 @@ Delay tagging in O(n).  Each curve value v reaches the bit indices up to
 m(v) = floor(v/load + _INDEX_SLACK).  Division by a positive constant,
 adding a constant and floor are each monotone under round-to-nearest, and
 the curve never falls, so neither does m.  Bit c therefore departs in frame
-tau(c), the number of curve values with m < c, which is the running sum of
-a histogram of m.  The curve is fed in as the scan makes it, one chunk at a
+tau(c), the number of curve values with m < c, which is the running sum of a
+histogram of m.  The curve is fed in as the scan makes it, one chunk at a
 time, each histogrammed over the short range of m it spans.  Since m never
 falls, every bit below the last m fed has its delay fixed, so each chunk
-hands those delays on and the tagger keeps a count and a carry, not a
-frame-length array.  Tagging costs O(n) time and no frame-length memory
-beyond its output, and its output equals searchsorted(m(curve), c, "left")
-bit for bit (tests/test_qsim.py keeps that binary search as the
-reference).  The end-to-end curve never runs ahead of hop 1's, so a hop-1
-delay is held only until its bit's e2e delay is fixed.  Then hop 2's delay,
-e2e minus hop 1 minus the forwarding frame, is formed, the bit's three
-delays are written and each hop's piece is counted into its histogram (one
-``np.bincount`` per piece) while it is in cache, so the run returns both
-hops' histograms whether or not it keeps their arrays, equal to
+hands those delays on and the tagger keeps two counts, the curve values fed
+and the delays handed on, not a frame-length array.  Tagging costs O(n) time
+and no frame-length memory beyond its output, and its output equals
+searchsorted(m(curve), c, "left") bit for bit (tests/test_qsim.py keeps that
+binary search as the reference).  The end-to-end curve never runs ahead of
+hop 1's, so a hop-1 delay is held only until its bit's e2e delay is fixed.
+Then hop 2's delay, e2e minus hop 1 minus the forwarding frame, is formed,
+the bit's three delays are written and each hop's piece is counted into its
+histogram (one ``np.bincount`` per piece) while it is in cache, so the run
+returns both hops' histograms whether or not it keeps their arrays, equal to
 ``np.bincount`` of those arrays.
 
 Tail statistics in O(max delay).  Delays are whole frames, so a hop's
@@ -80,7 +81,7 @@ least-squares line's in closed form, so no linear-algebra routine runs.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -165,11 +166,8 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_frames", "warmup_frames", "seed"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(
-                    f"{name} must be a whole number, got {value!r}") from None
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be a whole number, got {value!r}")
         if self.warmup_frames < 0:
             raise ValueError(f"warmup_frames must be >= 0, got {self.warmup_frames!r}")
         if self.n_frames <= self.warmup_frames:
@@ -253,56 +251,67 @@ def _hop2_generator(seed: int, n: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _queue_after_frames(net: np.ndarray, work: np.ndarray,
-                        cum: float, low: float) -> tuple[float, float]:
-    """Turn per-frame net input into Q[t+1], in place in ``net``.
+class _Queue:
+    """One hop's Lindley scan, carried from chunk to chunk of a run.
 
     Q[t+1] = max(Q[t] + net[t], 0) with Q = 0 before the first chunk, as the
-    cumulative sum minus its running minimum (floored at 0).  ``cum`` and
-    ``low`` are that sum and that minimum carried from the previous chunk
-    (0 and +inf before the first); each is folded into element 0 before its
-    scan, so every float operation is the one a single scan over the whole
-    run makes.  Returns the carries for the next chunk; ``work`` is
-    scratch of the same length.
+    cumulative sum of the net input minus its running minimum (floored at
+    0).  The queue carries that sum, that minimum and its departure curve's
+    running maximum (the curve's last value) across a chunk boundary, each
+    folded into element 0 before its scan, so every float operation is the
+    one a single scan over the whole run makes.
     """
-    net[0] += cum
-    np.cumsum(net, out=net)
-    first = net[0]
-    net[0] = min(low, first)
-    # fmin and minimum differ only on NaN, and the scan sees none (gains and
-    # so services are finite); fmin's accumulate is the faster of the two
-    np.fmin.accumulate(net, out=work)
-    net[0] = first
-    cum, low = float(net[-1]), float(work[-1])
-    np.minimum(work, 0.0, out=work)
-    np.subtract(net, work, out=net)
-    return cum, low
+
+    def __init__(self):
+        self.cum = 0.0  # cumulative net input
+        self.low = math.inf  # running minimum of that sum
+        self.dep = 0.0  # last departure-curve value; the curve starts at 0 and never falls
+
+    def depart(self, net: np.ndarray, arrived: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
+        """The chunk's departure curve, ``arrived`` less Q[t+1], in place in ``net``.
+
+        ``net`` is the chunk's per-frame net input, ``arrived`` its
+        cumulative arrival curve and ``work`` scratch of the same length.
+        """
+        net[0] += self.cum
+        np.cumsum(net, out=net)
+        first = net[0]
+        net[0] = min(self.low, first)
+        # fmin and minimum differ only on NaN, and the scan sees none (gains and
+        # so services are finite); fmin's accumulate is the faster of the two
+        np.fmin.accumulate(net, out=work)
+        net[0] = first
+        self.cum, self.low = float(net[-1]), float(work[-1])
+        np.minimum(work, 0.0, out=work)
+        np.subtract(net, work, out=net)  # Q[t+1]
+        dep = np.subtract(arrived, net, out=net)
+        dep[0] = max(self.dep, dep[0])
+        np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
+        self.dep = float(dep[-1])
+        return dep
 
 
 class _TandemScan:
     """Both hops' Lindley scans over successive chunks of a run.
 
     :meth:`step` takes the next chunk's per-frame services and returns that
-    chunk's cumulative departure curves.  Across the chunk boundary it
-    carries each hop's cumulative net input, its running minimum and its
-    departure curve's running maximum (which is the curve's last value), and
-    hop 2's last cumulative arrival; with these folded into element 0 the
-    curves equal those of one scan over the whole run bit for bit.
+    chunk's cumulative departure curves.  Each hop is a :class:`_Queue`
+    carrying its own state; the scan keeps only what couples them, the
+    frames scanned so far and hop 2's last cumulative arrival, so the curves
+    equal those of one scan over the whole run bit for bit.
     """
 
     def __init__(self, load: float, size: int):
         self.load = load
         self.frames = 0
-        self.cum1 = self.cum2 = 0.0  # cumulative net input of each hop
-        self.low1 = self.low2 = math.inf  # running minimum of that sum
-        # last departure-curve values; the curves start at 0 and never fall
-        self.dep1 = self.dep2 = 0.0
+        self.hop1, self.hop2 = _Queue(), _Queue()
         self.arr2 = 0.0  # last value of hop 2's cumulative arrival curve
         self._frame_number = np.arange(1.0, size + 1.0)
         # hop 1's curve after a leading slot for the previous chunk's last
         # value, so hop 2's arrivals, one frame behind it, copy nothing
         self._curve1 = np.empty(size + 1)
-        self._curve2 = np.empty(size)
+        self._work = np.empty(size)  # hop 1's arrival curve, then hop 2's net input
 
     def step(self, s1: np.ndarray, s2: np.ndarray):
         """Curves (dep1, dep2, arr2) of the next ``s1.size`` frames.
@@ -312,28 +321,20 @@ class _TandemScan:
         """
         k = s1.size
         curve1 = self._curve1[:k + 1]
-        curve1[0] = self.dep1
-        dep1 = curve1[1:]
-        np.subtract(self.load, s1, out=dep1)
-        self.cum1, self.low1 = _queue_after_frames(dep1, s1, self.cum1, self.low1)
-        np.add(self._frame_number[:k], self.frames, out=s1)
-        np.multiply(self.load, s1, out=s1)  # hop 1's arrival curve
-        np.subtract(s1, dep1, out=dep1)
-        dep1[0] = max(self.dep1, dep1[0])
-        np.fmax.accumulate(dep1, out=dep1)  # exact: see _queue_after_frames
+        curve1[0] = self.hop1.dep
+        arr1 = np.add(self._frame_number[:k], self.frames, out=self._work[:k])
+        np.multiply(self.load, arr1, out=arr1)
+        net1 = np.subtract(self.load, s1, out=curve1[1:])
+        dep1 = self.hop1.depart(net1, arr1, s1)
 
         arr2 = curve1[:-1]
-        q2 = self._curve2[:k]  # hop 2's arrivals per frame, net input, Q2
-        q2[0] = arr2[0] - self.arr2
-        np.subtract(arr2[1:], arr2[:-1], out=q2[1:])
-        np.subtract(q2, s2, out=q2)
-        self.cum2, self.low2 = _queue_after_frames(q2, s2, self.cum2, self.low2)
-        dep2 = np.subtract(arr2, q2, out=q2)
-        dep2[0] = max(self.dep2, dep2[0])
-        np.fmax.accumulate(dep2, out=dep2)
+        net2 = self._work[:k]  # hop 2's arrivals per frame, less its service
+        net2[0] = arr2[0] - self.arr2
+        np.subtract(arr2[1:], arr2[:-1], out=net2[1:])
+        np.subtract(net2, s2, out=net2)
+        dep2 = self.hop2.depart(net2, arr2, s2)
 
         self.frames += k
-        self.dep1, self.dep2 = float(dep1[-1]), float(dep2[-1])
         self.arr2 = float(arr2[-1])
         return dep1, dep2, arr2
 
@@ -348,21 +349,16 @@ class _Tagger:
     ``searchsorted(floor(curve/load + _INDEX_SLACK), c, "left")`` (see the
     module docstring).  Every later value reaches at least the bits the last
     one fed reaches, so the delays of the bits below those are final, and
-    each :meth:`feed` returns them; the tagger keeps three integers, not a
-    frame-length array.
+    each :meth:`feed` returns them; the tagger keeps two counts, the curve
+    values fed and the delays returned, not a frame-length array.
     """
 
     def __init__(self, load: float, first: int, last: int):
         self.load = load
         self.first = first
         self.n_tagged = last - first
+        self.fed = 0  # curve values fed so far
         self.finished = 0  # tagged bits whose delays have been returned
-        # curve values fed so far that reach exactly `finished` tagged bits
-        self.pending = 0
-        # with waits[j] = (curve values that reach exactly j tagged bits) - 1,
-        # delay k is sum(waits[:k + 1]) + 1 - first; the carry is
-        # sum(waits[:finished]) - first, the last delay returned less one
-        self.carry = -first
 
     @property
     def done(self) -> bool:
@@ -377,18 +373,17 @@ class _Tagger:
         m = np.floor(part / self.load + _INDEX_SLACK).astype(np.int64)
         m -= self.first
         np.clip(m, 0, self.n_tagged, out=m)
-        lo, hi = self.finished, int(m[-1])
+        lo, hi, fed = self.finished, int(m[-1]), self.fed
+        self.fed += part.size
         if hi == lo:
-            self.pending += part.size
             return np.empty(0, dtype=np.int32)
-        counts = np.bincount(m - lo)  # m never falls below the last hi
-        waits = counts[:hi - lo]
+        # m never falls below the last hi, so every earlier value has m <= lo
+        # and tagged bit lo + t leaves at value fed + #(m <= lo + t) of this piece
+        waits = np.bincount(m - lo)[:hi - lo]
         waits -= 1
-        waits[0] += self.pending + self.carry + 1
-        delays = np.cumsum(waits, dtype=np.int32)
-        self.finished, self.pending = hi, int(counts[-1])
-        self.carry = int(delays[-1]) - 1
-        return delays
+        waits[0] += fed - self.first - lo + 1
+        self.finished = hi
+        return np.cumsum(waits, dtype=np.int32)
 
 
 def _count_into(counts: np.ndarray, delays: np.ndarray) -> np.ndarray:
@@ -450,7 +445,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     hops = [np.empty_like(e2e), np.empty_like(e2e)] if hop_arrays else []
     counts1, counts2 = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     held = np.empty(0, dtype=np.int32)  # hop-1 delays of bits e2e has yet to finalise
-    while scan.frames < n or not (tag1.done and tag2.done):
+    while scan.frames < n or not tag2.done:  # e2e finalises after hop 1
         if scan.frames < n:
             k = min(chunk, n - scan.frames)
             u1 = rng1.random(out=draws[:k])

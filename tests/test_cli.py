@@ -393,6 +393,26 @@ class TestMain:
         assert err.startswith(f"invalid configuration: {name} must be finite")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("values,name", [
+        ({"traffic_load": True, "d1": True}, "d1"),
+        ({"traffic_load": False}, "traffic_load"),
+        ({"traffic_load": "1e5"}, "traffic_load"),
+        ({"violation_prob": [0.01]}, "violation_prob"),
+        ({"path_loss_exponent": None}, "path_loss_exponent"),
+        ({"transmission_time": "2e-3"}, "transmission_time"),
+    ])
+    def test_non_real_config_value_names_its_field(self, tmp_path, capsys, values, name):
+        # a JSON true solved at 1 bit/s with the relay at 1 m, and a string
+        # failed a comparison with a message that named no field
+        config = tmp_path / "profile.json"
+        config.write_text(json.dumps(values))
+        assert main(["allocate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: {name} must be a real number")
+        # an unset transmission time is half a frame, not an error
+        config.write_text(json.dumps({"transmission_time": None}))
+        assert main(["allocate", "--config", str(config)]) == 0
+
     @pytest.mark.parametrize("flags,what", [
         (["--d1", "1e-320"], "path-loss gain at d1"),
         (["--d2", "1e200"], "path-loss gain at d2"),

@@ -280,11 +280,12 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("n_frames", 1000.5), ("n_frames", 1000.0), ("warmup_frames", 10.0),
-        ("seed", 1.5), ("seed", "1")])
+        ("seed", 1.5), ("seed", "1"), ("n_frames", True), ("warmup_frames", False),
+        ("seed", True), ("n_frames", np.bool_(True))])
     def test_counts_and_seed_are_whole_numbers(self, name, value):
         # a float horizon was truncated by the run yet printed whole in the
         # report, a float warm-up failed inside numpy, a float seed was
-        # silently truncated
+        # silently truncated, and True ran a 1-frame horizon
         with pytest.raises(TypeError, match=f"^{name} must be a whole number"):
             SimConfig(**{"n_frames": 1000, name: value})
         SimConfig(n_frames=np.int64(1000), warmup_frames=np.uint8(10), seed=np.int64(3))
