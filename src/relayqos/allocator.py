@@ -277,9 +277,10 @@ def solve_theta2(u: float, r: float, scenario: Scenario) -> float:
 
 
 def solve_kappa2(theta2: float, r: float, scenario: Scenario) -> float:
-    """Hop-2 power: effective capacity at theta2 matches hop 2's arrival law."""
-    if not theta2 > 0.0:
-        raise ValueError(f"theta2 must be > 0, got {theta2!r}")
+    """Hop-2 power: effective capacity at theta2 matches hop 2's arrival law.
+
+    A theta2 <= 0 is rejected by :func:`relay_arrival_bandwidth` (ValueError).
+    """
     return _solve_power("solve_kappa2", theta2, relay_arrival_bandwidth(theta2, r, scenario),
                         scenario.hop2_mean_gain, scenario)
 

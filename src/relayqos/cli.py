@@ -75,8 +75,8 @@ class RadioProfile:
     """Physical-layer scenario description in SI units.
 
     ``transmission_time`` is the per-link transmission time T in seconds
-    inside each frame; unset, T = frame_duration / 2 (both links active at
-    once on separate bands).
+    inside each frame, at most frame_duration; unset, T = frame_duration / 2
+    (both links active at once on separate bands).
     """
 
     frame_duration: float = 2e-3
@@ -105,6 +105,10 @@ class RadioProfile:
         if not 0.0 < self.violation_prob < 1.0:
             raise ConfigError(
                 f"violation_prob must lie in (0, 1), got {self.violation_prob!r}")
+        if transmission_time(self) > self.frame_duration:
+            raise ConfigError(
+                f"transmission_time {self.transmission_time!r} s exceeds the frame "
+                f"({self.frame_duration!r} s)")
 
     @property
     def total_distance(self) -> float:
@@ -470,7 +474,7 @@ def main(argv=None) -> int:
     except StabilityError as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OverflowError) as exc:
+    except (ConfigError, ValueError, OverflowError, MemoryError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     if args.out is None:

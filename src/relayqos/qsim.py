@@ -31,15 +31,13 @@ delay, uint8 until an e2e delay passes 255 frames (e2e bounds both hops),
 so a caller casts them before subtracting.  By default there are three
 (hop 1, hop 2 and e2e, 3 B per frame); with ``hop_arrays=False`` only the
 e2e array is kept (1 B per frame), for a caller that needs no more of the
-hops than the histograms below.  The tagging itself is int32, which is
-exact: SimConfig keeps n_frames + _MAX_RUN_ON_FRAMES below 2**31, and every
-count and partial sum of the tagging lies in [-n, n + run-on].  Both hops
-run one Lindley scan, each hop's queue carrying its cumulative net input,
-the running minimum of that sum and its departure curve's running maximum
-across a chunk boundary; the tandem carries only hop 2's last cumulative
-arrival.  Every carry is folded into element 0 of the next chunk before its
-cumulative sum or accumulate, so each float operation is the one a single
-scan over the whole run makes and the delays do not depend on the chunk.
+hops than the histograms below.  Both hops run one Lindley scan, each
+hop's queue carrying its cumulative net input, the running minimum of that
+sum and its departure curve's running maximum across a chunk boundary; the
+tandem carries only hop 2's last cumulative arrival.  Every carry is folded
+into element 0 of the next chunk before its cumulative sum or accumulate,
+so each float operation is the one a single scan over the whole run makes
+and the delays do not depend on the chunk.
 
 So that no tagged bit is censored, the same scan runs on past frame n, with
 the source still sending, until every tagged bit has departed both hops.
@@ -56,18 +54,19 @@ adding a constant and floor are each monotone under round-to-nearest, and
 the curve never falls, so neither does m.  Bit c therefore departs in frame
 tau(c), the number of curve values with m < c, which is the running sum of a
 histogram of m.  The curve is fed in as the scan makes it, one chunk at a
-time, each histogrammed over the short range of m it spans.  Since m never
-falls, every bit below the last m fed has its delay fixed, so each chunk
-hands those delays on and the tagger keeps two counts, the curve values fed
-and the delays handed on, not a frame-length array.  Tagging costs O(n) time
-and no frame-length memory beyond its output, and its output equals
-searchsorted(m(curve), c, "left") bit for bit (tests/test_qsim.py keeps that
-binary search as the reference).  The end-to-end curve never runs ahead of
-hop 1's, so a hop-1 delay is held only until its bit's e2e delay is fixed.
-Then hop 2's delay, e2e minus hop 1 minus the forwarding frame, is formed,
-the bit's three delays are written and each hop's piece is counted into its
-histogram (one ``np.bincount`` per piece) while it is in cache, so the run
-returns both hops' histograms whether or not it keeps their arrays, equal to
+time, each counted in one pass in numpy's native integer, over the short
+range of m it spans.  Since m never falls, every bit below the last m fed
+has its delay fixed, so each chunk hands those delays on and the tagger
+keeps two counts, the curve values fed and the delays handed on, not a
+frame-length array.  Tagging costs O(n) time and no frame-length memory
+beyond its output, and its output equals searchsorted(m(curve), c, "left")
+bit for bit (tests/test_qsim.py keeps that binary search as the
+reference).  The end-to-end curve never runs ahead of hop 1's, so a hop-1
+delay is held only until its bit's e2e delay is fixed.  Then hop 2's delay,
+e2e minus hop 1 minus the forwarding frame, is formed, the bit's three
+delays are written and each hop's piece is counted into its histogram (one
+``np.bincount`` per piece) while it is in cache, so the run returns both
+hops' histograms whether or not it keeps their arrays, equal to
 ``np.bincount`` of those arrays.
 
 Tail statistics in O(max delay).  Delays are whole frames, so a hop's
@@ -176,26 +175,26 @@ class SimConfig:
                 f"({self.warmup_frames!r})")
         if not 0 <= self.seed < 2**128:  # the Philox key
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
-        # the tagging is int32 (see the module docstring)
-        if self.n_frames + _MAX_RUN_ON_FRAMES >= 2**31:
-            raise ValueError(
-                f"n_frames ({self.n_frames!r}) plus the run-on cap "
-                f"({_MAX_RUN_ON_FRAMES}) must stay below 2**31")
 
 
 @dataclass(frozen=True)
 class DelayHistogram:
     """Counts of whole-frame delays: ``counts[x]`` samples equal x, x = 0..max.
 
-    :func:`simulate_tandem` counts one per hop as it scans, with at least
-    one bin; the number of samples is ``counts.sum()``.  The counts array
-    is made read-only on construction.
+    :func:`simulate_tandem` counts one per hop as it scans; the number of
+    samples is ``counts.sum()``.  The counts, a 1-D integer ndarray of at
+    least one bin and none negative, are made read-only on construction.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts.flags.writeable = False
+        c = self.counts
+        if not (isinstance(c, np.ndarray) and np.issubdtype(c.dtype, np.integer)):
+            raise TypeError(f"counts must be an integer ndarray, got {c!r}")
+        if c.ndim != 1 or c.size == 0 or c.min() < 0:  # the fits read exceedances from them
+            raise ValueError(f"counts must be 1-D, at least one bin, none negative, got {c!r}")
+        c.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -349,8 +348,8 @@ class _Tagger:
     ``searchsorted(floor(curve/load + _INDEX_SLACK), c, "left")`` (see the
     module docstring).  Every later value reaches at least the bits the last
     one fed reaches, so the delays of the bits below those are final, and
-    each :meth:`feed` returns them; the tagger keeps two counts, the curve
-    values fed and the delays returned, not a frame-length array.
+    each one-pass :meth:`feed` returns them; the tagger keeps two counts, the
+    curve values fed and the delays returned, not a frame-length array.
     """
 
     def __init__(self, load: float, first: int, last: int):
@@ -366,24 +365,22 @@ class _Tagger:
         return self.finished == self.n_tagged
 
     def feed(self, part: np.ndarray) -> np.ndarray:
-        """Count the next piece of the curve; the delays it finalised, int32."""
-        if self.done or part.size == 0:
-            return np.empty(0, dtype=np.int32)
-        # m = number of tagged bits first + 1, ..., last each value reaches
-        m = np.floor(part / self.load + _INDEX_SLACK).astype(np.int64)
-        m -= self.first
-        np.clip(m, 0, self.n_tagged, out=m)
-        lo, hi, fed = self.finished, int(m[-1]), self.fed
+        """Count the next piece of the curve in one pass; the delays it finalised, intp."""
+        lo, fed = self.finished, self.fed
         self.fed += part.size
-        if hi == lo:
-            return np.empty(0, dtype=np.int32)
-        # m never falls below the last hi, so every earlier value has m <= lo
-        # and tagged bit lo + t leaves at value fed + #(m <= lo + t) of this piece
-        waits = np.bincount(m - lo)[:hi - lo]
+        # m = bits not yet finalised that each value reaches (curve >= 0: the cast floors)
+        m = (part / self.load + _INDEX_SLACK).astype(np.int64)
+        m -= self.first + lo
+        np.clip(m, 0, self.n_tagged - lo, out=m)
+        new = int(m[-1]) if m.size else 0
+        if new == 0:
+            return np.empty(0, dtype=np.intp)
+        # m never falls: tagged bit lo + t leaves at value fed + #(m <= t) of this piece
+        waits = np.bincount(m)[:new]
         waits -= 1
         waits[0] += fed - self.first - lo + 1
-        self.finished = hi
-        return np.cumsum(waits, dtype=np.int32)
+        self.finished = lo + new
+        return np.cumsum(waits, out=waits)
 
 
 def _count_into(counts: np.ndarray, delays: np.ndarray) -> np.ndarray:
@@ -444,7 +441,7 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     e2e = np.empty(tag1.n_tagged, dtype=np.uint8)
     hops = [np.empty_like(e2e), np.empty_like(e2e)] if hop_arrays else []
     counts1, counts2 = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    held = np.empty(0, dtype=np.int32)  # hop-1 delays of bits e2e has yet to finalise
+    held = np.empty(0, dtype=np.intp)  # hop-1 delays of bits e2e has yet to finalise
     while scan.frames < n or not tag2.done:  # e2e finalises after hop 1
         if scan.frames < n:
             k = min(chunk, n - scan.frames)
@@ -527,6 +524,8 @@ def tail_slope(hist: DelayHistogram, x_lo: float, x_hi: float) -> float:
     costs O(max delay), whatever the window.
     """
     counts = _exceedances(hist)
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise ValueError(f"fit window [{x_lo:g}, {x_hi:g}] must be finite")
     lo, hi = math.ceil(x_lo), math.floor(x_hi)
     if hi <= lo:
         raise ValueError(

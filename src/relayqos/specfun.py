@@ -321,7 +321,7 @@ def qos_rate_target(delay_bound: float, xi: float) -> float:
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must lie in (0, 1), got {xi!r}")
     v = -1.0 - lambert_w(-xi / math.e, branch=-1)
-    # one Newton polish on log((1+v)/xi) = v pins the residual to ~1 ulp
+    # two Newton polishes on log((1+v)/xi) = v pin the residual to ~1 ulp
     if v > 1e-8:
         for _ in range(2):
             g = math.log1p(v) - math.log(xi) - v

@@ -154,6 +154,14 @@ class TestKappa1:
             solve_kappa1(theta1_of(heavy), heavy)
         assert err.value.step == "solve_kappa1"
 
+    @pytest.mark.parametrize("theta1", [0.0, -1.0, math.nan])
+    def test_rejects_a_non_positive_exponent(self, theta1):
+        # at this load Jensen's start lies above the ceiling, so a solve that
+        # took the bad exponent would call the scenario infeasible instead
+        heavy = Scenario(traffic_load=5000.0, delay_bound=50.0, violation_prob=1e-3)
+        with pytest.raises(ValueError, match="^theta1 must be > 0"):
+            solve_kappa1(theta1, heavy)
+
 
 class TestRelayArrivalBandwidth:
     def test_between_load_and_hop1_service_bandwidth(self):
@@ -227,6 +235,13 @@ class TestKappa2:
         assert abs(got - target) <= 1e-9 * target
         # symmetric channels still demand more relay power
         assert kappa2 > kappa1
+
+    @pytest.mark.parametrize("theta2", [0.0, -1.0, math.nan])
+    def test_rejects_a_non_positive_exponent(self, theta2):
+        # hop 2's arrival law is the first to read theta2, and rejects it
+        r = relative_burstiness_of(solve_kappa1(theta1_of(HEADLINE), HEADLINE), HEADLINE)
+        with pytest.raises(ValueError, match="^theta must be > 0"):
+            solve_kappa2(theta2, r, HEADLINE)
 
 
 class TestAllocate:

@@ -417,7 +417,8 @@ class TestMain:
         (["--d1", "1e-320"], "path-loss gain at d1"),
         (["--d2", "1e200"], "path-loss gain at d2"),
         (["--reference_distance", "1e-310"], "path-loss gain at d1"),
-        (["--bandwidth", "1e308", "--transmission_time", "1e308"], "bandwidth-time product"),
+        (["--frame_duration", "2", "--delay_bound", "2", "--transmission_time", "2",
+          "--bandwidth", "1e308"], "bandwidth-time product"),
         (["--bandwidth", "1e-320", "--transmission_time", "1e-10"], "bandwidth-time product"),
         (["--traffic_load", "1e308", "--frame_duration", "10", "--delay_bound", "100"],
          "traffic_load per frame"),
@@ -438,6 +439,23 @@ class TestMain:
         capsys.readouterr()
         assert main(["allocate", "--config", str(config)]) == 2
         assert "unknown config keys: ['duplex']" in capsys.readouterr().err
+
+    def test_horizon_past_memory_is_invalid_config(self, capsys):
+        # any whole horizon is a valid config; one whose 909 TiB delay array
+        # numpy refuses at once exits 2 with numpy's message, not a traceback
+        SimConfig(n_frames=2**31)
+        assert main(["validate", "--frames", "1000000000000000", "--warmup", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_transmission_time_past_the_frame_is_invalid_config(self, capsys):
+        # T = 1 s in a 2 ms frame solved at B*T = 1e5 per frame
+        assert main(["allocate", "--transmission_time", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: transmission_time 1.0 s exceeds the frame")
+        assert main(["allocate", "--transmission_time", "2e-3"]) == 0
 
     def test_exit_code_invalid_seed(self, capsys):
         assert main(["validate", "--frames", "1000", "--warmup", "0", "--seed", "-1"]) == 2

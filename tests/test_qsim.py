@@ -25,7 +25,6 @@ from scipy import stats as scipy_stats
 from relayqos import qsim
 from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
-    _MAX_RUN_ON_FRAMES,
     _SIM_CHUNK,
     _T975,
     _Tagger,
@@ -297,11 +296,6 @@ class TestSimConfig:
             with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*128\)"):
                 SimConfig(n_frames=10, seed=seed)
 
-    def test_rejects_horizons_past_int32(self):
-        # a constructor check only: no run of this length is simulated
-        SimConfig(n_frames=2**31 - _MAX_RUN_ON_FRAMES - 1)
-        with pytest.raises(ValueError, match=r"2\*\*31"):
-            SimConfig(n_frames=2**31 - _MAX_RUN_ON_FRAMES)
 
 
 class TestFramesWaited:
@@ -310,7 +304,7 @@ class TestFramesWaited:
     def test_matches_searchsorted(self, case):
         load, curve, first, last = case
         waits = tagger_waits(curve, load, first, last)
-        assert waits.dtype == np.int32
+        assert waits.dtype == np.intp
         assert np.array_equal(waits, searchsorted_waits(curve, load, first, last))
 
     @pytest.mark.parametrize("load", [LOAD_100KBPS, 0.1, 1.0 / 3.0, 7.3e-3, 2.5e3])
@@ -705,6 +699,20 @@ class TestDelayHistogram:
             with pytest.raises(ValueError):
                 hist.counts[0] = 9
 
+    @pytest.mark.parametrize("counts, error, what", [
+        ([3, 1, 4], TypeError, "an integer ndarray"),
+        (np.array([3.0, 1.0]), TypeError, "an integer ndarray"),
+        (np.array([True, False]), TypeError, "an integer ndarray"),
+        (np.array([[3, 1], [4, 1]]), ValueError, "1-D"),
+        (np.array(3), ValueError, "1-D"),
+        (np.zeros(0, dtype=np.int64), ValueError, "at least one bin"),
+        (np.array([-1, 3]), ValueError, "none negative"),
+    ])
+    def test_rejects_counts_that_are_no_histogram(self, counts, error, what):
+        # the fits read the cumulative sums as exceedance counts
+        with pytest.raises(error, match=f"^counts must be .*{what}"):
+            DelayHistogram(counts)
+
     def test_fits_reject_raw_arrays(self):
         # a sample array is not a histogram, even though both are integers
         samples = whole_frames(np.random.default_rng(5).exponential(5.0, 100_000))
@@ -739,6 +747,13 @@ class TestTailSlope:
     def test_rejects_narrow_window(self):
         with pytest.raises(ValueError, match="fewer than two"):
             tail_slope(histogram(np.arange(1000)), 5.0, 5.5)
+
+    @pytest.mark.parametrize("x_lo, x_hi", [
+        (math.nan, 4.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 4.0)])
+    def test_rejects_non_finite_window(self, x_lo, x_hi):
+        # NaN failed to convert to an integer and inf overflowed, naming no window
+        with pytest.raises(ValueError, match=r"^fit window \[.*\] must be finite"):
+            tail_slope(histogram(np.arange(1000)), x_lo, x_hi)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_form_matches_polyfit(self, seed):
