@@ -22,22 +22,27 @@ Philox(seed) moved on by n // 4 counter steps (four draws each) and n % 4
 single draws.  Past the horizon that generator serves both hops in turn:
 frame n + j takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).
 
-The simulation is streamed in chunks of _SIM_CHUNK frames: each chunk's
+One run has one producer and one consumer.  The producer, ``_pieces``,
+streams the simulation in chunks of _SIM_CHUNK frames: each chunk's
 uniforms are drawn, turned into services in place, both hops scanned and
 both departure curves tagged in a few chunk-sized buffers that stay in
-cache, so the only memory that grows with the horizon is the delay arrays
-returned.  They hold the narrowest unsigned type that fits the largest
-delay, uint8 until an e2e delay passes 255 frames (e2e bounds both hops),
-so a caller casts them before subtracting.  By default there are three
-(hop 1, hop 2 and e2e, 3 B per frame); with ``hop_arrays=False`` only the
-e2e array is kept (1 B per frame), for a caller that needs no more of the
-hops than the histograms below.  Both hops run one Lindley scan, each
-hop's queue carrying its cumulative net input, the running minimum of that
-sum and its departure curve's running maximum across a chunk boundary; the
-tandem carries only hop 2's last cumulative arrival.  Every carry is folded
-into element 0 of the next chunk before its cumulative sum or accumulate,
-so each float operation is the one a single scan over the whole run makes
-and the delays do not depend on the chunk.
+cache, and each step yields the delays it finalised, a piece of hop-1,
+hop-2 and e2e delays for the tagged bits that follow the last piece's.
+Both hops run one Lindley scan, each hop's queue carrying its cumulative
+net input, the running minimum of 0 and that sum and its departure curve's
+running maximum across a chunk boundary; the tandem carries only hop 2's
+last cumulative arrival.  Every carry is folded into element 0 of the next
+chunk before its cumulative sum or accumulate, so each float operation is
+the one a single scan over the whole run makes and the delays do not
+depend on the chunk.  The consumer, :func:`simulate_tandem`, only stores
+and counts the pieces, so the only memory that grows with the horizon is
+the delay arrays it returns.  They hold the narrowest unsigned type that
+fits the largest delay, uint8 until an e2e delay passes 255 frames (e2e
+bounds both hops), so a caller casts them before subtracting.  By default
+there are three (hop 1, hop 2 and e2e, 3 B per frame); with
+``hop_arrays=False`` only the e2e array is kept (1 B per frame), for a
+caller that needs no more of the hops than the histograms below.  A new
+statistic of the run is another consumer of the same pieces.
 
 So that no tagged bit is censored, the same scan runs on past frame n, with
 the source still sending, until every tagged bit has departed both hops.
@@ -61,13 +66,13 @@ keeps two counts, the curve values fed and the delays handed on, not a
 frame-length array.  Tagging costs O(n) time and no frame-length memory
 beyond its output, and its output equals searchsorted(m(curve), c, "left")
 bit for bit (tests/test_qsim.py keeps that binary search as the
-reference).  The end-to-end curve never runs ahead of hop 1's, so a hop-1
-delay is held only until its bit's e2e delay is fixed.  Then hop 2's delay,
-e2e minus hop 1 minus the forwarding frame, is formed, the bit's three
-delays are written and each hop's piece is counted into its histogram (one
-``np.bincount`` per piece) while it is in cache, so the run returns both
-hops' histograms whether or not it keeps their arrays, equal to
-``np.bincount`` of those arrays.
+reference).  The end-to-end curve never runs ahead of hop 1's, so the
+producer holds a hop-1 delay only until its bit's e2e delay is fixed, and
+then yields it with hop 2's delay, e2e minus hop 1 minus the forwarding
+frame.  The consumer writes each piece's three delays and counts each
+hop's piece into its histogram (one ``np.bincount`` per piece) while it is
+in cache, so the run returns both hops' histograms whether or not it keeps
+their arrays, equal to ``np.bincount`` of those arrays.
 
 Tail statistics in O(max delay).  Delays are whole frames, so a hop's
 histogram holds one count per delay 0..max.  :func:`suggest_fit_window` and
@@ -254,16 +259,19 @@ class _Queue:
     """One hop's Lindley scan, carried from chunk to chunk of a run.
 
     Q[t+1] = max(Q[t] + net[t], 0) with Q = 0 before the first chunk, as the
-    cumulative sum of the net input minus its running minimum (floored at
-    0).  The queue carries that sum, that minimum and its departure curve's
-    running maximum (the curve's last value) across a chunk boundary, each
-    folded into element 0 before its scan, so every float operation is the
-    one a single scan over the whole run makes.
+    cumulative sum of the net input minus the running minimum of 0 and that
+    sum.  The queue carries that sum, that minimum (so it starts at 0, which
+    floors it for the whole run) and its departure curve's running maximum
+    (the curve's last value) across a chunk boundary, each folded into
+    element 0 before its scan, so every float operation is the one a single
+    scan over the whole run makes.  Both accumulates are exact, so the
+    minimum folded in at the start equals the floor applied after it, and
+    an accumulate over a piece that already never falls is skipped.
     """
 
     def __init__(self):
         self.cum = 0.0  # cumulative net input
-        self.low = math.inf  # running minimum of that sum
+        self.low = 0.0  # running minimum of 0 and that sum
         self.dep = 0.0  # last departure-curve value; the curve starts at 0 and never falls
 
     def depart(self, net: np.ndarray, arrived: np.ndarray,
@@ -282,11 +290,11 @@ class _Queue:
         np.fmin.accumulate(net, out=work)
         net[0] = first
         self.cum, self.low = float(net[-1]), float(work[-1])
-        np.minimum(work, 0.0, out=work)
         np.subtract(net, work, out=net)  # Q[t+1]
         dep = np.subtract(arrived, net, out=net)
         dep[0] = max(self.dep, dep[0])
-        np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
+        if np.less(dep[1:], dep[:-1]).any():  # most chunks' curves never fall
+            np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
         self.dep = float(dep[-1])
         return dep
 
@@ -359,11 +367,6 @@ class _Tagger:
         self.fed = 0  # curve values fed so far
         self.finished = 0  # tagged bits whose delays have been returned
 
-    @property
-    def done(self) -> bool:
-        """A value that reaches the last tagged bit has been fed."""
-        return self.finished == self.n_tagged
-
     def feed(self, part: np.ndarray) -> np.ndarray:
         """Count the next piece of the curve in one pass; the delays it finalised, intp."""
         lo, fed = self.finished, self.fed
@@ -371,7 +374,9 @@ class _Tagger:
         # m = bits not yet finalised that each value reaches (curve >= 0: the cast floors)
         m = (part / self.load + _INDEX_SLACK).astype(np.int64)
         m -= self.first + lo
-        np.clip(m, 0, self.n_tagged - lo, out=m)
+        top = self.n_tagged - lo
+        if m.size and (m[0] < 0 or m[-1] > top):  # m never falls, so its ends bound it
+            np.clip(m, 0, top, out=m)
         new = int(m[-1]) if m.size else 0
         if new == 0:
             return np.empty(0, dtype=np.intp)
@@ -390,23 +395,26 @@ def _count_into(counts: np.ndarray, delays: np.ndarray) -> np.ndarray:
     return piece
 
 
-def simulate_tandem(scenario: Scenario, allocation: Allocation,
-                    cfg: SimConfig, *, hop_arrays: bool = True) -> DelayStats:
-    """Simulate the tandem queue and record per-hop and end-to-end delays.
+def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
+    """Run the tandem and yield the delays each step finalised, in bit order.
 
-    Bits arriving in frames warmup..n-1 are tagged.  The scan runs on past
-    frame n, with the source still sending, until every tagged bit has
-    departed both hops; under FIFO the later arrivals queue behind the
-    tagged bits, so each tagged bit departs in the frame it would with no
-    fresh arrivals.  Frame n + j of the run-on takes draws 2n + 2j and
-    2n + 2j + 1 of the Philox(seed) stream, whatever the step sizes.  The
-    delay arrays are allocated once as uint8, 1 B per tagged frame each,
-    and widened together to uint16 or uint32 only if an e2e delay needs it
-    (e2e bounds both hops); being unsigned, they are cast before
-    subtracting.  Each hop-1 delay is held until the e2e tagger finalises
-    its bit; then the bit's three delays are written and counted into the
-    hop histograms in one place.  With ``hop_arrays=False`` only the e2e
-    array is allocated.
+    Each step yields ``(start, hop1, hop2, e2e)``: the index among the tagged
+    bits (those arriving in frames warmup..n-1) of the first bit whose e2e
+    delay the step fixed, and those bits' delays in whole frames, intp.
+    Over the run the pieces cover the tagged bits once each, in order, and
+    e2e = hop1 + hop2 + 1.  Each hop-1 delay is held until the e2e tagger
+    finalises its bit, which it never does before hop 1's (dep2 <= arr2 <=
+    dep1).
+
+    Over the horizon hop 1 takes draws 0..n-1 of the Philox(seed) stream and
+    hop 2 draws n..2n-1.  The scan runs on past frame n, with the source
+    still sending, until every tagged bit has departed both hops; under
+    FIFO the later arrivals queue behind the tagged bits, so each tagged bit
+    departs in the frame it would with no fresh arrivals.  Frame n + j of
+    the run-on takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2),
+    whatever the step sizes, and each run-on step is as long as the run-on
+    so far, at most a chunk.  The stability check runs at the first step,
+    before any piece is yielded.
 
     Raises
     ------
@@ -428,25 +436,19 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
                 f"hop {hop} unstable: mean service {mean:.6g} <= arrival {load:.6g} nats/frame")
     snr1, snr2 = (link.effective_snr for link in links)
 
-    n = int(cfg.n_frames)
+    n, first = int(cfg.n_frames), int(cfg.warmup_frames)
     chunk = min(_SIM_CHUNK, n)
     rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
     rng2 = _hop2_generator(int(cfg.seed), n)
     scan = _TandemScan(load, chunk)
     draws = np.empty(2 * chunk)
-    tag1 = _Tagger(load, cfg.warmup_frames, n)
-    tag2 = _Tagger(load, cfg.warmup_frames, n)
-    # the narrowest unsigned type, widened once a finalised delay needs it;
-    # e2e bounds both hops, so hop1 + hop2 + 1 never wraps
-    e2e = np.empty(tag1.n_tagged, dtype=np.uint8)
-    hops = [np.empty_like(e2e), np.empty_like(e2e)] if hop_arrays else []
-    counts1, counts2 = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    tag1, tag2 = _Tagger(load, first, n), _Tagger(load, first, n)
     held = np.empty(0, dtype=np.intp)  # hop-1 delays of bits e2e has yet to finalise
-    while scan.frames < n or not tag2.done:  # e2e finalises after hop 1
+    # e2e finalises after hop 1, so its tagger ends the run
+    while scan.frames < n or tag2.finished < tag2.n_tagged:
         if scan.frames < n:
             k = min(chunk, n - scan.frames)
-            u1 = rng1.random(out=draws[:k])
-            u2 = rng2.random(out=draws[chunk:chunk + k])
+            u1, u2 = rng1.random(out=draws[:k]), rng2.random(out=draws[chunk:chunk + k])
         else:
             run_on = scan.frames - n  # each step as long as the run-on so far
             k = min(chunk, max(1, run_on), _MAX_RUN_ON_FRAMES - run_on)
@@ -460,19 +462,49 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
         # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
         # delays of the bits it finalised are held already
         held = np.concatenate((held, tag1.feed(dep1)))
-        part_e2e = tag2.feed(dep2)
-        part1, held = held[:part_e2e.size], held[part_e2e.size:]
-        part2 = part_e2e - part1
-        part2 -= 1  # the frame the relay holds each bit before forwarding it
-        counts1, counts2 = _count_into(counts1, part1), _count_into(counts2, part2)
-        top = part_e2e.max(initial=0)  # e2e = hop 1 + hop 2 + 1 bounds both hops
-        if top > np.iinfo(e2e.dtype).max:
-            e2e, *hops = (a.astype(np.min_scalar_type(top)) for a in (e2e, *hops))
-        done = slice(tag2.finished - part_e2e.size, tag2.finished)
-        for array, part in zip((e2e, *hops), (part_e2e, part1, part2)):
-            array[done] = part
-    hop1, hop2 = hops or (None, None)
-    return DelayStats(hop1, hop2, e2e, n, DelayHistogram(counts1), DelayHistogram(counts2))
+        e2e = tag2.feed(dep2)
+        hop1, held = held[:e2e.size], held[e2e.size:]
+        hop2 = e2e - hop1
+        hop2 -= 1  # the frame the relay holds each bit before forwarding it
+        yield tag2.finished - e2e.size, hop1, hop2, e2e
+
+
+def simulate_tandem(scenario: Scenario, allocation: Allocation,
+                    cfg: SimConfig, *, hop_arrays: bool = True) -> DelayStats:
+    """Simulate the tandem queue and record per-hop and end-to-end delays.
+
+    The run is :func:`_pieces`' (bits arriving in frames warmup..n-1 are
+    tagged, and the scan runs on past the horizon until each has left both
+    hops); this stores and counts the delay pieces it yields.  The delay
+    arrays are allocated as uint8, 1 B per tagged frame each, once the
+    first step has passed the stability check, and widened together to
+    uint16 or uint32 only if an e2e delay needs it (e2e bounds both hops);
+    being unsigned, they are cast before subtracting.  Each piece is
+    written and counted into the hop histograms in one place.  With
+    ``hop_arrays=False`` only the e2e array is allocated.
+
+    Raises
+    ------
+    StabilityError, RuntimeError
+        As :func:`_pieces`: a hop whose mean service rate does not exceed
+        its mean arrival rate, or a tagged bit still queued
+        _MAX_RUN_ON_FRAMES frames past the horizon.
+    """
+    arrays, counts = [], [np.zeros(1, dtype=np.int64)] * 2  # delay arrays, hop histograms
+    for start, hop1, hop2, e2e in _pieces(scenario, allocation, cfg):
+        if not arrays:  # the first step has passed the stability check
+            # the narrowest unsigned type, widened once a finalised delay needs
+            # it; e2e bounds both hops, so hop1 + hop2 + 1 never wraps
+            tagged = int(cfg.n_frames) - int(cfg.warmup_frames)
+            arrays = [np.empty(tagged, dtype=np.uint8) for _ in range(3 if hop_arrays else 1)]
+        counts = [_count_into(c, piece) for c, piece in zip(counts, (hop1, hop2))]
+        top = e2e.max(initial=0)  # e2e = hop 1 + hop 2 + 1 bounds both hops
+        if top >= 1 << 8 * arrays[0].itemsize:
+            arrays = [a.astype(np.min_scalar_type(top)) for a in arrays]
+        for array, piece in zip(arrays, (e2e, hop1, hop2)):
+            array[start:start + e2e.size] = piece
+    e2e, hop1, hop2 = arrays if hop_arrays else (*arrays, None, None)
+    return DelayStats(hop1, hop2, e2e, int(cfg.n_frames), *map(DelayHistogram, counts))
 
 
 def empirical_ccdf(samples, x: float) -> tuple[float, float]:

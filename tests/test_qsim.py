@@ -31,6 +31,7 @@ from relayqos.qsim import (
     _TandemScan,
     _count_into,
     _hop2_generator,
+    _pieces,
     BODY_CCDF,
     MIN_TAIL_EXCEEDANCES,
     TAIL_CCDF,
@@ -119,7 +120,7 @@ def tagger_waits(curve, load, first, last):
     """
     tagger = _Tagger(load, first, last)
     parts = [tagger.feed(part) for part in (*curve, np.array([(last + 1.0) * load]))]
-    assert tagger.done
+    assert tagger.finished == tagger.n_tagged
     return np.concatenate(parts)
 
 
@@ -380,6 +381,50 @@ class TestSimulateTandem:
             assert np.array_equal(got, want)
         assert_histograms_count_hops(chunked)
         assert_lean_run_matches(SCENARIO, headline_allocation, cfg, chunked)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("n,warmup", [(1, 0), (8, 3), (50, 8), (4100, 4097),
+                                          (8195, 100)])
+    def test_pieces_cover_the_tagged_bits(self, headline_allocation, monkeypatch,
+                                          chunk, n, warmup):
+        # each step's piece starts where the last one ended, the pieces
+        # cover every tagged bit once, and their delays are the per-frame
+        # reference's, whichever chunk the warm-up ends in
+        cfg = SimConfig(n_frames=n, warmup_frames=warmup, seed=6)
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
+        pieces = list(_pieces(SCENARIO, headline_allocation, cfg))
+        end = 0
+        for start, *parts in pieces:
+            assert start == end
+            assert all(p.dtype == np.intp and p.size == parts[0].size for p in parts)
+            end += parts[0].size
+        assert end == n - warmup
+        _, *parts = zip(*pieces)
+        hop1, hop2, e2e = (np.concatenate(p).astype(np.int64) for p in parts)
+        assert np.array_equal(e2e, hop1 + hop2 + 1)
+        assert min(hop1.min(), hop2.min()) >= 0
+        for got, want in zip((hop1, hop2, e2e),
+                             reference_delays(SCENARIO, headline_allocation, cfg)):
+            assert np.array_equal(got, want)
+
+    def test_stability_checked_before_allocating(self):
+        # an unstable run fails its stability check before any frame-length
+        # array is allocated; this horizon's delay arrays would take 909 TiB
+        starved = Allocation(kappa1=1e-9, kappa2=1e-9, theta1=1e-3, theta2=1e-3,
+                             delay_rate=0.1, residuals={})
+        scenario = Scenario(traffic_load=138.6, delay_bound=50.0, violation_prob=1e-2)
+        with pytest.raises(StabilityError, match="hop 1"):
+            simulate_tandem(scenario, starved, SimConfig(n_frames=10**15))
+
+    def test_numpy_integer_config_runs(self, headline_allocation):
+        # SimConfig takes numpy integers, so the run converts them: a uint8
+        # warm-up subtracted from the horizon in its own type overflows
+        cfg = SimConfig(n_frames=np.int64(1000), warmup_frames=np.uint8(10), seed=np.int64(3))
+        stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        plain = simulate_tandem(SCENARIO, headline_allocation,
+                                SimConfig(n_frames=1000, warmup_frames=10, seed=3))
+        assert stats.frames_simulated == 1000 and stats.e2e_delays.size == 990
+        assert np.array_equal(stats.e2e_delays, plain.e2e_delays)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 1001])
     def test_hop2_generator_continues_hop1_stream(self, n):
