@@ -159,7 +159,7 @@ class InsufficientTailData(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation horizon, warm-up and seed, each a whole number."""
+    """Simulation horizon, warm-up and seed, each a whole number, held as int."""
 
     n_frames: int
     warmup_frames: int = 0
@@ -172,6 +172,8 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be a whole number, got {value!r}")
+            # a numpy integer keeps its type's range in arithmetic; an int has none
+            object.__setattr__(self, name, int(value))
         if self.warmup_frames < 0:
             raise ValueError(f"warmup_frames must be >= 0, got {self.warmup_frames!r}")
         if self.n_frames <= self.warmup_frames:
@@ -180,6 +182,11 @@ class SimConfig:
                 f"({self.warmup_frames!r})")
         if not 0 <= self.seed < 2**128:  # the Philox key
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
+
+    @property
+    def tagged_frames(self) -> int:
+        """Frames whose last bit is tagged: the horizon less the warm-up."""
+        return self.n_frames - self.warmup_frames
 
 
 @dataclass(frozen=True)
@@ -265,8 +272,7 @@ class _Queue:
     (the curve's last value) across a chunk boundary, each folded into
     element 0 before its scan, so every float operation is the one a single
     scan over the whole run makes.  Both accumulates are exact, so the
-    minimum folded in at the start equals the floor applied after it, and
-    an accumulate over a piece that already never falls is skipped.
+    minimum folded in at the start equals the floor applied after it.
     """
 
     def __init__(self):
@@ -293,8 +299,7 @@ class _Queue:
         np.subtract(net, work, out=net)  # Q[t+1]
         dep = np.subtract(arrived, net, out=net)
         dep[0] = max(self.dep, dep[0])
-        if np.less(dep[1:], dep[:-1]).any():  # most chunks' curves never fall
-            np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
+        np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
         self.dep = float(dep[-1])
         return dep
 
@@ -374,9 +379,7 @@ class _Tagger:
         # m = bits not yet finalised that each value reaches (curve >= 0: the cast floors)
         m = (part / self.load + _INDEX_SLACK).astype(np.int64)
         m -= self.first + lo
-        top = self.n_tagged - lo
-        if m.size and (m[0] < 0 or m[-1] > top):  # m never falls, so its ends bound it
-            np.clip(m, 0, top, out=m)
+        np.clip(m, 0, self.n_tagged - lo, out=m)
         new = int(m[-1]) if m.size else 0
         if new == 0:
             return np.empty(0, dtype=np.intp)
@@ -398,10 +401,10 @@ def _count_into(counts: np.ndarray, delays: np.ndarray) -> np.ndarray:
 def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     """Run the tandem and yield the delays each step finalised, in bit order.
 
-    Each step yields ``(start, hop1, hop2, e2e)``: the index among the tagged
-    bits (those arriving in frames warmup..n-1) of the first bit whose e2e
-    delay the step fixed, and those bits' delays in whole frames, intp.
-    Over the run the pieces cover the tagged bits once each, in order, and
+    Each step yields ``(hop1, hop2, e2e)``, the delays in whole frames, intp,
+    of the tagged bits (those arriving in frames warmup..n-1) whose e2e
+    delay the step fixed.  Over the run the pieces cover the
+    ``cfg.tagged_frames`` tagged bits once each, in order, and
     e2e = hop1 + hop2 + 1.  Each hop-1 delay is held until the e2e tagger
     finalises its bit, which it never does before hop 1's (dep2 <= arr2 <=
     dep1).
@@ -436,10 +439,10 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
                 f"hop {hop} unstable: mean service {mean:.6g} <= arrival {load:.6g} nats/frame")
     snr1, snr2 = (link.effective_snr for link in links)
 
-    n, first = int(cfg.n_frames), int(cfg.warmup_frames)
+    n, first = cfg.n_frames, cfg.warmup_frames
     chunk = min(_SIM_CHUNK, n)
-    rng1 = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
-    rng2 = _hop2_generator(int(cfg.seed), n)
+    rng1 = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng2 = _hop2_generator(cfg.seed, n)
     scan = _TandemScan(load, chunk)
     draws = np.empty(2 * chunk)
     tag1, tag2 = _Tagger(load, first, n), _Tagger(load, first, n)
@@ -466,7 +469,7 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
         hop1, held = held[:e2e.size], held[e2e.size:]
         hop2 = e2e - hop1
         hop2 -= 1  # the frame the relay holds each bit before forwarding it
-        yield tag2.finished - e2e.size, hop1, hop2, e2e
+        yield hop1, hop2, e2e
 
 
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
@@ -480,8 +483,8 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     first step has passed the stability check, and widened together to
     uint16 or uint32 only if an e2e delay needs it (e2e bounds both hops);
     being unsigned, they are cast before subtracting.  Each piece is
-    written and counted into the hop histograms in one place.  With
-    ``hop_arrays=False`` only the e2e array is allocated.
+    written just past the last one and counted into the hop histograms in
+    one place.  With ``hop_arrays=False`` only the e2e array is allocated.
 
     Raises
     ------
@@ -491,20 +494,21 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
         _MAX_RUN_ON_FRAMES frames past the horizon.
     """
     arrays, counts = [], [np.zeros(1, dtype=np.int64)] * 2  # delay arrays, hop histograms
-    for start, hop1, hop2, e2e in _pieces(scenario, allocation, cfg):
+    start = 0  # tagged bits stored so far; the pieces come in bit order
+    for hop1, hop2, e2e in _pieces(scenario, allocation, cfg):
         if not arrays:  # the first step has passed the stability check
             # the narrowest unsigned type, widened once a finalised delay needs
             # it; e2e bounds both hops, so hop1 + hop2 + 1 never wraps
-            tagged = int(cfg.n_frames) - int(cfg.warmup_frames)
-            arrays = [np.empty(tagged, dtype=np.uint8) for _ in range(3 if hop_arrays else 1)]
+            arrays = [np.empty(cfg.tagged_frames, np.uint8) for _ in range(3 if hop_arrays else 1)]
         counts = [_count_into(c, piece) for c, piece in zip(counts, (hop1, hop2))]
         top = e2e.max(initial=0)  # e2e = hop 1 + hop 2 + 1 bounds both hops
         if top >= 1 << 8 * arrays[0].itemsize:
             arrays = [a.astype(np.min_scalar_type(top)) for a in arrays]
         for array, piece in zip(arrays, (e2e, hop1, hop2)):
             array[start:start + e2e.size] = piece
+        start += e2e.size
     e2e, hop1, hop2 = arrays if hop_arrays else (*arrays, None, None)
-    return DelayStats(hop1, hop2, e2e, int(cfg.n_frames), *map(DelayHistogram, counts))
+    return DelayStats(hop1, hop2, e2e, cfg.n_frames, *map(DelayHistogram, counts))
 
 
 def empirical_ccdf(samples, x: float) -> tuple[float, float]:

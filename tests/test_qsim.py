@@ -381,30 +381,13 @@ class TestSimulateTandem:
             assert np.array_equal(got, want)
         assert_histograms_count_hops(chunked)
         assert_lean_run_matches(SCENARIO, headline_allocation, cfg, chunked)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
-    @pytest.mark.parametrize("n,warmup", [(1, 0), (8, 3), (50, 8), (4100, 4097),
-                                          (8195, 100)])
-    def test_pieces_cover_the_tagged_bits(self, headline_allocation, monkeypatch,
-                                          chunk, n, warmup):
-        # each step's piece starts where the last one ended, the pieces
-        # cover every tagged bit once, and their delays are the per-frame
-        # reference's, whichever chunk the warm-up ends in
-        cfg = SimConfig(n_frames=n, warmup_frames=warmup, seed=6)
-        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
+        # the producer's pieces are intp, never negative, and in bit order
+        # cover each tagged bit once: their concatenation is the arrays
         pieces = list(_pieces(SCENARIO, headline_allocation, cfg))
-        end = 0
-        for start, *parts in pieces:
-            assert start == end
-            assert all(p.dtype == np.intp and p.size == parts[0].size for p in parts)
-            end += parts[0].size
-        assert end == n - warmup
-        _, *parts = zip(*pieces)
-        hop1, hop2, e2e = (np.concatenate(p).astype(np.int64) for p in parts)
-        assert np.array_equal(e2e, hop1 + hop2 + 1)
-        assert min(hop1.min(), hop2.min()) >= 0
-        for got, want in zip((hop1, hop2, e2e),
-                             reference_delays(SCENARIO, headline_allocation, cfg)):
+        assert all(p.dtype == np.intp and p.min(initial=0) >= 0
+                   for piece in pieces for p in piece)
+        for got, want in zip(map(np.concatenate, zip(*pieces)),
+                             (chunked.hop1_delays, chunked.hop2_delays, chunked.e2e_delays)):
             assert np.array_equal(got, want)
 
     def test_stability_checked_before_allocating(self):
@@ -417,9 +400,11 @@ class TestSimulateTandem:
             simulate_tandem(scenario, starved, SimConfig(n_frames=10**15))
 
     def test_numpy_integer_config_runs(self, headline_allocation):
-        # SimConfig takes numpy integers, so the run converts them: a uint8
-        # warm-up subtracted from the horizon in its own type overflows
+        # SimConfig holds numpy integers as int: a uint8 warm-up subtracted
+        # from the horizon in its own type overflows
         cfg = SimConfig(n_frames=np.int64(1000), warmup_frames=np.uint8(10), seed=np.int64(3))
+        assert {type(cfg.n_frames), type(cfg.warmup_frames), type(cfg.seed)} == {int}
+        assert cfg.tagged_frames == 990
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         plain = simulate_tandem(SCENARIO, headline_allocation,
                                 SimConfig(n_frames=1000, warmup_frames=10, seed=3))
