@@ -49,9 +49,8 @@ the source still sending, until every tagged bit has departed both hops.
 Under FIFO a bit arriving after the horizon queues behind every tagged bit,
 so it takes none of the service a tagged bit would get, and each tagged bit
 departs in the frame it would with no fresh arrivals.  Each run-on step is
-as long as the run-on so far (1, 1, 2, 4, ... frames, at most a chunk), so
-it stays under twice the frames the last tagged bit needs, and stops with
-an error after _MAX_RUN_ON_FRAMES frames if a tagged bit is still queued.
+a whole chunk, so the run-on passes the frames the last tagged bit needs by
+under a chunk, and stops with an error after _MAX_RUN_ON_FRAMES frames.
 
 Delay tagging in O(n).  Each curve value v reaches the bit indices up to
 m(v) = floor(v/load + _INDEX_SLACK).  Division by a positive constant,
@@ -326,10 +325,10 @@ class _TandemScan:
         self._work = np.empty(size)  # hop 1's arrival curve, then hop 2's net input
 
     def step(self, s1: np.ndarray, s2: np.ndarray):
-        """Curves (dep1, dep2, arr2) of the next ``s1.size`` frames.
+        """Departure curves (dep1, dep2) of the next ``s1.size`` frames.
 
         ``s1`` and ``s2`` are overwritten as scratch.  The curves are views of
-        buffers the next step reuses; dep1 and arr2 share one.
+        buffers the next step reuses; hop 2's arrival curve stays internal.
         """
         k = s1.size
         curve1 = self._curve1[:k + 1]
@@ -348,7 +347,7 @@ class _TandemScan:
 
         self.frames += k
         self.arr2 = float(arr2[-1])
-        return dep1, dep2, arr2
+        return dep1, dep2
 
 
 class _Tagger:
@@ -415,9 +414,9 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     FIFO the later arrivals queue behind the tagged bits, so each tagged bit
     departs in the frame it would with no fresh arrivals.  Frame n + j of
     the run-on takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2),
-    whatever the step sizes, and each run-on step is as long as the run-on
-    so far, at most a chunk.  The stability check runs at the first step,
-    before any piece is yielded.
+    whatever the step sizes; every step is _SIM_CHUNK frames, cut only by
+    the horizon and _MAX_RUN_ON_FRAMES.  The stability check runs at the
+    first step, before any piece is yielded.
 
     Raises
     ------
@@ -440,7 +439,7 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     snr1, snr2 = (link.effective_snr for link in links)
 
     n, first = cfg.n_frames, cfg.warmup_frames
-    chunk = min(_SIM_CHUNK, n)
+    chunk = _SIM_CHUNK
     rng1 = np.random.Generator(np.random.Philox(key=cfg.seed))
     rng2 = _hop2_generator(cfg.seed, n)
     scan = _TandemScan(load, chunk)
@@ -453,15 +452,14 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
             k = min(chunk, n - scan.frames)
             u1, u2 = rng1.random(out=draws[:k]), rng2.random(out=draws[chunk:chunk + k])
         else:
-            run_on = scan.frames - n  # each step as long as the run-on so far
-            k = min(chunk, max(1, run_on), _MAX_RUN_ON_FRAMES - run_on)
+            k = min(chunk, _MAX_RUN_ON_FRAMES - (scan.frames - n))
             if k == 0:
                 raise RuntimeError(
                     f"tagged bits still queued {_MAX_RUN_ON_FRAMES} frames past "
                     "the horizon; queues are effectively unstable")
             # hop 1 takes the even draws and hop 2 the odd ones
             u1, u2 = rng2.random(out=draws[:2 * k]).reshape(k, 2).T
-        dep1, dep2, _ = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
+        dep1, dep2 = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
         # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
         # delays of the bits it finalised are held already
         held = np.concatenate((held, tag1.feed(dep1)))

@@ -521,13 +521,15 @@ class TestRuntimeImports:
             assert missing == [], module.__name__
 
     def test_allocator_path_leaves_numpy_unloaded(self):
-        # numpy loads on first use: allocate and sweep run without it
+        # numpy loads on first use: sweep and the allocate command run without it
         src = str(Path(relayqos.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import relayqos, relayqos.cli as cli, sys; "
-                "cli.sweep(cli.RadioProfile(), 'd1', [30.0, 60.0]); "
-                "print('numpy' in sys.modules)")
+        code = ("import contextlib, io, relayqos, relayqos.cli as cli, sys\n"
+                "cli.sweep(cli.RadioProfile(), 'd1', [30.0, 60.0])\n"
+                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "    rc = cli.main(['allocate'])\n"
+                "print(rc, bool(out.getvalue()), 'numpy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "0 True False"

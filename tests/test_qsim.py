@@ -445,11 +445,12 @@ class TestSimulateTandem:
         with pytest.raises(RuntimeError, match="1 frames past the horizon"):
             simulate_tandem(SCENARIO, headline_allocation, cfg)
 
-    @pytest.mark.parametrize("forwarding", FORWARDING)
-    def test_run_on_stops_near_the_need(self, headline_allocation, monkeypatch,
-                                        forwarding):
+    @pytest.mark.parametrize("chunk", [8, _SIM_CHUNK])
+    def test_run_on_takes_whole_chunks(self, headline_allocation, monkeypatch,
+                                       chunk):
         # the last tagged bit needs e2e_delays[-1] frames past the horizon;
-        # steps as long as the run-on so far simulate fewer than twice that
+        # every run-on step is one chunk, so the run-on overshoots that need
+        # by less than a chunk
         frames = []
         step = _TandemScan.step
 
@@ -458,10 +459,13 @@ class TestSimulateTandem:
             return step(scan, s1, s2)
 
         monkeypatch.setattr(_TandemScan, "step", counting)
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
         cfg = SimConfig(n_frames=201, seed=7)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         needed = int(stats.e2e_delays[-1])
-        assert needed <= sum(frames) - cfg.n_frames < 2 * max(1, needed)
+        run_on = sum(frames) - cfg.n_frames
+        assert needed <= run_on < needed + chunk
+        assert run_on % chunk == 0
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096, _SIM_CHUNK])
     @pytest.mark.parametrize("kappa2", [0.005030050640275492, 10.0])
@@ -564,7 +568,8 @@ class TestSimulateTandem:
         parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
                                               s2[i:i + chunk].copy())]
                  for i in range(0, n, chunk)]
-        dep1, dep2, arr2 = (np.concatenate(c) for c in zip(*parts))
+        dep1, dep2 = (np.concatenate(c) for c in zip(*parts))
+        arr2 = np.concatenate(([0.0], dep1[:-1]))  # hop 1's output, one frame later
         arr1 = SCENARIO.traffic_load * np.arange(1, n + 1)
         assert (dep1 <= arr1 + 1e-6).all()
         assert (arr2 <= dep1 + 1e-6).all()
@@ -573,7 +578,7 @@ class TestSimulateTandem:
         assert (np.diff(dep2) >= 0).all()
         # one chunk over the whole horizon gives the same curves
         whole = _TandemScan(SCENARIO.traffic_load, n).step(s1.copy(), s2.copy())
-        for got, want in zip((dep1, dep2, arr2), whole):
+        for got, want in zip((dep1, dep2), whole):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
