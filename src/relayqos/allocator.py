@@ -141,16 +141,18 @@ def _newton_root(f, x: float, x_max: float) -> float | None:
     """Root in [x, x_max] of a strictly increasing f, or None if f(x_max) < 0.
 
     f maps a point to (value, slope); x must not lie above the root (a
-    positive f(x), as rounding can give, returns x).  [lo, hi] keeps the
-    signs of f: an iterate outside it, or one not halving the step before
-    last, bisects instead, or probes x_max while no positive value is known.
-    The solve ends on a Newton step under _NEWTON_XTOL whose slope agrees
-    with the last secant well enough to leave an error below 1e-12.
+    positive f(x), as rounding can give, returns x).  lo is the last point
+    with a negative value (x until one is seen) and hi the last with a
+    positive one (inf until one is seen), so the root lies in
+    [lo, min(hi, x_max)].  An iterate outside that bracket, or one not
+    halving the step before last, is replaced by min((lo + hi)/2, x_max):
+    a probe of x_max while hi is inf, a bisection after.  The solve ends on
+    a Newton step under _NEWTON_XTOL whose slope agrees with the last
+    secant well enough to leave an error below 1e-12.
     """
     if x > x_max:
         return None
-    lo, hi = x, x_max
-    hi_known = False
+    lo, hi = x, math.inf
     x_prev = value_prev = math.nan
     dx_prev = dx_older = math.inf
     for _ in range(_MAX_ITER):
@@ -158,7 +160,7 @@ def _newton_root(f, x: float, x_max: float) -> float | None:
         if value == 0.0:
             return x
         if value > 0.0:
-            hi, hi_known = x, True
+            hi = x
         elif x == x_max:
             return None
         else:
@@ -166,16 +168,13 @@ def _newton_root(f, x: float, x_max: float) -> float | None:
         secant = (value - value_prev) / (x - x_prev)
         dx = value / slope if slope > 0.0 else math.nan
         x_new = x - dx
-        if (abs(dx) <= _NEWTON_XTOL and lo <= x_new <= hi
+        if (abs(dx) <= _NEWTON_XTOL and lo <= x_new <= min(hi, x_max)
                 and abs(secant - slope) * abs(dx) <= 1e-12 * secant):
             return x_new
-        if not (lo < x_new < hi and abs(dx) <= 0.5 * dx_older):
-            if not hi_known:
-                x_new = x_max
-            else:
-                x_new = 0.5 * (lo + hi)
-                if not lo < x_new < hi:
-                    return x_new
+        if not (lo < x_new < min(hi, x_max) and abs(dx) <= 0.5 * dx_older):
+            x_new = min(0.5 * (lo + hi), x_max)
+            if not lo < x_new < hi:
+                return x_new
         dx_older, dx_prev = dx_prev, abs(x_new - x)
         x_prev, value_prev, x = x, value, x_new
     raise RuntimeError(f"Newton solve did not converge, last iterate {x!r}")

@@ -29,9 +29,6 @@ _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAX_ITER = 500
 
-# exp() overflows above this; used to signal range errors instead of inf
-_LOG_HUGE = 709.0
-
 
 # ---------------------------------------------------------------------------
 # Lambert W
@@ -242,8 +239,7 @@ def _log_gamma_parts(a: float, z: float) -> tuple[float, bool]:
     if a <= -10.0 or (z >= 1.5 and z >= a + 1.0):
         return math.log(_upper_cf_factor(a, z)), True
     if a > 0.5:
-        p = math.exp(_log_lower_reg_series(a, z))
-        return math.lgamma(a) + math.log1p(-min(p, 1.0 - 1e-17)), False
+        return math.lgamma(a) + math.log1p(-math.exp(_log_lower_reg_series(a, z))), False
     steps = round(-a)
     b = a + steps
     g = _small_a_series(b, z)
@@ -269,10 +265,13 @@ def upper_incomplete_gamma(a: float, z: float) -> float:
     ValueError
         If z <= 0.
     OverflowError
-        If the (strictly positive) result is outside double range.
+        If the (strictly positive) result exceeds the largest double or
+        rounds to zero.
     """
-    log_value = log_upper_incomplete_gamma(a, z)
-    result = math.exp(log_value) if log_value <= _LOG_HUGE else math.inf
+    try:
+        result = math.exp(log_upper_incomplete_gamma(a, z))
+    except OverflowError:
+        result = math.inf
     if not 0.0 < result < math.inf:
         raise OverflowError(
             f"upper_incomplete_gamma is outside double range at a={a!r}, z={z!r}; "

@@ -442,8 +442,14 @@ class TestBrentq:
         solve = allocator._newton_root
 
         def recording(f, x, x_max):
-            root = solve(f, x, x_max)
-            calls.append((f, x, x_max, root))
+            points = []
+
+            def traced(point):
+                points.append(point)
+                return f(point)
+
+            root = solve(traced, x, x_max)
+            calls.append((f, x, x_max, root, points))
             return root
 
         monkeypatch.setattr(allocator, "_newton_root", recording)
@@ -455,10 +461,14 @@ class TestBrentq:
                 pass
             # each hop's solve runs in ln(snr) up to its own SNR ceiling
             gains = (scenario.hop1_mean_gain, scenario.hop2_mean_gain)
-            for (_, _, x_max, _), gain in zip(calls[first:], gains):
+            for (_, _, x_max, _, _), gain in zip(calls[first:], gains):
                 assert x_max == math.log(POWER_CEILING * gain)
         assert len(calls) > 250
-        for f, x, x_max, root in calls:
+        # some solves probe the ceiling before any positive value is known
+        assert any(x_max in points for _, _, x_max, _, points in calls)
+        for f, x, x_max, root, points in calls:
+            # the gap is evaluated only between the start and the ceiling
+            assert all(x <= point <= x_max for point in points)
             # Jensen's bound puts the start at or below the root
             assert f(x)[0] <= 0.0
             # the slope handed to Newton is the derivative of the value

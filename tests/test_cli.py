@@ -168,6 +168,10 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(FAST, "bandwidth", [1e5])
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ConfigError, match="^sweep grid is empty$"):
+            sweep(RadioProfile(), "d1", [])
+
 
 class TestValidate:
     def test_report_contents_and_determinism(self, capsys):
@@ -185,6 +189,14 @@ class TestValidate:
         report_a = fast_output(capsys, *args, "--seed", "1")
         report_b = fast_output(capsys, *args, "--seed", "2")
         assert report_a != report_b
+
+    def test_violation_ratio_is_nan_without_an_analytic_violation(self):
+        report = validate(FAST, SimConfig(n_frames=20_000, seed=1))
+        assert report.violation_ratio == (report.empirical_violation
+                                          / report.analytic_violation)
+        undefined = dataclasses.replace(report, analytic_violation=0.0)
+        assert math.isnan(undefined.violation_ratio)
+        assert math.isnan(dict(undefined.rows())["violation_ratio"])
 
     def test_peak_memory_is_the_e2e_array(self, monkeypatch):
         # validate keeps one frame-length array, the e2e delays (1 B per
@@ -324,13 +336,18 @@ class TestMain:
         start = validate_rows.index(allocate_rows[1])
         assert validate_rows[start:start + len(allocate_rows) - 1] == allocate_rows[1:]
 
-    @pytest.mark.parametrize("command", [["ccdf"], ["sweep", "--axis", "d1"]])
+    @pytest.mark.parametrize("command", [["ccdf"], ["sweep", "--axis", "d1"],
+                                         ["sweep", "--axis", "violation_prob"]])
     @pytest.mark.parametrize("grid,reason", [
         ("nan:1:3", "grid endpoints must be finite"),
         ("0:inf:3", "grid endpoints must be finite"),
         ("1:inf:3:log", "grid endpoints must be finite"),
         # 7.3 TiB: numpy refuses the allocation at once
         ("0:1:1000000000000", "grid of 1000000000000 points does not fit in memory"),
+        ("a:90:3", "bad grid 'a:90:3'"),
+        ("10:90:0", "grid needs at least one point, got 0"),
+        ("0:10:-1", "grid needs at least one point, got -1"),
+        ("0:0.1:3:log", "log grid endpoints must be positive"),
     ])
     def test_unusable_grid_is_invalid_config(self, capsys, command, grid, reason):
         assert main([*command, "--grid", grid]) == 2
@@ -369,6 +386,11 @@ class TestMain:
         assert main(["allocate", "--config", str(config)]) == 2
         assert main(["allocate", "--delay_bound", "0.0001"]) == 2
         capsys.readouterr()
+        assert main(["allocate", "--config", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        config.write_text(json.dumps([1, 2]))
+        assert main(["allocate", "--config", str(config)]) == 2
+        assert "config file must hold a JSON object" in capsys.readouterr().err
         assert main(["allocate", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert "cannot write" in capsys.readouterr().err
 

@@ -144,6 +144,15 @@ class TestUpperIncompleteGamma:
         with pytest.raises(OverflowError):
             upper_incomplete_gamma(0.5, 800.0)
 
+    def test_values_up_to_the_largest_double_are_returned(self):
+        # Gamma(171.6) ~ 1.586e308 fits below the largest double (~1.798e308);
+        # Gamma(172) = 171! ~ 1.241e309 does not
+        with mpmath.workdps(40):
+            ref = float(mpmath.gammainc(mpmath.mpf(171.6), 1e-3, mpmath.inf))
+        assert upper_incomplete_gamma(171.6, 1e-3) == pytest.approx(ref, rel=1e-10, abs=0.0)
+        with pytest.raises(OverflowError, match="outside double range"):
+            upper_incomplete_gamma(172.0, 1e-3)
+
 
 class TestLogUpperIncompleteGamma:
     def test_agrees_with_plain_value(self):
