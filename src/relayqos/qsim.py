@@ -34,15 +34,21 @@ running maximum across a chunk boundary; the tandem carries only hop 2's
 last cumulative arrival.  Every carry is folded into element 0 of the next
 chunk before its cumulative sum or accumulate, so each float operation is
 the one a single scan over the whole run makes and the delays do not
-depend on the chunk.  The consumer, :func:`simulate_tandem`, only stores
-and counts the pieces, so the only memory that grows with the horizon is
-the delay arrays it returns.  They hold the narrowest unsigned type that
-fits the largest delay, uint8 until an e2e delay passes 255 frames (e2e
-bounds both hops), so a caller casts them before subtracting.  By default
-there are three (hop 1, hop 2 and e2e, 3 B per frame); with
-``hop_arrays=False`` only the e2e array is kept (1 B per frame), for a
-caller that needs no more of the hops than the histograms below.  A new
-statistic of the run is another consumer of the same pieces.
+depend on the chunk.  Two passes run only on a chunk where they change
+something: a departure curve's running maximum, where rounding makes the
+raw curve fall by an ulp somewhere, and a tagger's clip of its piece to
+the bits not yet finalised, where an end of the piece lies outside them.
+Both skips are exact (see :class:`_Queue` and :meth:`_Tagger.feed`), so
+the delays equal those of running both passes on every chunk.  The
+consumer, :func:`simulate_tandem`, only stores and counts the pieces, so
+the only memory that grows with the horizon is the delay arrays it
+returns.  They hold the narrowest unsigned type that fits the largest
+delay, uint8 until an e2e delay passes 255 frames (e2e bounds both hops),
+so a caller casts them before subtracting.  By default there are three
+(hop 1, hop 2 and e2e, 3 B per frame); with ``hop_arrays=False`` only the
+e2e array is kept (1 B per frame), for a caller that needs no more of the
+hops than the histograms below.  A new statistic of the run is another
+consumer of the same pieces.
 
 So that no tagged bit is censored, the same scan runs on past frame n, with
 the source still sending, until every tagged bit has departed both hops.
@@ -271,7 +277,11 @@ class _Queue:
     (the curve's last value) across a chunk boundary, each folded into
     element 0 before its scan, so every float operation is the one a single
     scan over the whole run makes.  Both accumulates are exact, so the
-    minimum folded in at the start equals the floor applied after it.
+    minimum folded in at the start equals the floor applied after it.  The
+    running maximum runs only on a chunk whose curve, after the carry is
+    folded in, falls somewhere: a curve that never falls is its own running
+    maximum, so skipping it elsewhere is exact.  At the criterion-6 point
+    it runs on none of a run's chunks.
     """
 
     def __init__(self):
@@ -298,7 +308,9 @@ class _Queue:
         np.subtract(net, work, out=net)  # Q[t+1]
         dep = np.subtract(arrived, net, out=net)
         dep[0] = max(self.dep, dep[0])
-        np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
+        # a curve that never falls is its own running maximum
+        if np.less(dep[1:], dep[:-1]).any():
+            np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
         self.dep = float(dep[-1])
         return dep
 
@@ -372,13 +384,22 @@ class _Tagger:
         self.finished = 0  # tagged bits whose delays have been returned
 
     def feed(self, part: np.ndarray) -> np.ndarray:
-        """Count the next piece of the curve in one pass; the delays it finalised, intp."""
+        """Count the next piece of the curve in one pass; the delays it finalised, intp.
+
+        Each value's bit index m, counted from the first bit not yet
+        finalised, is clipped to [0, bits not yet finalised] only if one of
+        the piece's ends lies outside: m never falls, so its two ends bound
+        it and a clip elsewhere would change nothing.  Only a piece that
+        starts below the first tagged bit or reaches past the last needs it.
+        """
         lo, fed = self.finished, self.fed
         self.fed += part.size
         # m = bits not yet finalised that each value reaches (curve >= 0: the cast floors)
         m = (part / self.load + _INDEX_SLACK).astype(np.int64)
         m -= self.first + lo
-        np.clip(m, 0, self.n_tagged - lo, out=m)
+        top = self.n_tagged - lo
+        if m.size and (m[0] < 0 or m[-1] > top):
+            np.clip(m, 0, top, out=m)
         new = int(m[-1]) if m.size else 0
         if new == 0:
             return np.empty(0, dtype=np.intp)

@@ -313,13 +313,17 @@ def qos_rate_target(delay_bound: float, xi: float) -> float:
     delay_bound : float
         Delay bound in frames, > 0.
     xi : float
-        Maximum violation probability, in (0, 1).
+        Maximum violation probability, in (0, 1), large enough that -xi/e
+        does not underflow to zero (xi >= 1e-323).
     """
     if not delay_bound > 0.0:
         raise ValueError(f"delay_bound must be > 0, got {delay_bound!r}")
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must lie in (0, 1), got {xi!r}")
-    v = -1.0 - lambert_w(-xi / math.e, branch=-1)
+    x = -xi / math.e
+    if x == 0.0:  # xi = 5e-324, the smallest positive double
+        raise ValueError(f"xi={xi!r} is too small: -xi/e underflows to zero")
+    v = -1.0 - lambert_w(x, branch=-1)
     # two Newton polishes on log((1+v)/xi) = v pin the residual to ~1 ulp
     if v > 1e-8:
         for _ in range(2):

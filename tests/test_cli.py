@@ -402,6 +402,13 @@ class TestMain:
         assert err.startswith("invalid configuration:")
         assert "Traceback" not in err
 
+    def test_exit_code_underflowing_violation_prob(self, capsys):
+        # -xi/e underflows to zero, which Lambert W's minus-one branch rejects
+        assert main(["allocate", "--violation_prob", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: xi=5e-324 is too small")
+        assert "-xi/e underflows" in err
+
     @pytest.mark.parametrize("flags,name", [
         (["--reference_distance", "inf"], "reference_distance"),
         (["--traffic_load", "inf"], "traffic_load"),

@@ -27,6 +27,7 @@ from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
     _SIM_CHUNK,
     _T975,
+    _Queue,
     _Tagger,
     _TandemScan,
     _count_into,
@@ -331,6 +332,26 @@ class TestFramesWaited:
         # bits past the curve's end wait until one past its last frame
         assert waits[-1] + (last - 1) == dep.size
 
+    def test_clips_only_pieces_reaching_past_the_tagged_bits(self):
+        # m = floor(v/load + 1e-6) - first - finished never falls, so feed
+        # clips a piece to [0, n_tagged - finished] only when one of its ends
+        # lies outside: the first piece starts below bit first, the second
+        # lies inside and the third runs past bit last.  The waits equal the
+        # binary search's, which equal those of clipping every piece.
+        load, first, last = 1.0, 5, 15
+        pieces = [near_boundaries(load, cs, "at")
+                  for cs in ([2, 4, 6, 8], [9, 10, 12], [13, 20, 30])]
+        tagger = _Tagger(load, first, last)
+        clipped, waits = [], []
+        for piece in pieces:
+            m = np.floor(piece[[0, -1]] / load + 1e-6) - first - tagger.finished
+            clipped.append(bool(m[0] < 0 or m[-1] > tagger.n_tagged - tagger.finished))
+            waits.append(tagger.feed(piece))
+        assert clipped == [True, False, True]
+        assert tagger.finished == tagger.n_tagged
+        assert np.array_equal(np.concatenate(waits),
+                              searchsorted_waits(pieces, load, first, last))
+
     def test_single_tagged_frame(self):
         # five values fall short of the one bit's index, even one ulp short
         dep = near_boundaries(1.0, [0, 0, 1, 1, 1, 2], "below")
@@ -598,6 +619,30 @@ class TestSimulateTandem:
                  for i in range(0, n, chunk)]
         for got, want in zip((np.concatenate(c) for c in zip(*parts)), whole):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("queued", [True, False])
+    def test_departure_curve_is_its_running_maximum(self, queued):
+        # depart takes the running maximum only on a chunk whose raw curve,
+        # arrivals less Q[t + 1], falls.  Frames without service make it
+        # fall by one ulp inside some chunks; service that always outruns
+        # the load keeps the queue empty, and it never falls.  Either way
+        # the chunked curve is the running maximum of the whole raw curve.
+        rng = np.random.default_rng(4)
+        n, chunk, load = 400, 7, LOAD_100KBPS
+        s = rng.exponential(2.5 * load, n)
+        s = np.where(rng.random(n) < 0.4, 0.0, s) if queued else s + load
+        arrived = load * np.arange(1.0, n + 1)
+        cum = np.cumsum(load - s)
+        raw = arrived - (cum - np.minimum.accumulate(np.append(0.0, cum))[1:])
+        raw[0] = max(0.0, raw[0])
+        falls = np.flatnonzero(raw[1:] < raw[:-1]) + 1
+        assert np.array_equal(np.nextafter(raw[falls], np.inf), raw[falls - 1])
+        assert (falls % chunk != 0).any() == queued  # a fall inside a chunk
+        queue, work = _Queue(), np.empty(chunk)
+        got = np.concatenate([queue.depart(load - s[i:i + chunk], arrived[i:i + chunk],
+                                           work[:min(chunk, n - i)])
+                              for i in range(0, n, chunk)])
+        assert np.array_equal(got, np.fmax.accumulate(raw))
 
     def test_overwhelming_power_means_no_queueing(self):
         generous = Allocation(kappa1=1e9, kappa2=1e9, theta1=1e-3, theta2=1e-3,

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from relayqos import specfun
 from relayqos.specfun import (
     _gamma1p_frac,
     lambert_w,
@@ -75,6 +76,21 @@ class TestLambertW:
             w0 = lambert_w(x, 0)
             wm1 = lambert_w(x, -1)
             assert wm1 < -1.0 < w0 <= 0.0
+
+    @pytest.mark.parametrize("branch, x, start", [
+        (0, 1.0, -1.0),     # w + 1 == 0: the Halley factor is nudged off zero
+        (-1, -0.1, -1.0),
+        # the first step lands on the other branch's side of -1, where x < 0
+        # has a root too: clamped back to the requested branch
+        (0, -0.1, -2.0),
+        (-1, -0.1, -0.5),
+    ])
+    def test_halley_guards_keep_the_branch(self, monkeypatch, branch, x, start):
+        # no seed of _w_initial_guess reaches these guards, so start there
+        monkeypatch.setattr(specfun, "_w_initial_guess", lambda *args: start)
+        w = lambert_w(x, branch)
+        assert (w > -1.0) if branch == 0 else (w < -1.0)
+        assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -298,6 +314,13 @@ class TestQosRateTarget:
             qos_rate_target(10.0, 1.0)
         with pytest.raises(ValueError):
             qos_rate_target(10.0, 1.5)
+
+    def test_underflowing_target_names_xi(self):
+        # -xi/e is -0.0 only at the smallest positive double; the next one up
+        # gives -5e-324 and solves
+        with pytest.raises(ValueError, match=r"^xi=5e-324 is too small: -xi/e underflows"):
+            qos_rate_target(1.0, 5e-324)
+        assert qos_rate_target(1.0, 1e-323) == pytest.approx(750.37, rel=1e-5, abs=0.0)
 
 
 def _rbm_decorrelation_oracle(t):
