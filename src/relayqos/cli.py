@@ -330,9 +330,13 @@ def validate(profile: RadioProfile, sim_cfg: SimConfig) -> ValidationReport:
     empirical, halfwidth = empirical_ccdf(stats.e2e_delays, scenario.delay_bound)
     ccdf_note = ""
     if math.isnan(halfwidth):
-        ccdf_note = (f"{'no' if empirical == 0.0 else 'every'} tagged bit exceeded "
-                 f"D = {scenario.delay_bound:g} frames in {stats.e2e_delays.size} "
-                 "samples, so the batch-means half-width is undefined")
+        samples = stats.e2e_delays.size
+        if empirical in (0.0, 1.0):
+            cause = (f"{'no' if empirical == 0.0 else 'every'} tagged bit exceeded "
+                     f"D = {scenario.delay_bound:g} frames in {samples} samples")
+        else:  # with 0 < p < 1 only too few samples leave it undefined
+            cause = f"only {samples} samples, too few for batch means"
+        ccdf_note = f"{cause}, so the batch-means half-width is undefined"
     slope1, window1, note1 = _fit_hop_slope(stats.hop1_histogram)
     slope2, window2, note2 = _fit_hop_slope(stats.hop2_histogram)
     notes = "; ".join(n for n in (ccdf_note, note1, note2) if n)

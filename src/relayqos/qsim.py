@@ -116,19 +116,9 @@ BODY_CCDF = 0.2
 TAIL_CCDF = 1e-3
 
 # Batches of empirical_ccdf's batch-means half-width, and the 0.975 quantile
-# of Student's t with 1, 2, ..., _CCDF_BATCHES - 1 degrees of freedom.
+# of Student's t with _CCDF_BATCHES - 1 degrees of freedom.
 _CCDF_BATCHES = 30
-_T975 = (
-    12.706204736174694, 4.302652729749462, 3.1824463052837078,
-    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
-    2.364624251592784, 2.306004135204166, 2.262157162798205,
-    2.228138851986274, 2.200985160091639, 2.1788128296672284,
-    2.1603686564627913, 2.144786687917804, 2.131449545559776,
-    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
-    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
-    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
-    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
-    2.0484071417952454, 2.045229642132703)
+_T975 = 2.045229642132703
 
 # Slack (in units of the per-frame load) added to a departure-curve value's
 # bit index, floor(v/load + _INDEX_SLACK), so a curve that reaches a bit's
@@ -535,30 +525,33 @@ def empirical_ccdf(samples, x: float) -> tuple[float, float]:
 
     The samples are taken in order as one correlated series (successive
     tagged bits share queue states), so the half-width comes from the
-    method of batch means (Law & Kelton): the series is cut into
-    min(30, n) contiguous batches of near-equal size and the half-width is
-    t(0.975, b - 1) * sd(batch fractions) / sqrt(b).  With a single sample
-    it is infinite.  When no sample exceeds x, or every one does, the batch
-    fractions cannot spread, so the half-width is undefined (NaN), not 0.
-    A NaN x raises ValueError.
+    method of batch means (Law & Kelton): the series is cut into 30
+    contiguous batches of near-equal size and the half-width is
+    t(0.975, 29) * sd(batch fractions) / sqrt(30).  It needs at least 30
+    samples that do not all fall on one side of x: with fewer samples a
+    batch would be empty, and when no sample exceeds x, or every one does,
+    the batch fractions cannot spread, so the half-width is undefined (NaN),
+    not 0.  Samples that are not a 1-D series, float samples holding NaN
+    and a NaN x raise ValueError.
     """
     if math.isnan(x):
         raise ValueError(f"x must not be NaN, got {x!r}")
     samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be a 1-D series, got shape {samples.shape}")
+    if samples.dtype.kind == "f" and np.isnan(samples).any():
+        raise ValueError("samples must not hold NaN")
     n = samples.size
     if n == 0:
         raise ValueError("empirical_ccdf needs at least one sample")
-    batches = np.array_split(samples, min(_CCDF_BATCHES, n))
+    batches = np.array_split(samples, _CCDF_BATCHES)
     exceed = [int(np.count_nonzero(b > x)) for b in batches]
     total = sum(exceed)
     p = total / n
-    b = len(batches)
-    if b == 1:
-        return p, math.inf
-    if total in (0, n):
+    if n < _CCDF_BATCHES or total in (0, n):
         return p, math.nan
     means = [e / batch.size for e, batch in zip(exceed, batches)]
-    return p, _T975[b - 2] * float(np.std(means, ddof=1)) / math.sqrt(b)
+    return p, _T975 * float(np.std(means, ddof=1)) / math.sqrt(_CCDF_BATCHES)
 
 
 def _exceedances(hist: DelayHistogram) -> np.ndarray:

@@ -326,6 +326,28 @@ class TestMain:
         assert rows["notes"] == ("no tagged bit exceeded D = 125 frames in 990000 "
                                  "samples, so the batch-means half-width is undefined")
 
+    def test_validate_names_too_few_samples(self, capsys):
+        # 20 samples, 11 above D = 2 frames: the fraction is counted, but 20
+        # samples cannot fill the batches, and the note says that rather
+        # than that every (or no) bit exceeded D
+        assert main(["validate", "--traffic_load", "1e5", "--delay_bound", "0.004",
+                     "--violation_prob", "0.3", "--transmission_time", "2e-3",
+                     "--frames", "20", "--warmup", "0", "--seed", "1"]) == 0
+        rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows["empirical_violation"] == "0.55"
+        assert rows["empirical_halfwidth"] == "nan"
+        ccdf_note = rows["notes"].split("; ")[0]
+        assert ccdf_note == ("only 20 samples, too few for batch means, "
+                             "so the batch-means half-width is undefined")
+        assert "every tagged bit exceeded" not in rows["notes"]
+
+    def test_validate_one_frame_has_no_halfwidth(self, capsys):
+        assert main(["validate", "--frames", "1", "--warmup", "0"]) == 0
+        rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows["empirical_violation"] == "0.0"
+        assert rows["empirical_halfwidth"] == "nan"
+        assert rows["notes"].startswith("no tagged bit exceeded D = 125 frames in 1 samples")
+
     def test_validate_repeats_allocate_rows(self, capsys):
         args = ["--delay_bound", "0.1", "--violation_prob", "1e-2",
                 "--transmission_time", "2e-3"]

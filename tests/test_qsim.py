@@ -700,10 +700,14 @@ class TestEmpiricalCcdf:
         assert hw == pytest.approx(t * np.std(means, ddof=1) / math.sqrt(30), rel=1e-6, abs=0.0)
 
     def test_halfwidth_with_fewer_samples_than_batches(self):
+        # under 30 samples some batch would be empty: no half-width, though
+        # the fraction itself is still counted
         p, hw = empirical_ccdf([1, 2, 3], 2)
-        t = scipy_stats.t.ppf(0.975, 2)
-        assert hw == pytest.approx(t * np.std([0, 0, 1], ddof=1) / math.sqrt(3), rel=1e-6, abs=0.0)
-        assert empirical_ccdf([7], 1) == (1.0, math.inf)
+        assert p == 1.0 / 3.0 and math.isnan(hw)
+        p, hw = empirical_ccdf([7], 1)
+        assert p == 1.0 and math.isnan(hw)
+        p, hw = empirical_ccdf([0, 1] * 14 + [1], 0)
+        assert p == 15.0 / 29.0 and math.isnan(hw)
 
     def test_halfwidth_undefined_without_spread(self):
         # every batch fraction 0, or every one 1: no spread to measure, so
@@ -712,14 +716,13 @@ class TestEmpiricalCcdf:
                               (np.zeros(10**5, dtype=np.uint8), 125, 0.0)):
             got, hw = empirical_ccdf(samples, x)
             assert got == p and math.isnan(hw)
-        assert empirical_ccdf([6], 5) == (1.0, math.inf)
+        p, hw = empirical_ccdf([6], 5)
+        assert p == 1.0 and math.isnan(hw)
         p, hw = empirical_ccdf([5] * 39 + [6], 5)
         assert p == 1.0 / 40.0 and 0.0 < hw < math.inf
 
-    def test_t_quantiles(self):
-        assert len(_T975) == 29
-        for df, q in enumerate(_T975, start=1):
-            assert q == pytest.approx(scipy_stats.t.ppf(0.975, df), rel=1e-12, abs=0.0)
+    def test_t_quantile(self):
+        assert _T975 == pytest.approx(scipy_stats.t.ppf(0.975, 29), rel=1e-12, abs=0.0)
 
     def test_halfwidth_allows_for_correlation(self):
         # 0/1 Markov chain that flips state w.p. a per sample: mean 1/2,
@@ -739,6 +742,21 @@ class TestEmpiricalCcdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_ccdf([], 1)
+
+    def test_not_a_series_rejected(self):
+        # np.array_split cuts along axis 0, so rows would be taken as samples
+        for shape in ((2, 2), (10, 3), (40, 3)):
+            with pytest.raises(ValueError, match=r"^samples must be a 1-D series"):
+                empirical_ccdf(np.ones(shape), 0)
+        with pytest.raises(ValueError, match=r"^samples must be a 1-D series"):
+            empirical_ccdf(np.float64(3.0), 0)
+
+    def test_nan_samples_rejected(self):
+        # a NaN sample compares false, which would count it as not above x
+        with pytest.raises(ValueError, match="^samples must not hold NaN"):
+            empirical_ccdf([1.0, math.nan] * 20, 0.5)
+        with pytest.raises(ValueError, match="^samples must not hold NaN"):
+            empirical_ccdf(np.array([math.nan], dtype=np.float32), 0.5)
 
     def test_nan_x_rejected(self):
         # every comparison with NaN is false, which would read as P = 0
