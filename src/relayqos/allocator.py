@@ -36,6 +36,7 @@ ceiling snr = POWER_CEILING * mean_gain falls short.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .effcap import (
@@ -191,7 +192,8 @@ def _solve_power(step: str, theta: float, target: float, mean_gain: float,
     about 1e-301 nats/frame in the CLI's default profile) raises ValueError
     naming traffic_load, not a bare overflow; only a theta whose square
     overflows counts as such a load, and any other error propagates
-    unchanged.  A power that underflows to zero is infeasible.
+    unchanged.  A power below the normal float range (subnormal or zero)
+    is infeasible: its few significant bits leave the load unclosed.
     """
     bt = scenario.bt_product
 
@@ -214,8 +216,8 @@ def _solve_power(step: str, theta: float, target: float, mean_gain: float,
     if root is None:
         raise InfeasibleError(step, f"no solution below the power ceiling {POWER_CEILING:g}")
     kappa = math.exp(root) / mean_gain
-    if kappa == 0.0:
-        raise InfeasibleError(step, "required power underflows to zero")
+    if kappa < sys.float_info.min:
+        raise InfeasibleError(step, f"required power {kappa!r} is below the normal float range")
     return kappa
 
 

@@ -231,11 +231,10 @@ def _profile_at(profile: RadioProfile, axis: str, value: float) -> RadioProfile:
 
 def _sweep_point(profile: RadioProfile, axis: str, value: float) -> SweepRow:
     try:
-        allocation = allocate(to_scenario(_profile_at(profile, axis, float(value))))
+        allocation = allocate(to_scenario(_profile_at(profile, axis, value)))
     except (InfeasibleError, ValueError, OverflowError) as exc:
-        return SweepRow(axis=axis, axis_value=float(value), feasible=False,
-                        error=str(exc))
-    return SweepRow(axis=axis, axis_value=float(value), feasible=True,
+        return SweepRow(axis=axis, axis_value=value, feasible=False, error=str(exc))
+    return SweepRow(axis=axis, axis_value=value, feasible=True,
                     **_power_columns(allocation))
 
 
@@ -333,7 +332,8 @@ def validate(profile: RadioProfile, sim_cfg: SimConfig) -> ValidationReport:
         samples = stats.e2e_delays.size
         if empirical in (0.0, 1.0):
             cause = (f"{'no' if empirical == 0.0 else 'every'} tagged bit exceeded "
-                     f"D = {scenario.delay_bound:g} frames in {samples} samples")
+                     f"D = {scenario.delay_bound:g} frames in {samples} "
+                     f"sample{'' if samples == 1 else 's'}")
         else:  # with 0 < p < 1 only too few samples leave it undefined
             cause = f"only {samples} samples, too few for batch means"
         ccdf_note = f"{cause}, so the batch-means half-width is undefined"

@@ -512,6 +512,17 @@ class TestPowerSolve:
             assert type(err.value) is ValueError
             assert "range" in str(err.value)
 
+    @pytest.mark.parametrize("hop", [1, 2])
+    def test_subnormal_power_is_infeasible(self, hop):
+        # a mean gain of 1e300 puts the solved power near 5e-309, below the
+        # normal float range: its few significant bits cannot close the
+        # load, so the solve refuses it rather than return it
+        scenario = Scenario(traffic_load=1e-6, delay_bound=50.0, violation_prob=1e-2,
+                            **{f"hop{hop}_mean_gain": 1e300})
+        with pytest.raises(InfeasibleError, match="below the normal float range") as err:
+            allocate(scenario)
+        assert err.value.step == f"solve_kappa{hop}"
+
     def test_solver_errors_at_ordinary_loads_propagate(self, monkeypatch):
         # only a load whose theta squared overflows is blamed on traffic_load
         def broken(theta, link):

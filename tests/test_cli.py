@@ -346,7 +346,7 @@ class TestMain:
         rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows["empirical_violation"] == "0.0"
         assert rows["empirical_halfwidth"] == "nan"
-        assert rows["notes"].startswith("no tagged bit exceeded D = 125 frames in 1 samples")
+        assert rows["notes"].startswith("no tagged bit exceeded D = 125 frames in 1 sample,")
 
     def test_validate_repeats_allocate_rows(self, capsys):
         args = ["--delay_bound", "0.1", "--violation_prob", "1e-2",
@@ -415,6 +415,16 @@ class TestMain:
         assert "config file must hold a JSON object" in capsys.readouterr().err
         assert main(["allocate", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_exit_code_subnormal_power(self, capsys):
+        # the relay so close that hop 1's gain is ~1e302: its power would be
+        # subnormal, which cannot close the load, so the scenario is infeasible
+        assert main(["allocate", "--path_loss_exponent", "6", "--d1", "5e-50",
+                     "--traffic_load", "7.2e-7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solve_kappa1: required power" in captured.err
+        assert "below the normal float range" in captured.err
 
     def test_exit_code_range_error(self, capsys):
         # an overflow deep in the power solve is a bad input, not a crash

@@ -237,11 +237,6 @@ def tagging_cases(draw):
     return load, (dep[:cut], dep[cut:]), first, last
 
 
-# The relay's one forwarding model, a parameter only so that each simulator
-# test's id keeps naming the model it runs.
-FORWARDING = ["store-and-forward"]
-
-
 @pytest.fixture(scope="module")
 def headline_allocation():
     return allocate(SCENARIO)
@@ -359,8 +354,7 @@ class TestFramesWaited:
 
 
 class TestSimulateTandem:
-    @pytest.mark.parametrize("forwarding", FORWARDING)
-    def test_matches_reference_simulator(self, headline_allocation, forwarding):
+    def test_matches_reference_simulator(self, headline_allocation):
         cfg = SimConfig(n_frames=4000, warmup_frames=100, seed=5)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         ref1, ref2, refe = reference_delays(SCENARIO, headline_allocation, cfg)
@@ -368,10 +362,8 @@ class TestSimulateTandem:
         assert np.array_equal(stats.hop2_delays, ref2)
         assert np.array_equal(stats.e2e_delays, refe)
 
-    @pytest.mark.parametrize("forwarding", FORWARDING)
     @pytest.mark.parametrize("n,warmup", [(1, 0), (2, 1), (60, 0), (60, 59)])
-    def test_matches_reference_at_horizon_edges(self, headline_allocation,
-                                                forwarding, n, warmup):
+    def test_matches_reference_at_horizon_edges(self, headline_allocation, n, warmup):
         cfg = SimConfig(n_frames=n, warmup_frames=warmup, seed=8)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         for got, want in zip((stats.hop1_delays, stats.hop2_delays,
@@ -381,11 +373,10 @@ class TestSimulateTandem:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
-    @pytest.mark.parametrize("forwarding", FORWARDING)
     @pytest.mark.parametrize("n,warmup", [(1, 0), (8, 3), (50, 8), (4100, 4097),
                                           (8195, 100)])
     def test_chunk_boundaries(self, headline_allocation, monkeypatch,
-                              chunk, forwarding, n, warmup):
+                              chunk, n, warmup):
         # horizons that are not a multiple of the chunk, and warm-ups that
         # end just past a chunk boundary, give the per-frame reference's
         # delays and the default chunk's, bit for bit
@@ -440,9 +431,7 @@ class TestSimulateTandem:
         want = np.random.Generator(np.random.Philox(key=3)).random(2 * n + 5)
         assert np.array_equal(_hop2_generator(3, n).random(n + 5), want[n:])
 
-    @pytest.mark.parametrize("forwarding", FORWARDING)
-    def test_run_on_over_many_steps(self, headline_allocation, monkeypatch,
-                                    forwarding):
+    def test_run_on_over_many_steps(self, headline_allocation, monkeypatch):
         # the last tagged bit leaves the relay more than ten frames past the
         # horizon, so with two-frame chunks the run-on takes several steps
         cfg = SimConfig(n_frames=201, warmup_frames=150, seed=7)
@@ -514,9 +503,8 @@ class TestSimulateTandem:
         assert_lean_run_matches(scenario, tight, cfg, stats)
 
     @pytest.mark.parametrize("chunk", [1, 3, _SIM_CHUNK])
-    @pytest.mark.parametrize("forwarding", FORWARDING)
     def test_e2e_never_finalises_past_hop1(self, headline_allocation,
-                                           monkeypatch, chunk, forwarding):
+                                           monkeypatch, chunk):
         # hop 2's delay is formed from the hop-1 delay already in place, so
         # after every step the e2e tagger has finalised no more bits than
         # hop 1's (dep2 <= arr2 <= dep1)
@@ -560,16 +548,16 @@ class TestSimulateTandem:
             assert returned == 3 * n
             assert peak - returned <= 8 * 12 * _SIM_CHUNK
 
-    @pytest.mark.parametrize("forwarding,offset", [("store-and-forward", 1)])
-    def test_delay_decomposition(self, headline_allocation, forwarding, offset):
+    def test_delay_decomposition(self, headline_allocation):
         cfg = SimConfig(n_frames=20_000, warmup_frames=500, seed=3)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         # the delays are unsigned: cast before adding, or a negative hop 2
         # would wrap and the identity would hold by construction
         hop1, hop2, e2e = (a.astype(np.int64) for a in (
             stats.hop1_delays, stats.hop2_delays, stats.e2e_delays))
-        assert np.array_equal(e2e, hop1 + hop2 + offset)
-        assert (e2e - hop1 - offset >= 0).all()
+        # store-and-forward: the relay forwards one frame after it decodes
+        assert np.array_equal(e2e, hop1 + hop2 + 1)
+        assert (e2e - hop1 - 1 >= 0).all()
 
     def test_sample_counts(self, headline_allocation):
         cfg = SimConfig(n_frames=5000, warmup_frames=750, seed=1)
@@ -603,8 +591,7 @@ class TestSimulateTandem:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-    @pytest.mark.parametrize("forwarding", FORWARDING)
-    def test_chunk_step_matches_whole_scan(self, chunk, forwarding):
+    def test_chunk_step_matches_whole_scan(self, chunk):
         # frames without service grow a backlog by one load each, so the
         # float departure curve load*(t + 1) - Q[t + 1] wobbles by an ulp
         # and its running maximum, carried across every boundary, matters

@@ -258,12 +258,38 @@ def _branch_points():
     return [(b, float(a), float(z)) for b, a, z in points]
 
 
+# the core each branch runs; the recurrence seeds from the small-a series
+# at a + round(-a), never at a itself
+_BRANCH_CORES = {
+    "continued fraction, a > 0": "_upper_cf_factor",
+    "continued fraction, a <= 0": "_upper_cf_factor",
+    "continued fraction, a <= -10": "_upper_cf_factor",
+    "lower series": "_log_lower_reg_series",
+    "small a": "_small_a_series",
+    "recurrence": "_small_a_series",
+}
+
+
 class TestBranchMap:
     @pytest.mark.parametrize("branch, a, z", _branch_points())
-    def test_matches_mpmath(self, branch, a, z):
+    def test_matches_mpmath(self, branch, a, z, monkeypatch):
+        calls = []
+
+        def spy(name, core):
+            def wrapped(*args):
+                calls.append((name, args))
+                return core(*args)
+            return wrapped
+
+        for name in set(_BRANCH_CORES.values()):
+            monkeypatch.setattr(specfun, name, spy(name, getattr(specfun, name)))
         ref = float(_log_gamma_reference(a, z))
         scale = max(1.0, abs(ref))
         assert abs(log_upper_incomplete_gamma(a, z) - ref) <= 1e-14 * scale
+        [(name, (core_a, core_z))] = calls  # the point runs exactly one core
+        assert name == _BRANCH_CORES[branch]
+        assert core_z == z
+        assert (core_a != a) == (branch == "recurrence")
         if abs(ref) < 700.0:
             assert upper_incomplete_gamma(a, z) == pytest.approx(
                 math.exp(ref), rel=1e-14 * scale, abs=0.0)
