@@ -29,8 +29,12 @@ QoS target and proceeds in two steps:
 The rates see a hop's power only in its SNR, snr = kappa * mean_gain, so each
 power equation C(theta, snr) = target is solved free of the gain, by
 safeguarded Newton in ln(snr) from a start at or below the root; kappa =
-snr / mean_gain.  A power is infeasible exactly when the capacity at the
-ceiling snr = POWER_CEILING * mean_gain falls short.
+snr / mean_gain.  Each iterate calls effcap's kernel ``_capacity_at_snr``
+directly, with no LinkModel and no re-check of theta, which solve_kappa1
+and relay_arrival_bandwidth have made once per solve; the residuals call
+the public effective_capacity_rayleigh on the reported powers.  A power is
+infeasible exactly when the capacity at the ceiling snr = POWER_CEILING *
+mean_gain falls short.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 
 from .effcap import (
     LinkModel,
+    _capacity_at_snr,
     _capacity_log_slope,
     effective_bandwidth_service_rayleigh,  # noqa: F401  perfbench traces this lookup site
     effective_capacity_rayleigh,
@@ -185,34 +190,45 @@ def _solve_power(step: str, theta: float, target: float, mean_gain: float,
                  scenario: Scenario) -> float:
     """Power kappa = snr / mean_gain at which a hop's capacity at theta is target.
 
-    Newton runs in x = ln(snr) up to ln(POWER_CEILING * mean_gain), with the
-    slope from the capacity value.  Jensen's inequality, C <= BT*ln(1 + snr),
-    puts the start snr = expm1(target/BT) at or below the root.  A load so
-    small that theta = u/A carries the solve past the float range (below
-    about 1e-301 nats/frame in the CLI's default profile) raises ValueError
+    theta must be > 0: solve_kappa1 and relay_arrival_bandwidth check it
+    once, so each Newton iterate calls effcap's unchecked kernel.  Newton
+    runs in x = ln(snr) up to ln(POWER_CEILING * mean_gain), or up to the
+    largest float where that product overflows, with the slope from the
+    capacity value.  Jensen's inequality, C <= BT*ln(1 + snr), puts the
+    start snr = expm1(target/BT) at or below the root.  A load so small
+    that theta = u/A carries the solve past the float range (below about
+    1e-305 nats/frame in the CLI's default profile) raises ValueError
     naming traffic_load, not a bare overflow; only a theta whose square
     overflows counts as such a load, and any other error propagates
-    unchanged.  A power below the normal float range (subnormal or zero)
-    is infeasible: its few significant bits leave the load unclosed.
+    unchanged.  Where the ceiling overflows and no float SNR reaches the
+    target, feasibility cannot be decided, and a ValueError names the mean
+    gain.  A power below the normal float range (subnormal or zero) is
+    infeasible: its few significant bits leave the load unclosed.
     """
     bt = scenario.bt_product
+    ceiling = POWER_CEILING * mean_gain
 
     def gap(x: float) -> tuple[float, float]:
-        link = LinkModel(math.exp(x), 1.0, bt)
-        capacity = effective_capacity_rayleigh(theta, link)
-        return capacity - target, _capacity_log_slope(theta, link, capacity)
+        snr = math.exp(x)
+        capacity = _capacity_at_snr(theta, snr, bt)
+        return capacity - target, _capacity_log_slope(theta, snr, bt, capacity)
 
     try:
         t = target / bt
         # ln(expm1(t)) in a form that cannot overflow
         root = _newton_root(gap, t + math.log(-math.expm1(-t)),
-                            math.log(POWER_CEILING * mean_gain))
+                            math.log(min(ceiling, sys.float_info.max)))
     except (OverflowError, ValueError) as exc:
         if math.isfinite(theta * theta):
             raise
         raise ValueError(
             f"{step}: traffic_load {scenario.traffic_load!r} nats/frame is outside "
             f"the solver's floating-point range (theta = {theta:.3g}): {exc}") from exc
+    if root is None and ceiling == math.inf:
+        raise ValueError(
+            f"{step}: mean gain {mean_gain!r} is outside the solver's floating-point "
+            f"range: the power ceiling {POWER_CEILING:g} times it overflows, and no "
+            f"float SNR reaches the target")
     if root is None:
         raise InfeasibleError(step, f"no solution below the power ceiling {POWER_CEILING:g}")
     kappa = math.exp(root) / mean_gain

@@ -364,6 +364,21 @@ def ccdf_table(profile: RadioProfile, xs) -> list[tuple[float, float, float]]:
 # command line
 # ---------------------------------------------------------------------------
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) to the bit, without loading numpy."""
+    grid = [0.0] * n  # a grid that cannot fit in memory fails here, at once
+    div = max(n - 1, 1)
+    delta = hi - lo
+    step = delta / div
+    for i in range(n):
+        # numpy's own order of operations; a step that underflows to zero
+        # scales i/div instead
+        grid[i] = (i * step if step else i / div * delta) + lo
+    if n > 1:
+        grid[-1] = hi
+    return grid
+
+
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
@@ -380,7 +395,7 @@ def _parse_grid(text: str):
     if len(parts) == 4 and (lo <= 0 or hi <= 0):
         raise ConfigError("log grid endpoints must be positive")
     try:
-        return np.geomspace(lo, hi, n) if len(parts) == 4 else np.linspace(lo, hi, n)
+        return np.geomspace(lo, hi, n) if len(parts) == 4 else _linspace(lo, hi, n)
     except MemoryError as exc:
         raise ConfigError(f"grid of {n} points does not fit in memory") from exc
 
@@ -459,7 +474,7 @@ def _cmd_validate(profile: RadioProfile, args) -> list[tuple]:
 
 
 def _cmd_ccdf(profile: RadioProfile, args) -> list[tuple]:
-    xs = (np.linspace(0.0, 4.0 * to_scenario(profile).delay_bound, 101)
+    xs = (_linspace(0.0, 4.0 * to_scenario(profile).delay_bound, 101)
           if args.grid is None else _parse_grid(args.grid))
     return [("delay_frames", "single_hop_ccdf", "two_hop_ccdf"), *ccdf_table(profile, xs)]
 

@@ -100,6 +100,21 @@ def ergodic_rate(link: LinkModel) -> float:
     return link.bt_product * math.exp(_log_scaled_gamma(0.0, 1.0 / link.effective_snr))
 
 
+def _capacity_at_snr(theta: float, snr: float, bt: float) -> float:
+    """Effective capacity at exponent theta > 0, effective SNR snr and B*T bt.
+
+    The closed form behind :func:`effective_capacity_rayleigh`, with no
+    LinkModel and no check of theta: the allocator's power solve calls it
+    once per Newton iterate, with a theta its callers have already checked.
+    """
+    value = -_log_rate_moment(-bt * theta, 1.0 / snr) / theta
+    if not math.isfinite(value):
+        raise OverflowError(
+            f"effective capacity not representable at theta={theta!r}, snr={snr!r}, "
+            f"bt_product={bt!r}")
+    return value
+
+
 def effective_capacity_rayleigh(theta: float, link: LinkModel) -> float:
     """Effective capacity -(1/theta) * log E[exp(-theta * R)] in nats/frame.
 
@@ -108,23 +123,22 @@ def effective_capacity_rayleigh(theta: float, link: LinkModel) -> float:
     and bounded above by the ergodic rate.
     """
     _require_positive_theta(theta)
-    beta = link.bt_product * theta
-    value = -_log_rate_moment(-beta, 1.0 / link.effective_snr) / theta
-    if not math.isfinite(value):
-        raise OverflowError(
-            f"effective capacity not representable at theta={theta!r}, link={link!r}")
-    return value
+    return _capacity_at_snr(theta, link.effective_snr, link.bt_product)
 
 
-def _capacity_log_slope(theta: float, link: LinkModel, capacity: float) -> float:
-    """dC/d(ln snr) of C = effective_capacity_rayleigh(theta, link), from C.
+def _capacity_log_slope(theta: float, snr: float, bt: float, capacity: float) -> float:
+    """dC/d(ln snr) of C = _capacity_at_snr(theta, snr, bt), from C.
 
     With M_s = E[(1 + snr*h)^-s], beta = BT*theta and z = 1/snr,
     d M_beta / d ln(snr) = -beta*(M_beta - M_(beta+1)), and DLMF 8.8.2
     gives M_(beta+1) = z*(1 - M_beta)/beta.  As M_beta = exp(-theta*C), no
-    special function is needed.
+    special function is needed.  Where e^(theta*C) overflows the slope is
+    still finite, and its log form is used.
     """
-    return link.bt_product - math.expm1(theta * capacity) / (theta * link.effective_snr)
+    try:
+        return bt - math.expm1(theta * capacity) / (theta * snr)
+    except OverflowError:
+        return bt - math.exp(theta * capacity - math.log(theta) - math.log(snr))
 
 
 def effective_bandwidth_service_rayleigh(theta: float, link: LinkModel) -> float:

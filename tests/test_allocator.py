@@ -9,7 +9,7 @@ import pytest
 from scipy import optimize
 
 from oracles import effective_capacity_oracle
-from relayqos import allocator
+from relayqos import allocator, effcap
 from relayqos.allocator import (
     POWER_CEILING,
     InfeasibleError,
@@ -496,13 +496,96 @@ class TestBrentq:
         assert outcomes == {"feasible", "solve_kappa1", "solve_kappa2"}
 
 
+def count_capacity_evaluations(monkeypatch):
+    """Count the capacity kernel's calls: the solver's and the residuals'."""
+    calls = [0]
+    kernel = effcap._capacity_at_snr
+
+    def counting(theta, snr, bt):
+        calls[0] += 1
+        return kernel(theta, snr, bt)
+
+    # the solve calls the kernel directly, the residuals through effcap
+    monkeypatch.setattr(allocator, "_capacity_at_snr", counting)
+    monkeypatch.setattr(effcap, "_capacity_at_snr", counting)
+    return calls
+
+
+def linkmodel_power(theta, target, mean_gain, bt):
+    """kappa from the shared Newton solve with a LinkModel-based gap, or None.
+
+    The gap builds a LinkModel per iterate and calls the public capacity,
+    with the slope in its B*T - expm1(theta*C)/(theta*snr) form.
+    """
+    def gap(x):
+        link = LinkModel(math.exp(x), 1.0, bt)
+        capacity = effective_capacity_rayleigh(theta, link)
+        slope = bt - math.expm1(theta * capacity) / (theta * link.effective_snr)
+        return capacity - target, slope
+
+    t = target / bt
+    root = allocator._newton_root(gap, t + math.log(-math.expm1(-t)),
+                                  math.log(POWER_CEILING * mean_gain))
+    return None if root is None else math.exp(root) / mean_gain
+
+
 class TestPowerSolve:
+    def test_powers_match_linkmodel_gap(self):
+        # the kernel-based solve takes the iterates a LinkModel-based gap
+        # takes, so every power is the same float
+        outcomes = set()
+        for scenario in wide_scenarios(150, seed=3):
+            u = target_rate(scenario)
+            theta1 = solve_theta1(u, scenario)
+            bt = scenario.bt_product
+            kappa1 = linkmodel_power(theta1, scenario.traffic_load,
+                                     scenario.hop1_mean_gain, bt)
+            kappa2 = None
+            if kappa1 is not None:
+                r = relative_departure_burstiness(u, kappa1, scenario)
+                theta2 = solve_theta2(u, r, scenario)
+                kappa2 = linkmodel_power(theta2, relay_arrival_bandwidth(theta2, r, scenario),
+                                         scenario.hop2_mean_gain, bt)
+            try:
+                allocation = allocate(scenario)
+            except InfeasibleError as exc:
+                assert exc.step == ("solve_kappa1" if kappa1 is None else "solve_kappa2")
+                assert kappa2 is None, scenario
+                outcomes.add(exc.step)
+                continue
+            assert (allocation.kappa1, allocation.kappa2) == (kappa1, kappa2), scenario
+            outcomes.add("feasible")
+        assert outcomes == {"feasible", "solve_kappa1", "solve_kappa2"}
+
+    def test_huge_snr_slope_stays_finite(self):
+        # a mean gain of 1e290 at a load of 1e-12 puts theta*C past the
+        # range of expm1 when the solve probes its ceiling, though the slope
+        # is finite
+        scenario = Scenario(traffic_load=1e-12, delay_bound=50.0, violation_prob=1e-2,
+                            hop1_mean_gain=1e290)
+        allocation = allocate(scenario)
+        for name, value in allocation.residuals.items():
+            assert value <= 1e-11, name
+
+    def test_gain_whose_ceiling_overflows_is_named(self):
+        # POWER_CEILING * 1e303 is infinite, so the solve runs up to the
+        # largest float SNR; a load no such SNR carries names the mean gain,
+        # not a bare overflow of exp in the Newton step
+        scenario = Scenario(traffic_load=1e5, delay_bound=50.0, violation_prob=1e-2,
+                            hop1_mean_gain=1e303, bt_product=100.0)
+        with pytest.raises(ValueError, match="^solve_kappa1: mean gain 1e\\+303 is outside"):
+            allocate(scenario)
+        # a load some float SNR carries solves as before
+        allocation = allocate(dataclasses.replace(scenario, traffic_load=1e3))
+        for name, value in allocation.residuals.items():
+            assert value <= 1e-12, name
+
     def test_float_range_errors_name_the_load(self):
-        # 1e-300 bit/s in the CLI's default profile: theta = u/A ~ 1e302, and
+        # 1e-305 bit/s in the CLI's default profile: theta = u/A ~ 1e307, and
         # both solves, called directly, blame traffic_load, not a bare overflow
         from relayqos import cli
 
-        profile = dataclasses.replace(cli.RadioProfile(), traffic_load=1e-300)
+        profile = dataclasses.replace(cli.RadioProfile(), traffic_load=1e-305)
         scenario = cli.to_scenario(profile)
         theta = theta1_of(scenario)
         for solve in (lambda: solve_kappa1(theta, scenario),
@@ -525,10 +608,10 @@ class TestPowerSolve:
 
     def test_solver_errors_at_ordinary_loads_propagate(self, monkeypatch):
         # only a load whose theta squared overflows is blamed on traffic_load
-        def broken(theta, link):
+        def broken(theta, snr, bt):
             raise ValueError("math domain error")
 
-        monkeypatch.setattr(allocator, "effective_capacity_rayleigh", broken)
+        monkeypatch.setattr(allocator, "_capacity_at_snr", broken)
         theta1 = theta1_of(HEADLINE)
         for solve in (lambda: solve_kappa1(theta1, HEADLINE),
                       lambda: solve_kappa2(theta1, 0.0, HEADLINE),
@@ -537,14 +620,7 @@ class TestPowerSolve:
                 solve()
 
     def test_capacity_evaluations_per_allocate(self, monkeypatch):
-        calls = [0]
-        capacity = allocator.effective_capacity_rayleigh
-
-        def counting(theta, link):
-            calls[0] += 1
-            return capacity(theta, link)
-
-        monkeypatch.setattr(allocator, "effective_capacity_rayleigh", counting)
+        calls = count_capacity_evaluations(monkeypatch)
         counts = []
         for scenario in wide_scenarios(150, seed=3):
             calls[0] = 0
@@ -589,14 +665,7 @@ class TestPowerSolve:
     def test_huge_beta_capacity_stays_monotone(self, monkeypatch):
         # beta1 = BT*theta1 ~ 4.8e9 at snr ~ 2700: the log-moment is ln z + ln H,
         # not the difference of two terms of size beta*|ln z| ~ 4e10
-        calls = [0]
-        capacity = allocator.effective_capacity_rayleigh
-
-        def counting(theta, link):
-            calls[0] += 1
-            return capacity(theta, link)
-
-        monkeypatch.setattr(allocator, "effective_capacity_rayleigh", counting)
+        calls = count_capacity_evaluations(monkeypatch)
         scenario = Scenario(traffic_load=5.462923728765322e-06,
                             delay_bound=0.30843946025627306,
                             violation_prob=0.0009371607923794755,

@@ -151,8 +151,8 @@ class TestSweep:
         assert math.isnan(rows[1].kappa1)
 
     def test_range_errors_reported_in_their_rows(self, capsys):
-        # a load of 1e-300 overflows the power solve's capacity slope
-        code = main(["sweep", "--axis", "traffic_load", "--grid", "1e-300:1e5:3:log"])
+        # a load of 1e-305 carries theta = u/A past the float range
+        code = main(["sweep", "--axis", "traffic_load", "--grid", "1e-305:1e5:3:log"])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["feasible"] for r in rows] == ["False", "True", "True"]
@@ -221,6 +221,23 @@ class TestValidate:
         e2e = runs[-1].e2e_delays
         assert e2e.nbytes == 990_000
         assert peak - e2e.nbytes <= 8 * 12 * _SIM_CHUNK
+
+
+class TestLinspace:
+    def test_matches_numpy_bit_for_bit(self):
+        # linear grids skip numpy but keep its points, signed zeros, the
+        # underflowing step of a subnormal span and the NaN of an
+        # overflowing one included
+        rng = np.random.default_rng(21)
+        grids = [(float(lo), float(hi), int(n)) for lo, hi, n in zip(
+            rng.uniform(-1e3, 1e3, 2000), rng.uniform(-1e3, 1e3, 2000),
+            rng.integers(1, 300, 2000))]
+        grids += [(-0.0, 1.0, 1), (0.0, -0.0, 3), (0.0, 1.5e-323, 8),
+                  (-1e308, 1e308, 3), (2.0, 2.0, 5), (10.0, 90.0, 17)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi, n in grids:
+                got = np.array(cli._linspace(lo, hi, n))
+                assert got.tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
 
 
 class TestCcdfTable:
@@ -364,7 +381,7 @@ class TestMain:
         ("nan:1:3", "grid endpoints must be finite"),
         ("0:inf:3", "grid endpoints must be finite"),
         ("1:inf:3:log", "grid endpoints must be finite"),
-        # 7.3 TiB: numpy refuses the allocation at once
+        # 7.3 TiB: the allocation is refused at once
         ("0:1:1000000000000", "grid of 1000000000000 points does not fit in memory"),
         ("a:90:3", "bad grid 'a:90:3'"),
         ("10:90:0", "grid needs at least one point, got 0"),
@@ -426,10 +443,21 @@ class TestMain:
         assert "solve_kappa1: required power" in captured.err
         assert "below the normal float range" in captured.err
 
+    def test_exit_code_gain_whose_ceiling_overflows(self, capsys):
+        # hop 1's gain ~9.3e302 makes its SNR ceiling 1e6 * gain overflow:
+        # the solve runs up to the largest float SNR instead of probing
+        # snr = inf, and finds the subnormal power the gain implies
+        assert main(["allocate", "--path_loss_exponent", "6", "--d1", "1.6e-49",
+                     "--traffic_load", "7.2e-10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solve_kappa1: required power" in captured.err
+        assert "below the normal float range" in captured.err
+
     def test_exit_code_range_error(self, capsys):
         # an overflow deep in the power solve is a bad input, not a crash
         # (exit 1 would claim the scenario infeasible)
-        assert main(["allocate", "--traffic_load", "1e-300"]) == 2
+        assert main(["allocate", "--traffic_load", "1e-305"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:")
         assert "Traceback" not in err
@@ -582,15 +610,19 @@ class TestRuntimeImports:
             assert missing == [], module.__name__
 
     def test_allocator_path_leaves_numpy_unloaded(self):
-        # numpy loads on first use: sweep and the allocate command run without it
+        # numpy loads on first use: sweep and the allocate, ccdf and linear
+        # sweep commands run without it
         src = str(Path(relayqos.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import contextlib, io, relayqos, relayqos.cli as cli, sys\n"
                 "cli.sweep(cli.RadioProfile(), 'd1', [30.0, 60.0])\n"
-                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-                "    rc = cli.main(['allocate'])\n"
-                "print(rc, bool(out.getvalue()), 'numpy' in sys.modules)")
+                "for argv in (['allocate'], ['ccdf'], ['ccdf', '--grid', '0:10:3'],\n"
+                "             ['sweep', '--axis', 'd1', '--grid', '30:60:3']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "        rc = cli.main(argv)\n"
+                "    print(rc, bool(out.getvalue()), end=' ')\n"
+                "print('numpy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "0 True False"
+        assert out.stdout.strip() == "0 True 0 True 0 True 0 True False"

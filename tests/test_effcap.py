@@ -17,13 +17,16 @@ from oracles import (
     effective_capacity_oracle,
     ergodic_rate_oracle,
 )
+from relayqos import specfun
 from relayqos.effcap import (
     LinkModel,
+    _capacity_at_snr,
     _capacity_log_slope,
     effective_bandwidth_service_rayleigh,
     effective_capacity_rayleigh,
     ergodic_rate,
 )
+from test_specfun import _BRANCH_CORES, _branch_points
 
 BT = 200.0
 
@@ -215,7 +218,7 @@ class TestCapacityLogSlope:
         mpmath = pytest.importorskip("mpmath")
         theta = beta / BT
         lk = link(snr)
-        got = _capacity_log_slope(theta, lk, effective_capacity_rayleigh(theta, lk))
+        got = _capacity_log_slope(theta, snr, BT, effective_capacity_rayleigh(theta, lk))
 
         def capacity(x):
             z = mpmath.exp(-x)
@@ -233,7 +236,7 @@ class TestCapacityLogSlope:
         beta = BT * theta
         for snr in (0.05, 1.0, 30.0):
             lk = link(snr)
-            got = _capacity_log_slope(theta, lk, effective_capacity_rayleigh(theta, lk))
+            got = _capacity_log_slope(theta, snr, BT, effective_capacity_rayleigh(theta, lk))
 
             def capacity(x):
                 z = mpmath.exp(-x)
@@ -243,3 +246,39 @@ class TestCapacityLogSlope:
             with mpmath.workdps(40):
                 exact = float(mpmath.diff(capacity, math.log(snr)))
             assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+    def test_finite_where_expm1_overflows(self):
+        # theta*C ~ 717 at snr = 1e305: e^(theta*C) overflows, but the
+        # slope, about 1/theta, is finite and matches a central difference
+        theta, bt = 1e4, 200.0
+        x = math.log(1e305)
+        capacity = _capacity_at_snr(theta, math.exp(x), bt)
+        with pytest.raises(OverflowError):
+            math.expm1(theta * capacity)
+        got = _capacity_log_slope(theta, math.exp(x), bt, capacity)
+        h = 1e-5
+        central = (_capacity_at_snr(theta, math.exp(x + h), bt)
+                   - _capacity_at_snr(theta, math.exp(x - h), bt)) / (2.0 * h)
+        assert 0.0 < got < bt
+        assert got == pytest.approx(central, rel=1e-6, abs=0.0)
+
+
+class TestCapacityKernel:
+    # a = 1 - BT*theta and z = 1/snr: the capacity's points among the gamma
+    # branch map's, a < 1 so that theta > 0
+    @pytest.mark.parametrize("branch, a, z", [p for p in _branch_points() if p[1] < 1.0])
+    def test_matches_public_capacity(self, branch, a, z, monkeypatch):
+        theta, snr = (1.0 - a) / BT, 1.0 / z
+        public = effective_capacity_rayleigh(theta, LinkModel(snr, 1.0, BT))
+        calls = []
+
+        def spy(name, core):
+            def wrapped(*args):
+                calls.append(name)
+                return core(*args)
+            return wrapped
+
+        for name in set(_BRANCH_CORES.values()):
+            monkeypatch.setattr(specfun, name, spy(name, getattr(specfun, name)))
+        assert _capacity_at_snr(theta, snr, BT) == public  # bit for bit
+        assert calls == [_BRANCH_CORES[branch]]
