@@ -14,13 +14,14 @@ forwarding it, so hop 1's output joins the hop-2 queue in the next frame
 (store-and-forward), and the end-to-end delay is hop 1 + hop 2 + 1.
 
 The Lindley recursion is evaluated in vectorized form (cumulative sums plus a
-running minimum), and gains come from a counter-based Philox generator, so a
+running minimum), and gains come from counter-based Philox generators, so a
 run is reproducible from its seed and replications with different seeds are
-independent.  Over the horizon of n frames hop 1 takes draws 0..n-1 of the
-Philox(seed) stream and hop 2 draws n..2n-1; hop 2's generator is a second
-Philox(seed) moved on by n // 4 counter steps (four draws each) and n % 4
-single draws.  Past the horizon that generator serves both hops in turn:
-frame n + j takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).
+independent.  Each hop reads one stream for the whole run, run-on included:
+hop 1 the Philox(seed) stream and hop 2 that key's stream jumped by 2**128
+counter steps, and frame t takes draw t of each.  No draw depends on the
+horizon, so a run of n frames is the first n frames of any longer run at
+the same seed, and the delays of its tagged bits are the first entries of
+that run's.
 
 One run has one producer and one consumer.  The producer, ``_pieces``,
 streams the simulation in chunks of _SIM_CHUNK frames: each chunk's
@@ -54,9 +55,10 @@ So that no tagged bit is censored, the same scan runs on past frame n, with
 the source still sending, until every tagged bit has departed both hops.
 Under FIFO a bit arriving after the horizon queues behind every tagged bit,
 so it takes none of the service a tagged bit would get, and each tagged bit
-departs in the frame it would with no fresh arrivals.  Each run-on step is
-a whole chunk, so the run-on passes the frames the last tagged bit needs by
-under a chunk, and stops with an error after _MAX_RUN_ON_FRAMES frames.
+departs in the frame it would with no fresh arrivals.  Every step is a
+whole chunk, the one that crosses the horizon too, so the run passes the
+frames the last tagged bit needs by under a chunk, and stops with an error
+_MAX_RUN_ON_FRAMES frames past the horizon.
 
 Delay tagging in O(n).  Each curve value v reaches the bit indices up to
 m(v) = floor(v/load + _INDEX_SLACK).  Division by a positive constant,
@@ -242,21 +244,6 @@ def _to_service(s: np.ndarray, bt: float, snr: float) -> np.ndarray:
     return s
 
 
-def _hop2_generator(seed: int, n: int) -> np.random.Generator:
-    """Generator positioned at draw n of the Philox(seed) stream.
-
-    Over a horizon of n frames hop 1 takes draws 0..n-1 of the stream and
-    hop 2 draws n..2n-1, as if both came from one generator.  The run-on
-    past the horizon continues from draw 2n, frame n + j taking draws
-    2n + 2j (hop 1) and 2n + 2j + 1 (hop 2).  Philox makes four 64-bit draws
-    per counter step, and each double takes one draw.
-    """
-    bits = np.random.Philox(key=seed)
-    bits.advance(n // 4)
-    bits.random_raw(n % 4)
-    return np.random.Generator(bits)
-
-
 class _Queue:
     """One hop's Lindley scan, carried from chunk to chunk of a run.
 
@@ -419,15 +406,15 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     finalises its bit, which it never does before hop 1's (dep2 <= arr2 <=
     dep1).
 
-    Over the horizon hop 1 takes draws 0..n-1 of the Philox(seed) stream and
-    hop 2 draws n..2n-1.  The scan runs on past frame n, with the source
-    still sending, until every tagged bit has departed both hops; under
-    FIFO the later arrivals queue behind the tagged bits, so each tagged bit
-    departs in the frame it would with no fresh arrivals.  Frame n + j of
-    the run-on takes draws 2n + 2j (hop 1) and 2n + 2j + 1 (hop 2),
-    whatever the step sizes; every step is _SIM_CHUNK frames, cut only by
-    the horizon and _MAX_RUN_ON_FRAMES.  The stability check runs at the
-    first step, before any piece is yielded.
+    Hop 1 reads the Philox(seed) stream and hop 2 that key's stream jumped
+    by 2**128, frame t taking draw t of each, so a run is the prefix of any
+    longer run at the same seed.  The scan runs on past frame n, with the
+    source still sending, until every tagged bit has departed both hops;
+    under FIFO the later arrivals queue behind the tagged bits, so each
+    tagged bit departs in the frame it would with no fresh arrivals.  Every
+    step is _SIM_CHUNK frames, cut only _MAX_RUN_ON_FRAMES frames past the
+    horizon.  The stability check runs before the first step, before any
+    piece is yielded.
 
     Raises
     ------
@@ -451,25 +438,21 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
 
     n, first = cfg.n_frames, cfg.warmup_frames
     chunk = _SIM_CHUNK
-    rng1 = np.random.Generator(np.random.Philox(key=cfg.seed))
-    rng2 = _hop2_generator(cfg.seed, n)
+    bits = np.random.Philox(key=cfg.seed)
+    rng1, rng2 = np.random.Generator(bits), np.random.Generator(bits.jumped())
     scan = _TandemScan(load, chunk)
-    draws = np.empty(2 * chunk)
+    draws = np.empty((2, chunk))
     tag1, tag2 = _Tagger(load, first, n), _Tagger(load, first, n)
     held = np.empty(0, dtype=np.intp)  # hop-1 delays of bits e2e has yet to finalise
-    # e2e finalises after hop 1, so its tagger ends the run
-    while scan.frames < n or tag2.finished < tag2.n_tagged:
-        if scan.frames < n:
-            k = min(chunk, n - scan.frames)
-            u1, u2 = rng1.random(out=draws[:k]), rng2.random(out=draws[chunk:chunk + k])
-        else:
-            k = min(chunk, _MAX_RUN_ON_FRAMES - (scan.frames - n))
-            if k == 0:
-                raise RuntimeError(
-                    f"tagged bits still queued {_MAX_RUN_ON_FRAMES} frames past "
-                    "the horizon; queues are effectively unstable")
-            # hop 1 takes the even draws and hop 2 the odd ones
-            u1, u2 = rng2.random(out=draws[:2 * k]).reshape(k, 2).T
+    # e2e finalises after hop 1, and at least a frame after its bit arrives,
+    # so its tagger ends the run, past the horizon
+    while tag2.finished < tag2.n_tagged:
+        k = min(chunk, n + _MAX_RUN_ON_FRAMES - scan.frames)
+        if k == 0:
+            raise RuntimeError(
+                f"tagged bits still queued {_MAX_RUN_ON_FRAMES} frames past "
+                "the horizon; queues are effectively unstable")
+        u1, u2 = rng1.random(out=draws[0, :k]), rng2.random(out=draws[1, :k])
         dep1, dep2 = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
         # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
         # delays of the bits it finalised are held already

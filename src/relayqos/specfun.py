@@ -137,15 +137,15 @@ def _upper_cf_factor(a: float, z: float) -> float:
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
+        if -_FPMIN < d < _FPMIN:
             d = _FPMIN
         c = b + an / c
-        if abs(c) < _FPMIN:
+        if -_FPMIN < c < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if -_EPS < delta - 1.0 < _EPS:
             return h
     raise ValueError(f"incomplete-gamma continued fraction stalled at a={a!r}, z={z!r}")
 

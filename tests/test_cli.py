@@ -326,7 +326,7 @@ class TestMain:
         ccdf_note, *notes = rows["notes"].split("; ")
         assert ccdf_note.startswith("no tagged bit exceeded D = 50 frames in 1500 samples")
         assert [note.split(" (")[0] for note in notes] == [
-            "only 2 exceedances beyond x=10", "only 46 exceedances beyond x=16"]
+            "only 2 exceedances beyond x=10", "only 84 exceedances beyond x=11"]
         assert all("(need >= 100)" in note for note in notes)
         # no x_hi is given to validate's fits, so none is advised lowered
         assert all(note.endswith("— simulate more frames") for note in notes)
@@ -344,14 +344,14 @@ class TestMain:
                                  "samples, so the batch-means half-width is undefined")
 
     def test_validate_names_too_few_samples(self, capsys):
-        # 20 samples, 11 above D = 2 frames: the fraction is counted, but 20
+        # 20 samples, 2 above D = 2 frames: the fraction is counted, but 20
         # samples cannot fill the batches, and the note says that rather
         # than that every (or no) bit exceeded D
         assert main(["validate", "--traffic_load", "1e5", "--delay_bound", "0.004",
                      "--violation_prob", "0.3", "--transmission_time", "2e-3",
                      "--frames", "20", "--warmup", "0", "--seed", "1"]) == 0
         rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows["empirical_violation"] == "0.55"
+        assert rows["empirical_violation"] == "0.1"
         assert rows["empirical_halfwidth"] == "nan"
         ccdf_note = rows["notes"].split("; ")[0]
         assert ccdf_note == ("only 20 samples, too few for batch means, "

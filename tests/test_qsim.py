@@ -31,7 +31,6 @@ from relayqos.qsim import (
     _Tagger,
     _TandemScan,
     _count_into,
-    _hop2_generator,
     _pieces,
     BODY_CCDF,
     MIN_TAIL_EXCEEDANCES,
@@ -56,12 +55,14 @@ def reference_delays(scenario, allocation, cfg):
     """Per-frame reference simulator: explicit queues, explicit bit tracking.
 
     Independent of the vectorized implementation; replays the same gain
-    stream by drawing from an identically keyed generator.
+    streams by drawing from identically keyed generators, hop 1 from
+    Philox(seed) and hop 2 from its jumped copy, one draw each per frame.
     """
     n = cfg.n_frames
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    h1 = -scenario.hop1_mean_gain * np.log1p(-rng.random(n))
-    h2 = -scenario.hop2_mean_gain * np.log1p(-rng.random(n))
+    bits = np.random.Philox(key=cfg.seed)
+    rng1, rng2 = np.random.Generator(bits), np.random.Generator(bits.jumped())
+    h1 = -scenario.hop1_mean_gain * np.log1p(-rng1.random(n))
+    h2 = -scenario.hop2_mean_gain * np.log1p(-rng2.random(n))
     s1 = scenario.bt_product * np.log1p(allocation.kappa1 * h1)
     s2 = scenario.bt_product * np.log1p(allocation.kappa2 * h2)
 
@@ -78,11 +79,10 @@ def reference_delays(scenario, allocation, cfg):
             sv1, sv2 = s1[t], s2[t]
             arrive = load
         else:
-            u = rng.random(2)
             sv1 = scenario.bt_product * math.log1p(
-                -allocation.kappa1 * scenario.hop1_mean_gain * math.log1p(-u[0]))
+                -allocation.kappa1 * scenario.hop1_mean_gain * math.log1p(-rng1.random()))
             sv2 = scenario.bt_product * math.log1p(
-                -allocation.kappa2 * scenario.hop2_mean_gain * math.log1p(-u[1]))
+                -allocation.kappa2 * scenario.hop2_mean_gain * math.log1p(-rng2.random()))
             arrive = 0.0
             extra_frames += 1
             assert extra_frames < 100_000
@@ -423,13 +423,28 @@ class TestSimulateTandem:
         assert stats.frames_simulated == 1000 and stats.e2e_delays.size == 990
         assert np.array_equal(stats.e2e_delays, plain.e2e_delays)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 1001])
-    def test_hop2_generator_continues_hop1_stream(self, n):
-        # hop 2's gains over the horizon, and the run-on's draws after them,
-        # are draws n, n + 1, ... of the one stream a single Philox(seed)
-        # generator would give
-        want = np.random.Generator(np.random.Philox(key=3)).random(2 * n + 5)
-        assert np.array_equal(_hop2_generator(3, n).random(n + 5), want[n:])
+    @pytest.mark.parametrize("chunk", [3, _SIM_CHUNK])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1001])
+    def test_each_hop_reads_its_own_stream(self, headline_allocation,
+                                           monkeypatch, chunk, n):
+        # whatever the horizon, run-on included, hop 1's uniforms are the
+        # first values of the Philox(seed) stream and hop 2's the first of
+        # that key's jumped stream, one per frame scanned
+        drawn = []
+        to_service = qsim._to_service
+
+        def recording(s, bt, snr):
+            drawn.append(s.copy())
+            return to_service(s, bt, snr)
+
+        monkeypatch.setattr(qsim, "_to_service", recording)
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
+        simulate_tandem(SCENARIO, headline_allocation, SimConfig(n_frames=n, seed=3))
+        u1, u2 = np.concatenate(drawn[0::2]), np.concatenate(drawn[1::2])
+        assert u1.size == u2.size > n
+        hop1, hop2 = np.random.Philox(key=3), np.random.Philox(key=3).jumped()
+        assert np.array_equal(u1, np.random.Generator(hop1).random(u1.size))
+        assert np.array_equal(u2, np.random.Generator(hop2).random(u2.size))
 
     def test_run_on_over_many_steps(self, headline_allocation, monkeypatch):
         # the last tagged bit leaves the relay more than ten frames past the
@@ -455,12 +470,35 @@ class TestSimulateTandem:
         with pytest.raises(RuntimeError, match="1 frames past the horizon"):
             simulate_tandem(SCENARIO, headline_allocation, cfg)
 
+    @pytest.mark.parametrize("chunk,seed,warmup,n,longer", [
+        (chunk, *case) for chunk in (1, 7, _SIM_CHUNK)
+        for case in ((0, 0, 1, 40), (4, 10, 150, 151), (9, 99, 300, 1000))
+    ] + [(chunk, 13, 500, 17_000, 20_000) for chunk in (7, _SIM_CHUNK)])
+    def test_run_is_prefix_of_longer_run(self, headline_allocation, monkeypatch,
+                                         chunk, seed, warmup, n, longer):
+        # each hop's draws do not depend on the horizon, so the delays of a
+        # horizon's tagged bits are the first entries of a longer run's at
+        # the same seed and warm-up, whatever the chunk, and so is the e2e
+        # array of a run that keeps no hop arrays
+        monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
+        short = simulate_tandem(SCENARIO, headline_allocation,
+                                SimConfig(n_frames=n, warmup_frames=warmup, seed=seed))
+        cfg = SimConfig(n_frames=longer, warmup_frames=warmup, seed=seed)
+        full = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        lean = simulate_tandem(SCENARIO, headline_allocation, cfg, hop_arrays=False)
+        tagged = n - warmup
+        for got, want in zip((short.hop1_delays, short.hop2_delays, short.e2e_delays),
+                             (full.hop1_delays, full.hop2_delays, full.e2e_delays)):
+            assert got.size == tagged
+            assert np.array_equal(got, want[:tagged])
+        assert np.array_equal(lean.e2e_delays[:tagged], short.e2e_delays)
+
     @pytest.mark.parametrize("chunk", [8, _SIM_CHUNK])
     def test_run_on_takes_whole_chunks(self, headline_allocation, monkeypatch,
                                        chunk):
         # the last tagged bit needs e2e_delays[-1] frames past the horizon;
-        # every run-on step is one chunk, so the run-on overshoots that need
-        # by less than a chunk
+        # every step is one chunk, the one crossing the horizon too, so the
+        # run passes that need by less than a chunk
         frames = []
         step = _TandemScan.step
 
@@ -473,9 +511,8 @@ class TestSimulateTandem:
         cfg = SimConfig(n_frames=201, seed=7)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         needed = int(stats.e2e_delays[-1])
-        run_on = sum(frames) - cfg.n_frames
-        assert needed <= run_on < needed + chunk
-        assert run_on % chunk == 0
+        assert set(frames) == {chunk}
+        assert needed <= sum(frames) - cfg.n_frames < needed + chunk
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096, _SIM_CHUNK])
     @pytest.mark.parametrize("kappa2", [0.005030050640275492, 10.0])
@@ -502,12 +539,14 @@ class TestSimulateTandem:
         assert_histograms_count_hops(stats)
         assert_lean_run_matches(scenario, tight, cfg, stats)
 
-    @pytest.mark.parametrize("chunk", [1, 3, _SIM_CHUNK])
+    @pytest.mark.parametrize("chunk,n", [(1, 5000), (3, 5000),
+                                         (_SIM_CHUNK, 3 * _SIM_CHUNK)])
     def test_e2e_never_finalises_past_hop1(self, headline_allocation,
-                                           monkeypatch, chunk):
+                                           monkeypatch, chunk, n):
         # hop 2's delay is formed from the hop-1 delay already in place, so
         # after every step the e2e tagger has finalised no more bits than
-        # hop 1's (dep2 <= arr2 <= dep1)
+        # hop 1's (dep2 <= arr2 <= dep1).  Each horizon spans several
+        # chunks, so e2e has steps at which to lag.
         finished = []
         feed = _Tagger.feed
 
@@ -518,12 +557,12 @@ class TestSimulateTandem:
 
         monkeypatch.setattr(_Tagger, "feed", recording)
         monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
-        cfg = SimConfig(n_frames=5000, warmup_frames=50, seed=9)
+        cfg = SimConfig(n_frames=n, warmup_frames=50, seed=9)
         simulate_tandem(SCENARIO, headline_allocation, cfg)
         hop1, e2e = finished[0::2], finished[1::2]
-        assert len(hop1) == len(e2e) > 5000 // chunk
+        assert len(hop1) == len(e2e) > n // chunk
         assert all(b <= a for a, b in zip(hop1, e2e))
-        assert hop1[-1] == e2e[-1] == 5000 - 50
+        assert hop1[-1] == e2e[-1] == n - 50
         # e2e lags at some step, so the pairing is exercised
         assert any(b < a for a, b in zip(hop1, e2e))
 
