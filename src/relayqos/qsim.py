@@ -3,7 +3,7 @@
 The source queue receives a constant load each frame and drains at the hop-1
 Shannon rate under i.i.d. per-frame Rayleigh gains; its departures feed the
 relay queue, which drains at the hop-2 rate.  Within a frame, arrivals are
-credited before service (Q[t+1] = max(Q[t] + A[t] - S[t], 0)).
+credited before service (per frame, Q[t+1] = max(Q[t] + a[t] - s[t], 0)).
 
 Delay is sampled at frame resolution: the last bit arriving in each
 post-warm-up frame is tagged.  The bit tagged in frame c - 1 has index c,
@@ -13,15 +13,17 @@ the number of whole frames until then.  The relay decodes a frame before
 forwarding it, so hop 1's output joins the hop-2 queue in the next frame
 (store-and-forward), and the end-to-end delay is hop 1 + hop 2 + 1.
 
-The Lindley recursion is evaluated in vectorized form (cumulative sums plus a
-running minimum), and gains come from counter-based Philox generators, so a
-run is reproducible from its seed and replications with different seeds are
-independent.  Each hop reads one stream for the whole run, run-on included:
-hop 1 the Philox(seed) stream and hop 2 that key's stream jumped by 2**128
-counter steps, and frame t takes draw t of each.  No draw depends on the
-horizon, so a run of n frames is the first n frames of any longer run at
-the same seed, and the delays of its tagged bits are the first entries of
-that run's.
+Each hop's queue is evaluated in vectorized form: with cumulative arrivals A
+and cumulative service S, its departure curve is
+D(t) = min(A(t), S(t) + min(0, min over tau <= t of A(tau) - S(tau))), which
+is the Lindley recursion's (cumulative sums plus a running minimum).  Gains
+come from counter-based Philox generators, so a run is reproducible from its
+seed and replications with different seeds are independent.  Each hop reads
+one stream for the whole run, run-on included: hop 1 the Philox(seed) stream
+and hop 2 that key's stream jumped by 2**128 counter steps, and frame t
+takes draw t of each.  No draw depends on the horizon, so a run of n frames
+is the first n frames of any longer run at the same seed, and the delays of
+its tagged bits are the first entries of that run's.
 
 One run has one producer and one consumer.  The producer, ``_pieces``,
 streams the simulation in chunks of _SIM_CHUNK frames: each chunk's
@@ -29,17 +31,18 @@ uniforms are drawn, turned into services in place, both hops scanned and
 both departure curves tagged in a few chunk-sized buffers that stay in
 cache, and each step yields the delays it finalised, a piece of hop-1,
 hop-2 and e2e delays for the tagged bits that follow the last piece's.
-Both hops run one Lindley scan, each hop's queue carrying its cumulative
-net input, the running minimum of 0 and that sum and its departure curve's
-running maximum across a chunk boundary; the tandem carries only hop 2's
-last cumulative arrival.  Every carry is folded into element 0 of the next
-chunk before its cumulative sum or accumulate, so each float operation is
-the one a single scan over the whole run makes and the delays do not
-depend on the chunk.  Two passes run only on a chunk where they change
-something: a departure curve's running maximum, where rounding makes the
-raw curve fall by an ulp somewhere, and a tagger's clip of its piece to
-the bits not yet finalised, where an end of the piece lies outside them.
-Both skips are exact (see :class:`_Queue` and :meth:`_Tagger.feed`), so
+Both hops run that one scan, called the same way with cumulative arrivals
+and per-frame services, hop 2's arrivals being hop 1's departure curve one
+frame later, so nothing is differenced.  Each hop's queue carries its
+cumulative service, the running minimum of 0 and A - S and its departure
+curve's running maximum across a chunk boundary.  Every carry is folded
+into element 0 of the next chunk before its cumulative sum or accumulate,
+so each float operation is the one a single scan over the whole run makes
+and the delays do not depend on the chunk.  Two passes run only on a chunk
+where they change something: a departure curve's running maximum, where
+rounding makes the capped curve fall somewhere, and a tagger's clip of its
+piece to the bits not yet finalised, where an end of the piece lies outside
+them.  Both skips are exact (see :class:`_Queue` and :meth:`_Tagger.feed`), so
 the delays equal those of running both passes on every chunk.  The
 consumer, :func:`simulate_tandem`, only stores and counts the pieces, so
 the only memory that grows with the horizon is the delay arrays it
@@ -245,45 +248,47 @@ def _to_service(s: np.ndarray, bt: float, snr: float) -> np.ndarray:
 
 
 class _Queue:
-    """One hop's Lindley scan, carried from chunk to chunk of a run.
+    """One hop's fluid FIFO queue, carried from chunk to chunk of a run.
 
-    Q[t+1] = max(Q[t] + net[t], 0) with Q = 0 before the first chunk, as the
-    cumulative sum of the net input minus the running minimum of 0 and that
-    sum.  The queue carries that sum, that minimum (so it starts at 0, which
-    floors it for the whole run) and its departure curve's running maximum
-    (the curve's last value) across a chunk boundary, each folded into
-    element 0 before its scan, so every float operation is the one a single
-    scan over the whole run makes.  Both accumulates are exact, so the
-    minimum folded in at the start equals the floor applied after it.  The
-    running maximum runs only on a chunk whose curve, after the carry is
-    folded in, falls somewhere: a curve that never falls is its own running
-    maximum, so skipping it elsewhere is exact.  At the criterion-6 point
-    it runs on none of a run's chunks.
+    With cumulative arrivals A and cumulative service S, its departures are
+    D(t) = min(A(t), S(t) + min(0, min over tau <= t of A(tau) - S(tau))),
+    the queue empty at the start.  The queue carries S, that running
+    minimum (so it starts at 0, which floors it for the whole run) and its
+    departure curve's running maximum (the curve's last value) across a
+    chunk boundary, each folded into element 0 before its scan, so every
+    float operation is the one a single scan over the whole run makes.
+    Both accumulates are exact, so the minimum folded in at the start
+    equals the floor applied after it.  The cap at A keeps D <= A exactly,
+    which S + (A - S) can round past where S > 2A.  The running maximum
+    runs only on a chunk whose curve, after the carry is folded in, falls
+    somewhere: a curve that never falls is its own running maximum, so
+    skipping it elsewhere is exact.  At the criterion-6 point it runs on
+    none of a run's chunks.
     """
 
     def __init__(self):
-        self.cum = 0.0  # cumulative net input
-        self.low = 0.0  # running minimum of 0 and that sum
+        self.served = 0.0  # cumulative service
+        self.low = 0.0  # running minimum of 0 and arrivals less service
         self.dep = 0.0  # last departure-curve value; the curve starts at 0 and never falls
 
-    def depart(self, net: np.ndarray, arrived: np.ndarray,
+    def depart(self, arrived: np.ndarray, served: np.ndarray,
                work: np.ndarray) -> np.ndarray:
-        """The chunk's departure curve, ``arrived`` less Q[t+1], in place in ``net``.
+        """The chunk's departure curve, in place in ``work``.
 
-        ``net`` is the chunk's per-frame net input, ``arrived`` its
-        cumulative arrival curve and ``work`` scratch of the same length.
+        ``arrived`` is the chunk's cumulative arrival curve, ``served`` its
+        per-frame service, overwritten by the cumulative service, and
+        ``work`` a buffer of the same length.
         """
-        net[0] += self.cum
-        np.cumsum(net, out=net)
-        first = net[0]
-        net[0] = min(self.low, first)
+        served[0] += self.served
+        np.cumsum(served, out=served)
+        low = np.subtract(arrived, served, out=work)
+        low[0] = min(self.low, low[0])
         # fmin and minimum differ only on NaN, and the scan sees none (gains and
         # so services are finite); fmin's accumulate is the faster of the two
-        np.fmin.accumulate(net, out=work)
-        net[0] = first
-        self.cum, self.low = float(net[-1]), float(work[-1])
-        np.subtract(net, work, out=net)  # Q[t+1]
-        dep = np.subtract(arrived, net, out=net)
+        np.fmin.accumulate(low, out=low)
+        self.served, self.low = float(served[-1]), float(low[-1])
+        dep = np.add(low, served, out=low)
+        np.minimum(dep, arrived, out=dep)
         dep[0] = max(self.dep, dep[0])
         # a curve that never falls is its own running maximum
         if np.less(dep[1:], dep[:-1]).any():
@@ -293,49 +298,41 @@ class _Queue:
 
 
 class _TandemScan:
-    """Both hops' Lindley scans over successive chunks of a run.
+    """Both hops' queues over successive chunks of a run.
 
     :meth:`step` takes the next chunk's per-frame services and returns that
     chunk's cumulative departure curves.  Each hop is a :class:`_Queue`
-    carrying its own state; the scan keeps only what couples them, the
-    frames scanned so far and hop 2's last cumulative arrival, so the curves
-    equal those of one scan over the whole run bit for bit.
+    carrying its own state and called the same way, with its cumulative
+    arrivals and per-frame services: hop 1's arrivals are the load times
+    the frame count, hop 2's are hop 1's departures one frame later.  The
+    scan keeps only the frames scanned so far, so the curves equal those of
+    one scan over the whole run bit for bit.
     """
 
     def __init__(self, load: float, size: int):
         self.load = load
         self.frames = 0
         self.hop1, self.hop2 = _Queue(), _Queue()
-        self.arr2 = 0.0  # last value of hop 2's cumulative arrival curve
         self._frame_number = np.arange(1.0, size + 1.0)
         # hop 1's curve after a leading slot for the previous chunk's last
         # value, so hop 2's arrivals, one frame behind it, copy nothing
         self._curve1 = np.empty(size + 1)
-        self._work = np.empty(size)  # hop 1's arrival curve, then hop 2's net input
+        self._work = np.empty(size)  # hop 1's arrival curve, then hop 2's departures
 
     def step(self, s1: np.ndarray, s2: np.ndarray):
         """Departure curves (dep1, dep2) of the next ``s1.size`` frames.
 
         ``s1`` and ``s2`` are overwritten as scratch.  The curves are views of
-        buffers the next step reuses; hop 2's arrival curve stays internal.
+        buffers the next step reuses.
         """
         k = s1.size
         curve1 = self._curve1[:k + 1]
         curve1[0] = self.hop1.dep
         arr1 = np.add(self._frame_number[:k], self.frames, out=self._work[:k])
         np.multiply(self.load, arr1, out=arr1)
-        net1 = np.subtract(self.load, s1, out=curve1[1:])
-        dep1 = self.hop1.depart(net1, arr1, s1)
-
-        arr2 = curve1[:-1]
-        net2 = self._work[:k]  # hop 2's arrivals per frame, less its service
-        net2[0] = arr2[0] - self.arr2
-        np.subtract(arr2[1:], arr2[:-1], out=net2[1:])
-        np.subtract(net2, s2, out=net2)
-        dep2 = self.hop2.depart(net2, arr2, s2)
-
+        dep1 = self.hop1.depart(arr1, s1, curve1[1:])
+        dep2 = self.hop2.depart(curve1[:-1], s2, arr1)
         self.frames += k
-        self.arr2 = float(arr2[-1])
         return dep1, dep2
 
 
@@ -404,7 +401,7 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     ``cfg.tagged_frames`` tagged bits once each, in order, and
     e2e = hop1 + hop2 + 1.  Each hop-1 delay is held until the e2e tagger
     finalises its bit, which it never does before hop 1's (dep2 <= arr2 <=
-    dep1).
+    dep1, exactly, as :meth:`_Queue.depart` caps each curve at its arrivals).
 
     Hop 1 reads the Philox(seed) stream and hop 2 that key's stream jumped
     by 2**128, frame t taking draw t of each, so a run is the prefix of any
@@ -454,8 +451,9 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
                 "the horizon; queues are effectively unstable")
         u1, u2 = rng1.random(out=draws[0, :k]), rng2.random(out=draws[1, :k])
         dep1, dep2 = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
-        # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1), so the hop-1
-        # delays of the bits it finalised are held already
+        # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1, kept exact by
+        # depart's cap at the arrivals), so the hop-1 delays of the bits it
+        # finalised are held already
         held = np.concatenate((held, tag1.feed(dep1)))
         e2e = tag2.feed(dep2)
         hop1, held = held[:e2e.size], held[e2e.size:]

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from relayqos import qsim
+from relayqos import cli, qsim
 from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
     _SIM_CHUNK,
@@ -49,6 +49,20 @@ LOAD_100KBPS = 138.62943611198906
 
 SCENARIO = Scenario(traffic_load=LOAD_100KBPS, delay_bound=50.0,
                     violation_prob=1e-2, bt_product=200.0)
+
+# The CLI point --delay_bound 0.006 --violation_prob 1e-6 loads both hops
+# lightly (utilisation 0.35 and 0.33), so cumulative service passes twice the
+# arrivals and the departure curve's cap at the arrivals acts.
+LIGHT_SCENARIO = cli.to_scenario(cli.RadioProfile(delay_bound=0.006, violation_prob=1e-6))
+
+
+def tiny_load_services(rng, n):
+    """Services of mean 3e15 against a unit load, 40% of frames without any.
+
+    The load lies below the ulp of the cumulative service, so the capped
+    departure curve falls inside some chunks.
+    """
+    return np.where(rng.random(n) < 0.4, 0.0, rng.exponential(3e15, n))
 
 
 def reference_delays(scenario, allocation, cfg):
@@ -354,10 +368,13 @@ class TestFramesWaited:
 
 
 class TestSimulateTandem:
-    def test_matches_reference_simulator(self, headline_allocation):
+    @pytest.mark.parametrize("scenario", [SCENARIO, LIGHT_SCENARIO],
+                             ids=["headline", "light"])
+    def test_matches_reference_simulator(self, scenario):
+        allocation = allocate(scenario)
         cfg = SimConfig(n_frames=4000, warmup_frames=100, seed=5)
-        stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
-        ref1, ref2, refe = reference_delays(SCENARIO, headline_allocation, cfg)
+        stats = simulate_tandem(scenario, allocation, cfg)
+        ref1, ref2, refe = reference_delays(scenario, allocation, cfg)
         assert np.array_equal(stats.hop1_delays, ref1)
         assert np.array_equal(stats.hop2_delays, ref2)
         assert np.array_equal(stats.e2e_delays, refe)
@@ -605,13 +622,20 @@ class TestSimulateTandem:
         assert stats.e2e_delays.size == 5000 - 750
         assert stats.hop1_delays.size == stats.hop2_delays.size == 4250
 
-    def test_flow_conservation(self, headline_allocation):
+    @pytest.mark.parametrize("light", [False, True], ids=["headline", "light"])
+    def test_flow_conservation(self, headline_allocation, light):
+        # light services are at least three loads, so cumulative service
+        # passes twice the arrivals, where S + (A - S) rounds above A; the
+        # cap keeps every curve at or below its arrivals, exactly
         rng = np.random.default_rng(2)
         n, chunk = 3000, 700  # five chunks, the last one short
-        s1 = SCENARIO.bt_product * np.log1p(
-            headline_allocation.kappa1 * rng.exponential(1.0, n))
-        s2 = SCENARIO.bt_product * np.log1p(
-            headline_allocation.kappa2 * rng.exponential(1.0, n))
+        if light:
+            s1, s2 = SCENARIO.traffic_load * (3.0 + rng.exponential(1.0, (2, n)))
+        else:
+            s1 = SCENARIO.bt_product * np.log1p(
+                headline_allocation.kappa1 * rng.exponential(1.0, n))
+            s2 = SCENARIO.bt_product * np.log1p(
+                headline_allocation.kappa2 * rng.exponential(1.0, n))
         scan = _TandemScan(SCENARIO.traffic_load, chunk)
         parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
                                               s2[i:i + chunk].copy())]
@@ -619,9 +643,9 @@ class TestSimulateTandem:
         dep1, dep2 = (np.concatenate(c) for c in zip(*parts))
         arr2 = np.concatenate(([0.0], dep1[:-1]))  # hop 1's output, one frame later
         arr1 = SCENARIO.traffic_load * np.arange(1, n + 1)
-        assert (dep1 <= arr1 + 1e-6).all()
-        assert (arr2 <= dep1 + 1e-6).all()
-        assert (dep2 <= arr2 + 1e-6).all()
+        assert (dep1 <= arr1).all()
+        assert (arr2 <= dep1).all()
+        assert (dep2 <= arr2).all()
         assert (np.diff(dep1) >= 0).all()
         assert (np.diff(dep2) >= 0).all()
         # one chunk over the whole horizon gives the same curves
@@ -631,13 +655,12 @@ class TestSimulateTandem:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_chunk_step_matches_whole_scan(self, chunk):
-        # frames without service grow a backlog by one load each, so the
-        # float departure curve load*(t + 1) - Q[t + 1] wobbles by an ulp
-        # and its running maximum, carried across every boundary, matters
-        rng = np.random.default_rng(4)
-        n, load = 400, LOAD_100KBPS
-        s1 = np.where(rng.random(n) < 0.4, 0.0, rng.exponential(2.5 * load, n))
-        s2 = np.where(rng.random(n) < 0.4, 0.0, rng.exponential(2.5 * load, n))
+        # both hops' capped curves fall somewhere under a load below the ulp
+        # of the cumulative service, so their running maxima, carried across
+        # every boundary, matter
+        rng = np.random.default_rng(0)
+        n, load = 400, 1.0
+        s1, s2 = tiny_load_services(rng, n), tiny_load_services(rng, n)
         whole = _TandemScan(load, n).step(s1.copy(), s2.copy())
         scan = _TandemScan(load, chunk)
         parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
@@ -648,25 +671,30 @@ class TestSimulateTandem:
 
     @pytest.mark.parametrize("queued", [True, False])
     def test_departure_curve_is_its_running_maximum(self, queued):
-        # depart takes the running maximum only on a chunk whose raw curve,
-        # arrivals less Q[t + 1], falls.  Frames without service make it
-        # fall by one ulp inside some chunks; service that always outruns
-        # the load keeps the queue empty, and it never falls.  Either way
-        # the chunked curve is the running maximum of the whole raw curve.
-        rng = np.random.default_rng(4)
-        n, chunk, load = 400, 7, LOAD_100KBPS
-        s = rng.exponential(2.5 * load, n)
-        s = np.where(rng.random(n) < 0.4, 0.0, s) if queued else s + load
+        # depart takes the running maximum only on a chunk whose capped
+        # curve, min(A, S + min(0, min(A - S))), falls.  A load below the ulp
+        # of the cumulative service S makes it fall, by less than that ulp,
+        # inside some chunk; service that always outruns the load keeps the
+        # queue empty, and it never falls.  Either way the chunked curve is
+        # the running maximum of the whole capped curve.
+        rng = np.random.default_rng(0)
+        n, chunk = 400, 7
+        if queued:
+            load, s = 1.0, tiny_load_services(rng, n)
+        else:
+            load = LOAD_100KBPS
+            s = rng.exponential(2.5 * load, n) + load
         arrived = load * np.arange(1.0, n + 1)
-        cum = np.cumsum(load - s)
-        raw = arrived - (cum - np.minimum.accumulate(np.append(0.0, cum))[1:])
+        served = np.cumsum(s)
+        low = np.minimum.accumulate(np.append(0.0, arrived - served))[1:]
+        raw = np.minimum(served + low, arrived)
         raw[0] = max(0.0, raw[0])
         falls = np.flatnonzero(raw[1:] < raw[:-1]) + 1
-        assert np.array_equal(np.nextafter(raw[falls], np.inf), raw[falls - 1])
+        assert (raw[falls - 1] - raw[falls] <= np.spacing(served[falls])).all()
         assert (falls % chunk != 0).any() == queued  # a fall inside a chunk
-        queue, work = _Queue(), np.empty(chunk)
-        got = np.concatenate([queue.depart(load - s[i:i + chunk], arrived[i:i + chunk],
-                                           work[:min(chunk, n - i)])
+        queue = _Queue()
+        got = np.concatenate([queue.depart(arrived[i:i + chunk], s[i:i + chunk].copy(),
+                                           np.empty(min(chunk, n - i)))
                               for i in range(0, n, chunk)])
         assert np.array_equal(got, np.fmax.accumulate(raw))
 
