@@ -5,11 +5,18 @@ Shannon rate under i.i.d. per-frame Rayleigh gains; its departures feed the
 relay queue, which drains at the hop-2 rate.  Within a frame, arrivals are
 credited before service (per frame, Q[t+1] = max(Q[t] + a[t] - s[t], 0)).
 
+The scan and the taggers count in frames of load: each service is made in
+that unit, as the Shannon rate times B*T/load, so hop 1's cumulative
+arrivals are the frame numbers 1, 2, ... exactly, and every curve reads in
+frames of the source's per-frame traffic.  Integer arrivals also keep an
+empty queue exact: while A <= S < 2**53, A - S rounds nothing, so
+S + (A - S) gives A back, however far the service outruns the load.
+
 Delay is sampled at frame resolution: the last bit arriving in each
 post-warm-up frame is tagged.  The bit tagged in frame c - 1 has index c,
 and it has left a hop in the first frame whose cumulative departures v
-reach that index, floor(v/load + _INDEX_SLACK) >= c; its per-hop delay is
-the number of whole frames until then.  The relay decodes a frame before
+reach that index, floor(v + _INDEX_SLACK) >= c; its per-hop delay is the
+number of whole frames until then.  The relay decodes a frame before
 forwarding it, so hop 1's output joins the hop-2 queue in the next frame
 (store-and-forward), and the end-to-end delay is hop 1 + hop 2 + 1.
 
@@ -64,15 +71,15 @@ frames the last tagged bit needs by under a chunk, and stops with an error
 _MAX_RUN_ON_FRAMES frames past the horizon.
 
 Delay tagging in O(n).  Each curve value v reaches the bit indices up to
-m(v) = floor(v/load + _INDEX_SLACK).  Division by a positive constant,
-adding a constant and floor are each monotone under round-to-nearest, and
-the curve never falls, so neither does m.  Bit c therefore departs in frame
-tau(c), the number of curve values with m < c, which is the running sum of a
-histogram of m.  The curve is fed in as the scan makes it, one chunk at a
-time, each counted in one pass in numpy's native integer, over the short
-range of m it spans.  Since m never falls, every bit below the last m fed
-has its delay fixed, so each chunk hands those delays on and the tagger
-keeps two counts, the curve values fed and the delays handed on, not a
+m(v) = floor(v + _INDEX_SLACK).  Adding a constant and floor are each
+monotone under round-to-nearest, and the curve never falls, so neither
+does m.  Bit c therefore departs in frame tau(c), the number of curve
+values with m < c, which is the running sum of a histogram of m.  The
+curve is fed in as the scan makes it, one chunk at a time, each counted
+in one pass in numpy's native integer, over the short range of m it
+spans.  Since m never falls, every bit below the last m fed has its delay
+fixed, so each chunk hands those delays on and the tagger keeps two
+counts, the curve values fed and the delays handed on, not a
 frame-length array.  Tagging costs O(n) time and no frame-length memory
 beyond its output, and its output equals searchsorted(m(curve), c, "left")
 bit for bit (tests/test_qsim.py keeps that binary search as the
@@ -125,8 +132,8 @@ TAIL_CCDF = 1e-3
 _CCDF_BATCHES = 30
 _T975 = 2.045229642132703
 
-# Slack (in units of the per-frame load) added to a departure-curve value's
-# bit index, floor(v/load + _INDEX_SLACK), so a curve that reaches a bit's
+# Slack added to a departure-curve value, in frames of load, before its bit
+# index is taken, floor(v + _INDEX_SLACK), so a curve that reaches a bit's
 # index up to float rounding in the queue recursion counts it as departed.
 # One millionth of a frame of traffic.
 _INDEX_SLACK = 1e-6
@@ -237,7 +244,8 @@ def _to_service(s: np.ndarray, bt: float, snr: float) -> np.ndarray:
 
     g = -log1p(-U) is the unit-mean exponential gain by inverse-CDF sampling.
     The constants are applied one at a time, not folded, so each value is
-    rounded exactly as in bt*log1p(-snr*log1p(-U)).
+    rounded exactly as in bt*log1p(-snr*log1p(-U)).  The simulator passes
+    B*T/load as ``bt``, so the services come out in frames of load.
     """
     np.negative(s, out=s)
     np.log1p(s, out=s)
@@ -303,14 +311,14 @@ class _TandemScan:
     :meth:`step` takes the next chunk's per-frame services and returns that
     chunk's cumulative departure curves.  Each hop is a :class:`_Queue`
     carrying its own state and called the same way, with its cumulative
-    arrivals and per-frame services: hop 1's arrivals are the load times
-    the frame count, hop 2's are hop 1's departures one frame later.  The
-    scan keeps only the frames scanned so far, so the curves equal those of
-    one scan over the whole run bit for bit.
+    arrivals and per-frame services, all in frames of load: hop 1's
+    arrivals are the frame numbers, exact integers, and hop 2's are hop 1's
+    departures one frame later.  The scan keeps only the frames scanned so
+    far, so the curves equal those of one scan over the whole run bit for
+    bit.
     """
 
-    def __init__(self, load: float, size: int):
-        self.load = load
+    def __init__(self, size: int):
         self.frames = 0
         self.hop1, self.hop2 = _Queue(), _Queue()
         self._frame_number = np.arange(1.0, size + 1.0)
@@ -329,7 +337,6 @@ class _TandemScan:
         curve1 = self._curve1[:k + 1]
         curve1[0] = self.hop1.dep
         arr1 = np.add(self._frame_number[:k], self.frames, out=self._work[:k])
-        np.multiply(self.load, arr1, out=arr1)
         dep1 = self.hop1.depart(arr1, s1, curve1[1:])
         dep2 = self.hop2.depart(curve1[:-1], s2, arr1)
         self.frames += k
@@ -339,19 +346,18 @@ class _TandemScan:
 class _Tagger:
     """Whole frames the bits tagged in frames first..last-1 wait for a curve.
 
-    The non-decreasing cumulative departure curve is fed piece by piece as
-    the simulation makes it.  Entry k of the whole result is
-    tau_k - (first + k), where tau_k is the number of curve values whose bit
-    index falls short of bit k's, c = first + k + 1, i.e.
-    ``searchsorted(floor(curve/load + _INDEX_SLACK), c, "left")`` (see the
+    The non-decreasing cumulative departure curve, in frames of load, is fed
+    piece by piece as the simulation makes it.  Entry k of the whole result
+    is tau_k - (first + k), where tau_k is the number of curve values whose
+    bit index falls short of bit k's, c = first + k + 1, i.e.
+    ``searchsorted(floor(curve + _INDEX_SLACK), c, "left")`` (see the
     module docstring).  Every later value reaches at least the bits the last
     one fed reaches, so the delays of the bits below those are final, and
     each one-pass :meth:`feed` returns them; the tagger keeps two counts, the
     curve values fed and the delays returned, not a frame-length array.
     """
 
-    def __init__(self, load: float, first: int, last: int):
-        self.load = load
+    def __init__(self, first: int, last: int):
         self.first = first
         self.n_tagged = last - first
         self.fed = 0  # curve values fed so far
@@ -369,7 +375,7 @@ class _Tagger:
         lo, fed = self.finished, self.fed
         self.fed += part.size
         # m = bits not yet finalised that each value reaches (curve >= 0: the cast floors)
-        m = (part / self.load + _INDEX_SLACK).astype(np.int64)
+        m = (part + _INDEX_SLACK).astype(np.int64)
         m -= self.first + lo
         top = self.n_tagged - lo
         if m.size and (m[0] < 0 or m[-1] > top):
@@ -410,11 +416,16 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     under FIFO the later arrivals queue behind the tagged bits, so each
     tagged bit departs in the frame it would with no fresh arrivals.  Every
     step is _SIM_CHUNK frames, cut only _MAX_RUN_ON_FRAMES frames past the
-    horizon.  The stability check runs before the first step, before any
-    piece is yielded.
+    horizon.  The services come out in frames of load, scaled by B*T/load
+    once as they are made (see :func:`_to_service`), so nothing in a step
+    multiplies or divides by the load.  The scale and stability checks run
+    before the first step, before any piece is yielded.
 
     Raises
     ------
+    ValueError
+        If B*T/load overflows to infinity, so no service is finite in frames
+        of load.
     StabilityError
         If either hop's mean service rate is at or below its mean arrival
         rate; tail statistics of an unstable queue are meaningless.
@@ -424,6 +435,11 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     """
     load = scenario.traffic_load
     bt = scenario.bt_product
+    scale = bt / load  # turns services from nats into frames of load
+    if not math.isfinite(scale):
+        raise ValueError(
+            f"traffic_load {load!r} nats/frame is too far below bt_product {bt!r}: "
+            "bt_product / traffic_load overflows")
     links = (LinkModel(allocation.kappa1, scenario.hop1_mean_gain, bt),
              LinkModel(allocation.kappa2, scenario.hop2_mean_gain, bt))
     for hop, link in enumerate(links, 1):
@@ -437,9 +453,9 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     chunk = _SIM_CHUNK
     bits = np.random.Philox(key=cfg.seed)
     rng1, rng2 = np.random.Generator(bits), np.random.Generator(bits.jumped())
-    scan = _TandemScan(load, chunk)
+    scan = _TandemScan(chunk)
     draws = np.empty((2, chunk))
-    tag1, tag2 = _Tagger(load, first, n), _Tagger(load, first, n)
+    tag1, tag2 = _Tagger(first, n), _Tagger(first, n)
     held = np.empty(0, dtype=np.intp)  # hop-1 delays of bits e2e has yet to finalise
     # e2e finalises after hop 1, and at least a frame after its bit arrives,
     # so its tagger ends the run, past the horizon
@@ -450,7 +466,7 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
                 f"tagged bits still queued {_MAX_RUN_ON_FRAMES} frames past "
                 "the horizon; queues are effectively unstable")
         u1, u2 = rng1.random(out=draws[0, :k]), rng2.random(out=draws[1, :k])
-        dep1, dep2 = scan.step(_to_service(u1, bt, snr1), _to_service(u2, bt, snr2))
+        dep1, dep2 = scan.step(_to_service(u1, scale, snr1), _to_service(u2, scale, snr2))
         # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1, kept exact by
         # depart's cap at the arrivals), so the hop-1 delays of the bits it
         # finalised are held already
@@ -478,10 +494,11 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
 
     Raises
     ------
-    StabilityError, RuntimeError
-        As :func:`_pieces`: a hop whose mean service rate does not exceed
-        its mean arrival rate, or a tagged bit still queued
-        _MAX_RUN_ON_FRAMES frames past the horizon.
+    ValueError, StabilityError, RuntimeError
+        As :func:`_pieces`: a load so far below B*T that B*T/load overflows,
+        a hop whose mean service rate does not exceed its mean arrival rate,
+        or a tagged bit still queued _MAX_RUN_ON_FRAMES frames past the
+        horizon.
     """
     arrays, counts = [], [np.zeros(1, dtype=np.int64)] * 2  # delay arrays, hop histograms
     start = 0  # tagged bits stored so far; the pieces come in bit order
