@@ -6,60 +6,64 @@ relay queue, which drains at the hop-2 rate.  Within a frame, arrivals are
 credited before service (per frame, Q[t+1] = max(Q[t] + a[t] - s[t], 0)).
 
 The scan and the taggers count in frames of load: each service is made in
-that unit, as the Shannon rate times B*T/load, so hop 1's cumulative
-arrivals are the frame numbers 1, 2, ... exactly, and every curve reads in
-frames of the source's per-frame traffic.  Integer arrivals also keep an
-empty queue exact: while A <= S < 2**53, A - S rounds nothing, so
-S + (A - S) gives A back, however far the service outruns the load.
+that unit, as the Shannon rate times B*T/load, so hop 1 receives exactly
+one frame of load each frame.  The state of each hop is its backlog Q, and
+the scan evaluates Lindley's recursion in vectorized form: over a chunk,
+with net input X = Q carried + cumsum(arrivals - service), the backlog is
+Q = X - min(0, running minimum of X).  Hop 2's arrivals, hop 1's
+departures one frame later, telescope over a chunk into backlogs of hop 1,
+so no arrival is differenced.  No float grows with the horizon: rounding
+grows with one chunk's net input, not with the frames run, and an empty
+queue is exact at any scale, since Q == 0 in every frame where X is at its
+running minimum.
 
 Delay is sampled at frame resolution: the last bit arriving in each
-post-warm-up frame is tagged.  The bit tagged in frame c - 1 has index c,
-and it has left a hop in the first frame whose cumulative departures v
-reach that index, floor(v + _INDEX_SLACK) >= c; its per-hop delay is the
-number of whole frames until then.  The relay decodes a frame before
-forwarding it, so hop 1's output joins the hop-2 queue in the next frame
-(store-and-forward), and the end-to-end delay is hop 1 + hop 2 + 1.
-
-Each hop's queue is evaluated in vectorized form: with cumulative arrivals A
-and cumulative service S, its departure curve is
-D(t) = min(A(t), S(t) + min(0, min over tau <= t of A(tau) - S(tau))), which
-is the Lindley recursion's (cumulative sums plus a running minimum).  Gains
-come from counter-based Philox generators, so a run is reproducible from its
-seed and replications with different seeds are independent.  Each hop reads
-one stream for the whole run, run-on included: hop 1 the Philox(seed) stream
-and hop 2 that key's stream jumped by 2**128 counter steps, and frame t
-takes draw t of each.  No draw depends on the horizon, so a run of n frames
-is the first n frames of any longer run at the same seed, and the delays of
-its tagged bits are the first entries of that run's.
+post-warm-up frame is tagged.  The bit tagged in frame c - 1 has index c.
+In frame t a queue has let out the bits up to index
+m(t) = t + 1 - lag - ceil(B(t) - _INDEX_SLACK), the frames of load arrived,
+less the ``lag`` frames of them not yet at the queue, less the bits it
+still holds, B(t) frames of load; a bit's delay is the number of whole
+frames until the first m that reaches it.  The frame count enters m only
+as a Python int, less the first bit not yet finalised, and
+ceil(B - _INDEX_SLACK) is an integer-valued float, so the subtraction is
+exact and no float sees how far into the run a frame lies.  Hop 1 reads
+B = Q1(t) with lag 0.  The relay
+decodes a frame before forwarding it, so hop 1's output joins the hop-2
+queue in the next frame (store-and-forward): the tandem holds
+B = Q1(t-1) + Q2(t) of the load that arrived up to frame t - 1, lag 1, and
+the end-to-end delay is hop 1 + hop 2 + 1.  Gains come from counter-based
+Philox generators, so a run is reproducible from its seed and replications
+with different seeds are independent.  Each hop reads one stream for the
+whole run, run-on included: hop 1 the Philox(seed) stream and hop 2 that
+key's stream jumped by 2**128 counter steps, and frame t takes draw t of
+each.  No draw depends on the horizon, so a run of n frames is the first n
+frames of any longer run at the same seed, and the delays of its tagged
+bits are the first entries of that run's.
 
 One run has one producer and one consumer.  The producer, ``_pieces``,
 streams the simulation in chunks of _SIM_CHUNK frames: each chunk's
 uniforms are drawn, turned into services in place, both hops scanned and
-both departure curves tagged in a few chunk-sized buffers that stay in
-cache, and each step yields the delays it finalised, a piece of hop-1,
-hop-2 and e2e delays for the tagged bits that follow the last piece's.
-Both hops run that one scan, called the same way with cumulative arrivals
-and per-frame services, hop 2's arrivals being hop 1's departure curve one
-frame later, so nothing is differenced.  Each hop's queue carries its
-cumulative service, the running minimum of 0 and A - S and its departure
-curve's running maximum across a chunk boundary.  Every carry is folded
-into element 0 of the next chunk before its cumulative sum or accumulate,
-so each float operation is the one a single scan over the whole run makes
-and the delays do not depend on the chunk.  Two passes run only on a chunk
-where they change something: a departure curve's running maximum, where
-rounding makes the capped curve fall somewhere, and a tagger's clip of its
-piece to the bits not yet finalised, where an end of the piece lies outside
-them.  Both skips are exact (see :class:`_Queue` and :meth:`_Tagger.feed`), so
-the delays equal those of running both passes on every chunk.  The
-consumer, :func:`simulate_tandem`, only stores and counts the pieces, so
-the only memory that grows with the horizon is the delay arrays it
-returns.  They hold the narrowest unsigned type that fits the largest
-delay, uint8 until an e2e delay passes 255 frames (e2e bounds both hops),
-so a caller casts them before subtracting.  By default there are three
-(hop 1, hop 2 and e2e, 3 B per frame); with ``hop_arrays=False`` only the
-e2e array is kept (1 B per frame), for a caller that needs no more of the
-hops than the histograms below.  A new statistic of the run is another
-consumer of the same pieces.
+both backlogs tagged in a few chunk-sized buffers that stay in cache, and
+each step yields the delays it finalised, a piece of hop-1, hop-2 and e2e
+delays for the tagged bits that follow the last piece's.  Both hops run
+one reflection, :func:`_reflect`, and the scan carries two floats across a
+chunk boundary, hop 1's last backlog and hop 2's telescoped carry.  A
+chunk's cumulative sum starts from them, so its floats depend on where the
+chunk starts, but chunks always start at multiples of _SIM_CHUNK, so a run
+is still the prefix of any longer one.  Two passes run only on a piece
+where they change something: a tagger's running maximum of m, where
+rounding makes m fall, and its clip of the piece to the bits not yet
+finalised, where an end of the piece lies outside them.  Both skips are
+exact (see :meth:`_Tagger.feed`), so the delays equal those of running
+both passes on every piece.  The consumer, :func:`simulate_tandem`, only
+stores and counts the pieces, so the only memory that grows with the
+horizon is the delay arrays it returns.  They hold the narrowest unsigned
+type that fits the largest delay, uint8 until an e2e delay passes 255
+frames (e2e bounds both hops), so a caller casts them before subtracting.
+By default there are three (hop 1, hop 2 and e2e, 3 B per frame); with
+``hop_arrays=False`` only the e2e array is kept (1 B per frame), for a
+caller that needs no more of the hops than the histograms below.  A new
+statistic of the run is another consumer of the same pieces.
 
 So that no tagged bit is censored, the same scan runs on past frame n, with
 the source still sending, until every tagged bit has departed both hops.
@@ -70,26 +74,27 @@ whole chunk, the one that crosses the horizon too, so the run passes the
 frames the last tagged bit needs by under a chunk, and stops with an error
 _MAX_RUN_ON_FRAMES frames past the horizon.
 
-Delay tagging in O(n).  Each curve value v reaches the bit indices up to
-m(v) = floor(v + _INDEX_SLACK).  Adding a constant and floor are each
-monotone under round-to-nearest, and the curve never falls, so neither
-does m.  Bit c therefore departs in frame tau(c), the number of curve
-values with m < c, which is the running sum of a histogram of m.  The
-curve is fed in as the scan makes it, one chunk at a time, each counted
-in one pass in numpy's native integer, over the short range of m it
-spans.  Since m never falls, every bit below the last m fed has its delay
-fixed, so each chunk hands those delays on and the tagger keeps two
-counts, the curve values fed and the delays handed on, not a
-frame-length array.  Tagging costs O(n) time and no frame-length memory
-beyond its output, and its output equals searchsorted(m(curve), c, "left")
-bit for bit (tests/test_qsim.py keeps that binary search as the
-reference).  The end-to-end curve never runs ahead of hop 1's, so the
-producer holds a hop-1 delay only until its bit's e2e delay is fixed, and
-then yields it with hop 2's delay, e2e minus hop 1 minus the forwarding
-frame.  The consumer writes each piece's three delays and counts each
-hop's piece into its histogram (one ``np.bincount`` per piece) while it is
-in cache, so the run returns both hops' histograms whether or not it keeps
-their arrays, equal to ``np.bincount`` of those arrays.
+Delay tagging in O(n).  A backlog never rises by more than the frame of
+load that arrived, so m never falls, except where rounding in a chunk's
+net input lifts a backlog by more, which only services far above the load
+do; there the tagger takes m's running maximum.  Bit c therefore departs
+in frame tau(c), the number of frames with m < c, which is the running sum
+of a histogram of m.  The backlogs are fed in as the scan makes them, one
+chunk at a time, each counted in one pass in numpy's native integer, over
+the short range of m it spans.  Since m never falls, every bit below the
+last m fed has its delay fixed, so each chunk hands those delays on and
+the tagger keeps two counts, the frames fed and the delays handed on, not
+a frame-length array.  Tagging costs O(n) time and no frame-length memory
+beyond its output, and its output equals a binary search of the running
+maximum of m for each bit's index, bit for bit (tests/test_qsim.py keeps
+that binary search as the reference).  The tandem's backlog Q1(t-1) + Q2(t)
+rounds to no less than Q1(t-1), so the e2e tagger never runs ahead of hop
+1's, and the producer holds a hop-1 delay only until its bit's e2e delay
+is fixed, and then yields it with hop 2's delay, e2e minus hop 1 minus the
+forwarding frame.  The consumer writes each piece's three delays and
+counts each hop's piece into its histogram (one ``np.bincount`` per piece)
+while it is in cache, so the run returns both hops' histograms whether or
+not it keeps their arrays, equal to ``np.bincount`` of those arrays.
 
 Tail statistics in O(max delay).  Delays are whole frames, so a hop's
 histogram holds one count per delay 0..max.  :func:`suggest_fit_window` and
@@ -132,10 +137,10 @@ TAIL_CCDF = 1e-3
 _CCDF_BATCHES = 30
 _T975 = 2.045229642132703
 
-# Slack added to a departure-curve value, in frames of load, before its bit
-# index is taken, floor(v + _INDEX_SLACK), so a curve that reaches a bit's
-# index up to float rounding in the queue recursion counts it as departed.
-# One millionth of a frame of traffic.
+# Slack taken from a backlog, in frames of load, before the bits it holds are
+# counted, ceil(B - _INDEX_SLACK), so a queue that has let a bit out up to
+# float rounding in the recursion counts it as departed.  One millionth of a
+# frame of traffic.
 _INDEX_SLACK = 1e-6
 
 # Frames the scan may run past the horizon for the tagged bits still queued
@@ -255,135 +260,122 @@ def _to_service(s: np.ndarray, bt: float, snr: float) -> np.ndarray:
     return s
 
 
-class _Queue:
-    """One hop's fluid FIFO queue, carried from chunk to chunk of a run.
+def _reflect(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lindley's backlog x - min(0, running minimum of x), in place in ``out``.
 
-    With cumulative arrivals A and cumulative service S, its departures are
-    D(t) = min(A(t), S(t) + min(0, min over tau <= t of A(tau) - S(tau))),
-    the queue empty at the start.  The queue carries S, that running
-    minimum (so it starts at 0, which floors it for the whole run) and its
-    departure curve's running maximum (the curve's last value) across a
-    chunk boundary, each folded into element 0 before its scan, so every
-    float operation is the one a single scan over the whole run makes.
-    Both accumulates are exact, so the minimum folded in at the start
-    equals the floor applied after it.  The cap at A keeps D <= A exactly,
-    which S + (A - S) can round past where S > 2A.  The running maximum
-    runs only on a chunk whose curve, after the carry is folded in, falls
-    somewhere: a curve that never falls is its own running maximum, so
-    skipping it elsewhere is exact.  At the criterion-6 point it runs on
-    none of a run's chunks.
+    ``x`` is a chunk's net input, the last backlog carried plus the
+    cumulative sum of arrivals less service, in frames of load.  The
+    result is >= 0 exactly, and exactly 0 in every frame where x is at its
+    running minimum at or below 0, so an empty queue carries no rounding.
     """
-
-    def __init__(self):
-        self.served = 0.0  # cumulative service
-        self.low = 0.0  # running minimum of 0 and arrivals less service
-        self.dep = 0.0  # last departure-curve value; the curve starts at 0 and never falls
-
-    def depart(self, arrived: np.ndarray, served: np.ndarray,
-               work: np.ndarray) -> np.ndarray:
-        """The chunk's departure curve, in place in ``work``.
-
-        ``arrived`` is the chunk's cumulative arrival curve, ``served`` its
-        per-frame service, overwritten by the cumulative service, and
-        ``work`` a buffer of the same length.
-        """
-        served[0] += self.served
-        np.cumsum(served, out=served)
-        low = np.subtract(arrived, served, out=work)
-        low[0] = min(self.low, low[0])
-        # fmin and minimum differ only on NaN, and the scan sees none (gains and
-        # so services are finite); fmin's accumulate is the faster of the two
-        np.fmin.accumulate(low, out=low)
-        self.served, self.low = float(served[-1]), float(low[-1])
-        dep = np.add(low, served, out=low)
-        np.minimum(dep, arrived, out=dep)
-        dep[0] = max(self.dep, dep[0])
-        # a curve that never falls is its own running maximum
-        if np.less(dep[1:], dep[:-1]).any():
-            np.fmax.accumulate(dep, out=dep)  # exact, as fmin's above
-        self.dep = float(dep[-1])
-        return dep
+    x0 = x[0]
+    x[0] = min(x0, 0.0)  # the running minimum's first value takes the 0 in
+    # fmin and minimum differ only on NaN, and the scan sees none (gains and
+    # so services are finite); fmin's accumulate is the faster of the two
+    np.fmin.accumulate(x, out=out)
+    x[0] = x0
+    return np.subtract(x, out, out=out)
 
 
 class _TandemScan:
-    """Both hops' queues over successive chunks of a run.
+    """Both hops' backlogs over successive chunks of a run, in frames of load.
 
-    :meth:`step` takes the next chunk's per-frame services and returns that
-    chunk's cumulative departure curves.  Each hop is a :class:`_Queue`
-    carrying its own state and called the same way, with its cumulative
-    arrivals and per-frame services, all in frames of load: hop 1's
-    arrivals are the frame numbers, exact integers, and hop 2's are hop 1's
-    departures one frame later.  The scan keeps only the frames scanned so
-    far, so the curves equal those of one scan over the whole run bit for
-    bit.
+    Each frame, hop 1 receives one frame of load and hop 2 hop 1's
+    departures of the frame before, 1 + Q1(t-2) - Q1(t-1), and each queue
+    follows Lindley's recursion, Q(t) = max(Q(t-1) + a(t) - s(t), 0),
+    evaluated per chunk by :func:`_reflect`.  Over a chunk from frame t0
+    hop 2's arrivals telescope, so its net input is
+    c + cumsum(1 - s2) - Q1(t-1) with c = Q2(t0-1) + Q1(t0-2), and no
+    arrival is differenced.  The scan carries Q1 and c from chunk to chunk,
+    two floats that do not grow with the horizon; c starts at -1, so frame
+    0 brings hop 2 nothing.
     """
 
     def __init__(self, size: int):
         self.frames = 0
-        self.hop1, self.hop2 = _Queue(), _Queue()
-        self._frame_number = np.arange(1.0, size + 1.0)
-        # hop 1's curve after a leading slot for the previous chunk's last
-        # value, so hop 2's arrivals, one frame behind it, copy nothing
-        self._curve1 = np.empty(size + 1)
-        self._work = np.empty(size)  # hop 1's arrival curve, then hop 2's departures
+        self.q1 = 0.0  # hop 1's backlog at the last frame scanned
+        self.carry = -1.0  # Q2 at the last frame scanned plus Q1 one frame before it
+        # hop 1's backlogs after a leading slot for the previous chunk's last,
+        # so Q1(t-1) and Q1(t) are two views of one buffer
+        self._q1 = np.empty(size + 1)
+        self._q2 = np.empty(size)
 
     def step(self, s1: np.ndarray, s2: np.ndarray):
-        """Departure curves (dep1, dep2) of the next ``s1.size`` frames.
+        """Backlogs (Q1(t-1), Q1(t), Q2(t)) of the next ``s1.size`` frames t.
 
-        ``s1`` and ``s2`` are overwritten as scratch.  The curves are views of
-        buffers the next step reuses.
+        ``s1`` and ``s2`` are the per-frame services in frames of load,
+        overwritten as scratch.  The backlogs are views of buffers the next
+        step reuses.
         """
         k = s1.size
-        curve1 = self._curve1[:k + 1]
-        curve1[0] = self.hop1.dep
-        arr1 = np.add(self._frame_number[:k], self.frames, out=self._work[:k])
-        dep1 = self.hop1.depart(arr1, s1, curve1[1:])
-        dep2 = self.hop2.depart(curve1[:-1], s2, arr1)
+        q1 = self._q1[:k + 1]
+        q1[0] = self.q1
+        x1 = np.subtract(1.0, s1, out=s1)
+        x1[0] += self.q1
+        _reflect(np.cumsum(x1, out=x1), q1[1:])
+        x2 = np.subtract(1.0, s2, out=s2)
+        x2[0] += self.carry
+        np.cumsum(x2, out=x2)
+        q2 = _reflect(np.subtract(x2, q1[:-1], out=x2), self._q2[:k])
+        self.q1, self.carry = float(q1[-1]), float(q2[-1] + q1[-2])
         self.frames += k
-        return dep1, dep2
+        return q1[:-1], q1[1:], q2
 
 
 class _Tagger:
-    """Whole frames the bits tagged in frames first..last-1 wait for a curve.
+    """Whole frames the bits tagged in frames first..last-1 wait to leave a queue.
 
-    The non-decreasing cumulative departure curve, in frames of load, is fed
-    piece by piece as the simulation makes it.  Entry k of the whole result
-    is tau_k - (first + k), where tau_k is the number of curve values whose
-    bit index falls short of bit k's, c = first + k + 1, i.e.
-    ``searchsorted(floor(curve + _INDEX_SLACK), c, "left")`` (see the
-    module docstring).  Every later value reaches at least the bits the last
-    one fed reaches, so the delays of the bits below those are final, and
-    each one-pass :meth:`feed` returns them; the tagger keeps two counts, the
-    curve values fed and the delays returned, not a frame-length array.
+    The queue's backlog B, in frames of load, is fed piece by piece as the
+    scan makes it, one value per frame.  In frame t the queue has let out
+    the bits up to index m(t) = t + 1 - lag - ceil(B(t) - _INDEX_SLACK),
+    the frames of load arrived, less ``lag`` frames of them not yet at the
+    queue, less the bits queued.  Entry k of the whole result is
+    tau_k - (first + k), where tau_k is the number of frames whose m falls
+    short of bit k's index, c = first + k + 1 (see the module docstring).
+    The frame count enters m only as an integer, so no float depends on how
+    far into the run a piece lies.  m never falls, so the delays of the bits
+    below the last m fed are final, and each one-pass :meth:`feed` returns
+    them; the tagger keeps two counts, the frames fed and the delays
+    returned, not a frame-length array.
     """
 
-    def __init__(self, first: int, last: int):
+    def __init__(self, first: int, last: int, lag: int):
         self.first = first
         self.n_tagged = last - first
-        self.fed = 0  # curve values fed so far
+        self.lag = lag
+        self.fed = 0  # frames fed so far
         self.finished = 0  # tagged bits whose delays have been returned
 
-    def feed(self, part: np.ndarray) -> np.ndarray:
-        """Count the next piece of the curve in one pass; the delays it finalised, intp.
+    def feed(self, backlog: np.ndarray) -> np.ndarray:
+        """Count the next piece of backlogs in one pass; the delays it finalised, intp.
 
-        Each value's bit index m, counted from the first bit not yet
-        finalised, is clipped to [0, bits not yet finalised] only if one of
-        the piece's ends lies outside: m never falls, so its two ends bound
-        it and a clip elsewhere would change nothing.  Only a piece that
-        starts below the first tagged bit or reaches past the last needs it.
+        Each frame's bit index m, counted from the first bit not yet
+        finalised, takes its running maximum only on a piece where it
+        falls, which rounding can make it do only where services are far
+        above the load (never at the criterion-6 point).  It is then clipped
+        to [0, bits not yet finalised] only if one of the piece's ends lies
+        outside: m never falls, so its two ends bound it and a clip
+        elsewhere would change nothing.
         """
-        lo, fed = self.finished, self.fed
-        self.fed += part.size
-        # m = bits not yet finalised that each value reaches (curve >= 0: the cast floors)
-        m = (part + _INDEX_SLACK).astype(np.int64)
-        m -= self.first + lo
+        lo, fed, k = self.finished, self.fed, backlog.size
+        self.fed += k
+        # the bits queued, ceil(B - slack), taken from the frames of load
+        # arrived less the lag, counted from bit first + lo: integer-valued
+        # floats well below 2**53, so the subtraction is exact
+        queued = np.subtract(backlog, _INDEX_SLACK)
+        np.ceil(queued, out=queued)
+        start = fed + 1 - self.lag - self.first - lo
+        m = np.subtract(np.arange(float(start), float(start + k)), queued, out=queued)
+        m = m.astype(np.int64)
+        if np.less(m[1:], m[:-1]).any():
+            np.maximum.accumulate(m, out=m)
         top = self.n_tagged - lo
-        if m.size and (m[0] < 0 or m[-1] > top):
+        if k and (m[0] < 0 or m[-1] > top):
             np.clip(m, 0, top, out=m)
-        new = int(m[-1]) if m.size else 0
+        new = int(m[-1]) if k else 0
         if new == 0:
             return np.empty(0, dtype=np.intp)
-        # m never falls: tagged bit lo + t leaves at value fed + #(m <= t) of this piece
+        # m never falls: tagged bit lo + t leaves at frame fed + #(m <= t) of this piece
         waits = np.bincount(m)[:new]
         waits -= 1
         waits[0] += fed - self.first - lo + 1
@@ -406,8 +398,9 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     delay the step fixed.  Over the run the pieces cover the
     ``cfg.tagged_frames`` tagged bits once each, in order, and
     e2e = hop1 + hop2 + 1.  Each hop-1 delay is held until the e2e tagger
-    finalises its bit, which it never does before hop 1's (dep2 <= arr2 <=
-    dep1, exactly, as :meth:`_Queue.depart` caps each curve at its arrivals).
+    finalises its bit, which it never does before hop 1's: the tandem's
+    backlog Q1(t-1) + Q2(t) rounds to no less than Q1(t-1), Q2 being
+    nonnegative, so its bit index never passes hop 1's a frame before.
 
     Hop 1 reads the Philox(seed) stream and hop 2 that key's stream jumped
     by 2**128, frame t taking draw t of each, so a run is the prefix of any
@@ -455,7 +448,9 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     rng1, rng2 = np.random.Generator(bits), np.random.Generator(bits.jumped())
     scan = _TandemScan(chunk)
     draws = np.empty((2, chunk))
-    tag1, tag2 = _Tagger(first, n), _Tagger(first, n)
+    # hop 1 holds the load arrived; hop 2 gets it a frame later, so the e2e
+    # tagger reads the tandem's backlog against the load arrived a frame back
+    tag1, tag2 = _Tagger(first, n, 0), _Tagger(first, n, 1)
     held = np.empty(0, dtype=np.intp)  # hop-1 delays of bits e2e has yet to finalise
     # e2e finalises after hop 1, and at least a frame after its bit arrives,
     # so its tagger ends the run, past the horizon
@@ -466,12 +461,12 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
                 f"tagged bits still queued {_MAX_RUN_ON_FRAMES} frames past "
                 "the horizon; queues are effectively unstable")
         u1, u2 = rng1.random(out=draws[0, :k]), rng2.random(out=draws[1, :k])
-        dep1, dep2 = scan.step(_to_service(u1, scale, snr1), _to_service(u2, scale, snr2))
-        # e2e never runs ahead of hop 1 (dep2 <= arr2 <= dep1, kept exact by
-        # depart's cap at the arrivals), so the hop-1 delays of the bits it
+        before, q1, q2 = scan.step(_to_service(u1, scale, snr1), _to_service(u2, scale, snr2))
+        # e2e never runs ahead of hop 1 (its backlog Q1(t-1) + Q2(t) rounds to
+        # no less than Q1(t-1), exactly), so the hop-1 delays of the bits it
         # finalised are held already
-        held = np.concatenate((held, tag1.feed(dep1)))
-        e2e = tag2.feed(dep2)
+        held = np.concatenate((held, tag1.feed(q1)))
+        e2e = tag2.feed(np.add(before, q2, out=q2))
         hop1, held = held[:e2e.size], held[e2e.size:]
         hop2 = e2e - hop1
         hop2 -= 1  # the frame the relay holds each bit before forwarding it

@@ -1,12 +1,13 @@
 """Tests for the tandem-queue simulator.
 
-The chunked queue recursion and delay tagging are checked exactly against a
-straightforward per-frame Python reference simulator that tags bits by a
-binary search of each curve value's bit index floor(dep/load + 1e-6), at
-chunk sizes down to one frame and loads from 1e-305 to 2.5e3 nats/frame;
-the O(n) tagging helper against that binary search on curves in frames of
-load placed on, and one ulp beside, the smallest value that reaches each
-bit's index; the hop histograms the scan counts against
+The chunked backlog recursion and delay tagging are checked exactly against
+a straightforward per-frame Python reference simulator that keeps its
+queues in nats and tags bits by a binary search of each cumulative
+departure's bit index floor(dep/load + 1e-6), at chunk sizes down to one
+frame and loads from 1e-305 to 2.5e3 nats/frame; the O(n) tagging helper
+against a binary search of the bit indices of backlogs in frames of load
+placed on, and one ulp beside, the largest value that keeps each whole
+number of bits queued; the hop histograms the scan counts against
 np.bincount of its hop arrays; the histogram tail statistics against the
 sort-based originals kept here; the batch-means half-width against a Markov
 series of known asymptotic variance; and the tail-slope estimator against
@@ -28,7 +29,6 @@ from relayqos.allocator import Allocation, Scenario, allocate
 from relayqos.qsim import (
     _SIM_CHUNK,
     _T975,
-    _Queue,
     _Tagger,
     _TandemScan,
     _count_into,
@@ -52,16 +52,17 @@ SCENARIO = Scenario(traffic_load=LOAD_100KBPS, delay_bound=50.0,
                     violation_prob=1e-2, bt_product=200.0)
 
 # The CLI point --delay_bound 0.006 --violation_prob 1e-6 loads both hops
-# lightly (utilisation 0.35 and 0.33), so cumulative service passes twice the
-# arrivals and the departure curve's cap at the arrivals acts.
+# lightly (utilisation 0.35 and 0.33), so both queues sit empty, with a
+# backlog of exactly 0, in most frames.
 LIGHT_SCENARIO = cli.to_scenario(cli.RadioProfile(delay_bound=0.006, violation_prob=1e-6))
 
 
 def tiny_load_services(rng, n):
     """Services of mean 3e15 against a unit load, 40% of frames without any.
 
-    The load lies below the ulp of the cumulative service, so the capped
-    departure curve falls inside some chunks.
+    The load lies below the ulp of a chunk's net input, so rounding can
+    raise a backlog by more than the frame of load that arrived, and the
+    bit index it lets out falls inside some chunks.
     """
     return np.where(rng.random(n) < 0.4, 0.0, rng.exponential(3e15, n))
 
@@ -141,49 +142,94 @@ def reference_delays(scenario, allocation, cfg):
     return np.asarray(out1), np.asarray(out2), np.asarray(oute)
 
 
-def tagger_waits(curve, first, last):
-    """Frames waited per tagged bit, by the O(n) tagger fed part by part.
+def bit_indices(backlog, lag, fed=0):
+    """Bit index each frame's backlog lets out: t + 1 - lag - ceil(B - 1e-6).
 
-    The curve is in frames of load.  The tagger returns each bit's delay
-    once it is final.  A last value that reaches every tagged bit, which no
-    delay counts, finalises the bits the curve itself leaves queued.
+    Frame t counts from ``fed``, the frames fed before the backlog's first.
     """
-    tagger = _Tagger(first, last)
-    parts = [tagger.feed(part) for part in (*curve, np.array([last + 1.0]))]
+    frames = np.arange(fed, fed + backlog.size, dtype=np.int64)
+    return frames + 1 - lag - np.ceil(backlog - 1e-6).astype(np.int64)
+
+
+def drained(backlog, last, lag):
+    """The backlog's pieces, then an empty queue until bit ``last`` has left."""
+    fed = sum(part.size for part in backlog)
+    return (*backlog, np.zeros(max(last + lag - fed, 1)))
+
+
+def tagger_waits(backlog, first, last, lag=0):
+    """Frames waited per tagged bit, by the O(n) tagger fed piece by piece.
+
+    The backlog, in frames of load, is fed in its pieces, then the queue
+    drains: with nothing queued each frame lets out the load that arrived,
+    so every tagged bit leaves.  The tagger returns each bit's delay once
+    it is final.
+    """
+    tagger = _Tagger(first, last, lag)
+    parts = [tagger.feed(part) for part in drained(backlog, last, lag)]
     assert tagger.finished == tagger.n_tagged
     return np.concatenate(parts)
 
 
-def searchsorted_waits(curve, first, last):
-    """Frames waited per tagged bit, by binary search of each bit's index."""
-    dep = np.concatenate(curve)
-    tagged = np.arange(first, last, dtype=np.int64)
-    return np.searchsorted(np.floor(dep + 1e-6), tagged + 1, side="left") - tagged
+def searchsorted_waits(backlog, first, last, lag=0):
+    """Frames waited per tagged bit, by binary search of each bit's index.
 
-
-def index_boundaries(cs):
-    """Smallest double v, in frames of load, with floor(v + 1e-6) >= c, for each c.
-
-    Starts from c - 1e-6, the real boundary, and steps one ulp at a time
-    until v reaches c and the double below it does not.
+    Bit c leaves in the first frame whose bit index reaches it, so the
+    search runs over the indices' running maximum.
     """
-    cs = np.asarray(cs, dtype=np.float64)
-    v = cs - 1e-6
+    reached = np.maximum.accumulate(bit_indices(np.concatenate(drained(backlog, last, lag)), lag))
+    tagged = np.arange(first, last, dtype=np.int64)
+    return np.searchsorted(reached, tagged + 1, side="left") - tagged
+
+
+def backlog_boundaries(qs):
+    """Largest double B, in frames of load, with ceil(B - 1e-6) <= q, for each q.
+
+    q is a whole number of bits queued.  Starts from q + 1e-6, the real
+    boundary, and steps one ulp at a time until B keeps no more than q bits
+    queued and the double above it keeps more.
+    """
+    qs = np.asarray(qs, dtype=np.float64)
+    b = qs + 1e-6
     while True:
-        below = np.nextafter(v, -np.inf)
-        down = np.floor(below + 1e-6) >= cs
-        up = np.floor(v + 1e-6) < cs
-        if not (down.any() or up.any()):
-            return v
-        v = np.where(down, below, np.where(up, np.nextafter(v, np.inf), v))
+        above = np.nextafter(b, np.inf)
+        up = np.ceil(above - 1e-6) <= qs
+        down = np.ceil(b - 1e-6) > qs
+        if not (up.any() or down.any()):
+            return b
+        b = np.where(up, above, np.where(down, np.nextafter(b, -np.inf), b))
 
 
-def near_boundaries(cs, where):
-    """Curve values on, one ulp below or above, or half a frame past the
-    boundaries of bit indices cs (see index_boundaries)."""
-    t = index_boundaries(cs)
-    return {"at": t, "below": np.nextafter(t, -np.inf),
-            "above": np.nextafter(t, np.inf), "mid": t + 0.5}[where]
+def near_boundaries(qs, where):
+    """Backlogs on, one ulp below or above, or half a frame below the
+    boundaries of whole numbers of bits queued qs (see backlog_boundaries).
+
+    "at", "below" and "mid" keep q bits queued and "above" keeps q + 1.
+    """
+    b = backlog_boundaries(qs)
+    return {"at": b, "below": np.nextafter(b, -np.inf),
+            "above": np.nextafter(b, np.inf), "mid": np.maximum(b - 0.5, 0.0)}[where]
+
+
+def headline_services(allocation, rng, n):
+    """Both hops' services at SCENARIO over n frames, in frames of load."""
+    scale = SCENARIO.bt_product / SCENARIO.traffic_load
+    return (scale * np.log1p(allocation.kappa1 * rng.exponential(1.0, n)),
+            scale * np.log1p(allocation.kappa2 * rng.exponential(1.0, n)))
+
+
+def scanned(s1, s2, chunk):
+    """Backlogs (Q1(t-1), Q1(t), Q2(t)) of a _TandemScan stepped chunk by chunk."""
+    scan = _TandemScan(chunk)
+    parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(), s2[i:i + chunk].copy())]
+             for i in range(0, s1.size, chunk)]
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def scan_waits(before, q1, q2):
+    """Hop-1 and e2e waits of every bit of a scan's backlogs, the queues then drained."""
+    n = q1.size
+    return tagger_waits((q1,), 0, n, 0), tagger_waits((before + q2,), 0, n, 1)
 
 
 def least_squares_slope(xs, ys):
@@ -253,15 +299,21 @@ def tail_samples(draw):
 def tagging_cases(draw):
     last = draw(st.integers(1, 60))
     first = draw(st.sampled_from([0, last - 1]) | st.integers(0, last - 1))
-    points = draw(st.lists(
+    lag = draw(st.sampled_from([0, 1]))
+    points = sorted(draw(st.lists(
         st.tuples(st.integers(0, last + 2),
                   st.sampled_from(["at", "below", "above", "mid"]),
                   st.integers(1, 4)),  # repeats make flat runs
-        min_size=1, max_size=120))
-    dep = np.sort(np.concatenate([np.repeat(near_boundaries([c], where), k)
-                                  for c, where, k in points]))
-    cut = draw(st.integers(0, dep.size))  # one scan step | the next
-    return (dep[:cut], dep[cut:]), first, last
+        min_size=1, max_size=120)))
+    # frame t reaches bit c, or one short of it "above", and a queue holds
+    # no less than nothing, so c never passes the load arrived, t + 1 - lag
+    wheres = [where for _, where, k in points for _ in range(k)]
+    reach = np.repeat([c for c, _, _ in points], [k for _, _, k in points])
+    frames = np.arange(reach.size)
+    queued = frames + 1 - lag - np.minimum(reach, frames + 1 - lag)
+    backlog = np.array([near_boundaries(q, where) for q, where in zip(queued, wheres)])
+    cut = draw(st.integers(0, backlog.size))  # one scan step | the next
+    return (backlog[:cut], backlog[cut:]), first, last, lag
 
 
 @pytest.fixture(scope="module")
@@ -326,45 +378,49 @@ class TestFramesWaited:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(tagging_cases())
     def test_matches_searchsorted(self, case):
-        curve, first, last = case
-        waits = tagger_waits(curve, first, last)
+        backlog, first, last, lag = case
+        waits = tagger_waits(backlog, first, last, lag)
         assert waits.dtype == np.intp
-        assert np.array_equal(waits, searchsorted_waits(curve, first, last))
+        assert np.array_equal(waits, searchsorted_waits(backlog, first, last, lag))
 
+    @pytest.mark.parametrize("lag", [0, 1])
     @pytest.mark.parametrize("where", ["at", "below", "above"])
-    def test_values_on_and_beside_every_target(self, where):
-        # each bit's index is first reached on its boundary, so a value one
-        # ulp below must not count the bit and one on or above it must.
-        # The curve is fed in two pieces of 25,001 and 14,999 values, each
-        # tagged in one pass, and runs on well past the last bit's index.
+    def test_values_on_and_beside_every_target(self, where, lag):
+        # a backlog on its boundary or one ulp below it keeps q bits queued,
+        # and one ulp above keeps q + 1.  Frame t holds t // 2 bits, so the
+        # boundaries run over every q up to 20,000 frames of load.  The
+        # backlog is fed in two pieces of 25,001 and 14,999 frames, each
+        # tagged in one pass, and its bit index reaches past the last bit.
         last = 20_000
-        dep = near_boundaries(np.arange(2 * last), where)
-        curve = (dep[:25_001], dep[25_001:])
+        backlog = near_boundaries(np.arange(2 * last) // 2, where)
+        pieces = (backlog[:25_001], backlog[25_001:])
         for first in (0, 7, last - 1):
-            assert np.array_equal(tagger_waits(curve, first, last),
-                                  searchsorted_waits(curve, first, last))
+            assert np.array_equal(tagger_waits(pieces, first, last, lag),
+                                  searchsorted_waits(pieces, first, last, lag))
 
-    def test_curve_ending_below_last_target(self):
+    def test_backlog_ending_below_last_target(self):
+        # frame t keeps t // 2 + 1 bits queued, so after ten frames the
+        # queue has let out bits 1..5; it then empties, and bits 6..11 leave
+        # in its first empty frame, 10, and later bits in the frame they arrive
         last = 40
-        dep = np.sort(near_boundaries(np.arange(0, 30, 3), "above"))
-        waits = tagger_waits((dep[:4], dep[4:]), 0, last)
-        assert np.array_equal(waits, searchsorted_waits((dep,), 0, last))
-        # bits past the curve's end wait until one past its last frame
-        assert waits[-1] + (last - 1) == dep.size
+        backlog = near_boundaries(np.arange(10) // 2, "above")
+        waits = tagger_waits((backlog[:4], backlog[4:]), 0, last)
+        assert np.array_equal(waits, searchsorted_waits((backlog,), 0, last))
+        assert np.array_equal(waits[5:11], 10 - np.arange(5, 11))
+        assert (waits[11:] == 0).all()
 
     def test_clips_only_pieces_reaching_past_the_tagged_bits(self):
-        # m = floor(v + 1e-6) - first - finished never falls, so feed clips
-        # a piece to [0, n_tagged - finished] only when one of its ends lies
-        # outside: the first piece starts below bit first, the second lies
-        # inside and the third runs past bit last.  The waits equal the
-        # binary search's, which equal those of clipping every piece.
-        first, last = 5, 15
-        pieces = [near_boundaries(cs, "at")
-                  for cs in ([2, 4, 6, 8], [9, 10, 12], [13, 20, 30])]
-        tagger = _Tagger(first, last)
+        # m = t + 1 - ceil(B - 1e-6) - first - finished never falls, so feed
+        # clips a piece to [0, n_tagged - finished] only when one of its
+        # ends lies outside: the first piece starts below bit first, the
+        # second lies inside and the third runs past bit last.  The waits
+        # equal the binary search's, which equal those of clipping every piece.
+        first, last = 2, 10
+        pieces = [near_boundaries(qs, "at") for qs in ([1, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0])]
+        tagger = _Tagger(first, last, 0)
         clipped, waits = [], []
         for piece in pieces:
-            m = np.floor(piece[[0, -1]] + 1e-6) - first - tagger.finished
+            m = bit_indices(piece, 0, tagger.fed)[[0, -1]] - first - tagger.finished
             clipped.append(bool(m[0] < 0 or m[-1] > tagger.n_tagged - tagger.finished))
             waits.append(tagger.feed(piece))
         assert clipped == [True, False, True]
@@ -373,23 +429,40 @@ class TestFramesWaited:
                               searchsorted_waits(pieces, first, last))
 
     def test_single_tagged_frame(self):
-        # five values fall short of the one bit's index, even one ulp short
-        dep = near_boundaries([0, 0, 1, 1, 1, 2], "below")
-        assert list(tagger_waits((dep,), 0, 1)) == [5]
+        # five frames keep the one bit queued, each by one ulp of backlog
+        backlog = near_boundaries([0, 1, 2, 3, 4, 4], "above")
+        assert list(tagger_waits((backlog,), 0, 1)) == [5]
 
-    @pytest.mark.parametrize("lag", [0, 1], ids=["hop1-arrivals", "hop2-arrivals"])
-    def test_integer_curve_waits_its_lag(self, lag):
-        # in frames of load hop 1's arrivals are the frame numbers, value
-        # t + 1 in frame t, and hop 2's lag them by a frame; a curve that
-        # reaches each bit's index exactly, lag frames late, delays every
-        # tagged bit by lag frames
+    @pytest.mark.parametrize("lag", [0, 1], ids=["hop1", "e2e"])
+    def test_empty_queue_waits_its_lag(self, lag):
+        # an empty queue lets out the load that has reached it: hop 1 each
+        # bit in the frame it arrives, and the tandem a frame later, so
+        # every tagged bit waits lag frames
         last = 5000
-        dep = np.arange(1.0 - lag, 2 * last + 1.0 - lag)
-        curve = (dep[:3001], dep[3001:])
+        backlog = np.zeros(2 * last)
+        pieces = (backlog[:3001], backlog[3001:])
         for first in (0, 7, last - 1):
-            waits = tagger_waits(curve, first, last)
+            waits = tagger_waits(pieces, first, last, lag)
             assert (waits == lag).all()
-            assert np.array_equal(waits, searchsorted_waits(curve, first, last))
+            assert np.array_equal(waits, searchsorted_waits(pieces, first, last, lag))
+
+    @pytest.mark.parametrize("shift", [2**32, 10**12], ids=["2**32", "1e12"])
+    def test_frame_count_does_not_matter(self, headline_allocation, shift):
+        # the frame count enters the bit index only as an integer, so the
+        # same backlogs give the same delays however far into a run they
+        # come: the tagged bits and the frames already fed are all shifted
+        rng = np.random.default_rng(4)
+        n, chunk, first, last = 3000, 700, 100, 2800
+        s1, s2 = headline_services(headline_allocation, rng, n)
+        before, q1, q2 = scanned(s1, s2, chunk)
+        for backlog, lag in ((q1, 0), (before + q2, 1)):
+            pieces = [backlog[i:i + chunk] for i in range(0, n, chunk)]
+            want = tagger_waits(pieces, first, last, lag)
+            tagger = _Tagger(first + shift, last + shift, lag)
+            tagger.fed = shift
+            got = np.concatenate([tagger.feed(piece) for piece in drained(pieces, last, lag)])
+            assert tagger.finished == tagger.n_tagged
+            assert np.array_equal(got, want)
 
 
 class TestSimulateTandem:
@@ -592,13 +665,14 @@ class TestSimulateTandem:
                                            monkeypatch, chunk, n):
         # hop 2's delay is formed from the hop-1 delay already in place, so
         # after every step the e2e tagger has finalised no more bits than
-        # hop 1's (dep2 <= arr2 <= dep1).  Each horizon spans several
-        # chunks, so e2e has steps at which to lag.
+        # hop 1's (the tandem's backlog Q1(t-1) + Q2(t) never rounds below
+        # hop 1's a frame before).  Each horizon spans several chunks, so
+        # e2e has steps at which to lag.
         finished = []
         feed = _Tagger.feed
 
-        def recording(tagger, part):
-            delays = feed(tagger, part)
+        def recording(tagger, backlog):
+            delays = feed(tagger, backlog)
             finished.append(tagger.finished)
             return delays
 
@@ -654,103 +728,94 @@ class TestSimulateTandem:
 
     @pytest.mark.parametrize("light", [False, True], ids=["headline", "light"])
     def test_flow_conservation(self, headline_allocation, light):
-        # services and curves are in frames of load.  Light services are at
-        # least three loads, so cumulative service passes twice the
-        # arrivals, where S + (A - S) rounds above A; the cap keeps every
-        # curve at or below its arrivals, exactly
+        # services and backlogs are in frames of load.  Each backlog follows
+        # Lindley's recursion, hop 1 receiving a frame of load each frame and
+        # hop 2 hop 1's departures of the frame before; exactly, no backlog
+        # is negative and the tandem's, Q1(t-1) + Q2(t), is no less than
+        # hop 1's a frame before.  Light services are at least three loads,
+        # so both queues stay empty.
         rng = np.random.default_rng(2)
         n, chunk = 3000, 700  # five chunks, the last one short
         if light:
             s1, s2 = 3.0 + rng.exponential(1.0, (2, n))
         else:
-            scale = SCENARIO.bt_product / SCENARIO.traffic_load
-            s1 = scale * np.log1p(headline_allocation.kappa1 * rng.exponential(1.0, n))
-            s2 = scale * np.log1p(headline_allocation.kappa2 * rng.exponential(1.0, n))
-        scan = _TandemScan(chunk)
-        parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
-                                              s2[i:i + chunk].copy())]
-                 for i in range(0, n, chunk)]
-        dep1, dep2 = (np.concatenate(c) for c in zip(*parts))
-        arr2 = np.concatenate(([0.0], dep1[:-1]))  # hop 1's output, one frame later
-        arr1 = np.arange(1, n + 1)
-        assert (dep1 <= arr1).all()
-        assert (arr2 <= dep1).all()
-        assert (dep2 <= arr2).all()
-        assert (np.diff(dep1) >= 0).all()
-        assert (np.diff(dep2) >= 0).all()
-        # one chunk over the whole horizon gives the same curves
-        whole = _TandemScan(n).step(s1.copy(), s2.copy())
-        for got, want in zip((dep1, dep2), whole):
-            assert np.array_equal(got, want)
+            s1, s2 = headline_services(headline_allocation, rng, n)
+        before, q1, q2 = scanned(s1, s2, chunk)
+        assert (q1 >= 0).all() and (q2 >= 0).all()
+        assert np.array_equal(before, np.append(0.0, q1[:-1]))
+        assert (before + q2 >= before).all()
+        assert (q1 == 0).all() == (q2 == 0).all() == light
+        # the per-frame recursion, to the rounding of one chunk's net input:
+        # 1e-12 frames of load is some hundreds of ulps of these backlogs
+        want1, want2 = np.empty(n), np.empty(n)
+        queued1 = queued2 = departed = 0.0  # departed: hop 1's output a frame back
+        for t in range(n):
+            after1 = max(queued1 + 1.0 - s1[t], 0.0)
+            queued2 = max(queued2 + departed - s2[t], 0.0)
+            departed, queued1 = queued1 + 1.0 - after1, after1
+            want1[t], want2[t] = queued1, queued2
+        assert np.allclose(q1, want1, rtol=0.0, atol=1e-12)
+        assert np.allclose(q2, want2, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_chunk_step_matches_whole_scan(self, chunk):
-        # both hops' capped curves fall somewhere under a load below the ulp
-        # of the cumulative service, so their running maxima, carried across
-        # every boundary, matter
+        # exponential services of mean 1.05 loads barely outrun hop 1's load,
+        # so its backlog wanders to tens of frames.  A chunk's net input
+        # starts from the backlog carried, so the backlogs depend on the
+        # chunk only by rounding, which the whole scan's net input of some
+        # hundreds of frames of load carries: they differ by about 6e-13
+        # frames of load here, checked to 1e-11.  The delays they give are
+        # the whole scan's, exactly.
         rng = np.random.default_rng(0)
-        n = 400
-        s1, s2 = tiny_load_services(rng, n), tiny_load_services(rng, n)
-        whole = _TandemScan(n).step(s1.copy(), s2.copy())
-        scan = _TandemScan(chunk)
-        parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
-                                              s2[i:i + chunk].copy())]
-                 for i in range(0, n, chunk)]
-        for got, want in zip((np.concatenate(c) for c in zip(*parts)), whole):
+        n = 4000
+        s1, s2 = rng.exponential(1.05, n), rng.exponential(1.2, n)
+        whole, chunked = scanned(s1, s2, n), scanned(s1, s2, chunk)
+        assert whole[1].max() > 30
+        for got, want in zip(chunked, whole):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-11)
+        for got, want in zip(scan_waits(*chunked), scan_waits(*whole)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("scale", [1e10, 2.0**40], ids=["1e10", "2**40"])
+    @pytest.mark.parametrize("scale", [1e10, 2.0**40, 1e20, 1e300],
+                             ids=["1e10", "2**40", "1e20", "1e300"])
     def test_empty_tandem_departs_on_the_frame_numbers(self, scale):
         # services of scale to twice scale frames of load keep both queues
-        # empty.  Hop 1's arrivals are the frame numbers, exact integers,
-        # chunk after chunk, and A - S stays exact while S < 2**53 (about
-        # 6.6e15 here at 2**40), so hop 1 departs exactly the frame numbers
-        # and hop 2 the same one frame later
+        # empty: each frame's net input is its running minimum, so both
+        # backlogs are exactly 0, chunk after chunk, however far the service
+        # outruns the load, and each hop lets out every bit on arrival
         rng = np.random.default_rng(3)
         n, chunk = 3000, 700  # five chunks, the last one short
         s1, s2 = scale * (1.0 + rng.exponential(1.0, (2, n)))
-        scan = _TandemScan(chunk)
-        parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(),
-                                              s2[i:i + chunk].copy())]
-                 for i in range(0, n, chunk)]
-        dep1, dep2 = (np.concatenate(c) for c in zip(*parts))
-        assert np.array_equal(dep1, np.arange(1.0, n + 1))
-        assert np.array_equal(dep2, np.arange(0.0, n))
+        for backlog in scanned(s1, s2, chunk):
+            assert (backlog == 0).all()
 
     @pytest.mark.parametrize("queued", [True, False])
-    def test_departure_curve_is_its_running_maximum(self, queued):
-        # depart takes the running maximum only on a chunk whose capped
-        # curve, min(A, S + min(0, min(A - S))), falls.  A load below the ulp
-        # of the cumulative service S makes it fall, by less than that ulp,
-        # inside some chunk; service that always outruns the load keeps the
-        # queue empty, and it never falls.  Either way the chunked curve is
-        # the running maximum of the whole capped curve.
+    def test_bit_index_takes_its_running_maximum(self, queued):
+        # a load below the ulp of a chunk's net input lets rounding raise a
+        # backlog by more than the frame of load that arrived, so a bit
+        # index, t + 1 - lag - ceil(B - 1e-6), falls inside some pieces, and
+        # the tagger then counts its running maximum; service that always
+        # outruns the load keeps both queues empty, and no index falls.
+        # Either way the waits equal a binary search of the running maximum.
         rng = np.random.default_rng(0)
         n, chunk = 400, 7
         if queued:
-            load, s = 1.0, tiny_load_services(rng, n)
+            s1, s2 = tiny_load_services(rng, n), tiny_load_services(rng, n)
         else:
-            load = LOAD_100KBPS
-            s = rng.exponential(2.5 * load, n) + load
-        arrived = load * np.arange(1.0, n + 1)
-        served = np.cumsum(s)
-        low = np.minimum.accumulate(np.append(0.0, arrived - served))[1:]
-        raw = np.minimum(served + low, arrived)
-        raw[0] = max(0.0, raw[0])
-        falls = np.flatnonzero(raw[1:] < raw[:-1]) + 1
-        assert (raw[falls - 1] - raw[falls] <= np.spacing(served[falls])).all()
-        assert (falls % chunk != 0).any() == queued  # a fall inside a chunk
-        queue = _Queue()
-        got = np.concatenate([queue.depart(arrived[i:i + chunk], s[i:i + chunk].copy(),
-                                           np.empty(min(chunk, n - i)))
-                              for i in range(0, n, chunk)])
-        assert np.array_equal(got, np.fmax.accumulate(raw))
+            s1, s2 = 1.0 + rng.exponential(2.5, (2, n))
+        before, q1, q2 = scanned(s1, s2, chunk)
+        for backlog, lag in ((q1, 0), (before + q2, 1)):
+            falls = np.flatnonzero(np.diff(bit_indices(backlog, lag)) < 0) + 1
+            assert (falls % chunk != 0).any() == queued  # a fall inside a piece
+            pieces = [backlog[i:i + chunk] for i in range(0, n, chunk)]
+            assert np.array_equal(tagger_waits(pieces, 0, n, lag),
+                                  searchsorted_waits(pieces, 0, n, lag))
 
     def test_rejects_a_load_whose_scale_overflows(self):
         # the scan counts in frames of load, so each service is scaled by
         # bt_product / traffic_load, which overflows to infinity here; the
         # run refuses the load before its first step instead of scanning
-        # NaN curves
+        # NaN backlogs
         scenario = Scenario(traffic_load=1e-307, delay_bound=50.0,
                             violation_prob=1e-2, bt_product=200.0)
         allocation = Allocation(kappa1=1e-298, kappa2=1e-298, theta1=1e-3, theta2=1e-3,
@@ -769,12 +834,13 @@ class TestSimulateTandem:
         # is the relay's forwarding frame alone
         assert (no_queueing_e2e(LOAD_100KBPS, 1e9) == 1).all()
 
-    def test_services_of_1e10_loads_mean_no_queueing(self):
-        # services of about 1e10 loads take the cumulative service past 1e14
-        # frames of load, where a curve kept in nats missed a frame's whole
-        # load by rounding; in frames of load the arrivals are integers, so
-        # while A <= S < 2**53, A - S is exact and S + (A - S) gives A back
-        assert (no_queueing_e2e(1e-8, 1.0) == 1).all()
+    @pytest.mark.parametrize("load", [1e-8, 1e-11, 1e-14, 1e-300])
+    def test_services_of_1e10_loads_mean_no_queueing(self, load):
+        # services of 1e10 to about 1e302 loads take a run's cumulative
+        # service far past 2**53 frames of load; an empty queue's backlog is
+        # exactly 0 however large the service, so every bit leaves each hop
+        # in the frame it arrives
+        assert (no_queueing_e2e(load, 1.0) == 1).all()
 
     def test_unstable_configuration_rejected(self):
         starved = Allocation(kappa1=1e-3, kappa2=1.0, theta1=1e-3, theta2=1e-3,
