@@ -19,48 +19,50 @@ running minimum.
 
 Delay is sampled at frame resolution: the last bit arriving in each
 post-warm-up frame is tagged.  The bit tagged in frame c - 1 has index c.
-In frame t a queue has let out the bits up to index
-m(t) = t + 1 - lag - ceil(B(t) - _INDEX_SLACK), the frames of load arrived,
-less the ``lag`` frames of them not yet at the queue, less the bits it
-still holds, B(t) frames of load; a bit's delay is the number of whole
-frames until the first m that reaches it.  The frame count enters m only
-as a Python int, less the first bit not yet finalised, and
-ceil(B - _INDEX_SLACK) is an integer-valued float, so the subtraction is
-exact and no float sees how far into the run a frame lies.  Hop 1 reads
-B = Q1(t) with lag 0.  The relay
-decodes a frame before forwarding it, so hop 1's output joins the hop-2
-queue in the next frame (store-and-forward): the tandem holds
-B = Q1(t-1) + Q2(t) of the load that arrived up to frame t - 1, lag 1, and
-the end-to-end delay is hop 1 + hop 2 + 1.  Gains come from counter-based
-Philox generators, so a run is reproducible from its seed and replications
-with different seeds are independent.  Each hop reads one stream for the
-whole run, run-on included: hop 1 the Philox(seed) stream and hop 2 that
-key's stream jumped by 2**128 counter steps, and frame t takes draw t of
-each.  No draw depends on the horizon, so a run of n frames is the first n
-frames of any longer run at the same seed, and the delays of its tagged
-bits are the first entries of that run's.
+One rule reads the delays at two points, the relay's input and the tandem's
+exit.  In frame t a point has let through the bits up to index
+m(t) = t - ceil(B(t) - _INDEX_SLACK), the frames of load arrived before
+frame t less the bits of it still short of the point, B(t) frames of load;
+a bit's wait is the number of whole frames until the first m that reaches
+it.  The relay
+decodes a frame before forwarding it, so hop 1's output of frame t - 1
+joins the relay's queue in frame t (store-and-forward): the relay's input
+reads B = Q1(t-1), and the tandem's exit B = Q1(t-1) + Q2(t).  A bit's
+relay wait is its hop-1 delay and the forwarding frame, and its hop-2 delay
+is e2e less the relay wait, so the end-to-end delay is hop 1 + hop 2 + 1.
+The frame count enters m only as a Python int, less the first bit not yet
+finalised, and ceil(B - _INDEX_SLACK) is an integer-valued float, so the
+subtraction is exact and no float sees how far into the run a frame lies.
+Gains come from counter-based Philox generators, so a run is reproducible
+from its seed and replications with different seeds are independent.  Each
+hop reads one stream for the whole run, run-on included: hop 1 the
+Philox(seed) stream and hop 2 that key's stream jumped by 2**128 counter
+steps, and frame t takes draw t of each.  No draw depends on the horizon,
+so a run of n frames is the first n frames of any longer run at the same
+seed, and the delays of its tagged bits are the first entries of that
+run's.
 
 One run has one producer and one consumer.  The producer, ``_pieces``,
 streams the simulation in chunks of _SIM_CHUNK frames: each chunk's
 uniforms are drawn, turned into services in place, both hops scanned and
 both backlogs tagged in a few chunk-sized buffers that stay in cache, and
 each step yields the delays it finalised, a piece of hop-1, hop-2 and e2e
-delays for the tagged bits that follow the last piece's.  Both hops run
-one reflection, :func:`_reflect`, and the scan carries two floats across a
-chunk boundary, hop 1's last backlog and hop 2's telescoped carry.  A
-chunk's cumulative sum starts from them, so its floats depend on where the
-chunk starts, but chunks always start at multiples of _SIM_CHUNK, so a run
-is still the prefix of any longer one.  Two passes run only on a piece
-where they change something: a tagger's running maximum of m, where
-rounding makes m fall, and its clip of the piece to the bits not yet
-finalised, where an end of the piece lies outside them.  Both skips are
-exact (see :meth:`_Tagger.feed`), so the delays equal those of running
-both passes on every piece.  The consumer, :func:`simulate_tandem`, only
-stores and counts the pieces, so the only memory that grows with the
-horizon is the delay arrays it returns.  They hold the narrowest unsigned
-type that fits the largest delay, uint8 until an e2e delay passes 255
-frames (e2e bounds both hops), so a caller casts them before subtracting.
-By default there are three (hop 1, hop 2 and e2e, 3 B per frame); with
+delays for the tagged bits that follow the last piece's.  Both hops run one
+reflection, :func:`_reflect`, and the scan carries two floats across a
+chunk boundary, hop 1's last backlog and the tandem's, which is hop 2's
+telescoped carry.  A chunk's cumulative sum starts from them, so its floats
+depend on where the chunk starts, but chunks always start at multiples of
+_SIM_CHUNK, so a run is still the prefix of any longer one.  Two passes run
+only on a piece where they change something: a tagger's running maximum of
+m, where rounding makes m fall, and its clip of the piece to the bits not
+yet finalised, where an end of the piece lies outside them.  Both skips are
+exact (see :meth:`_Tagger.feed`), so the delays equal those of running both
+passes on every piece.  The consumer, :func:`simulate_tandem`, only stores
+and counts the pieces, so the only memory that grows with the horizon is
+the delay arrays it returns.  They hold the narrowest unsigned type that
+fits the largest delay, uint8 until an e2e delay passes 255 frames (e2e
+bounds both hops), so a caller casts them before subtracting.  By default
+there are three (hop 1, hop 2 and e2e, 3 B per frame); with
 ``hop_arrays=False`` only the e2e array is kept (1 B per frame), for a
 caller that needs no more of the hops than the histograms below.  A new
 statistic of the run is another consumer of the same pieces.
@@ -75,26 +77,26 @@ frames the last tagged bit needs by under a chunk, and stops with an error
 _MAX_RUN_ON_FRAMES frames past the horizon.
 
 Delay tagging in O(n).  A backlog never rises by more than the frame of
-load that arrived, so m never falls, except where rounding in a chunk's
-net input lifts a backlog by more, which only services far above the load
-do; there the tagger takes m's running maximum.  Bit c therefore departs
-in frame tau(c), the number of frames with m < c, which is the running sum
-of a histogram of m.  The backlogs are fed in as the scan makes them, one
+load that arrived, so m never falls, except where rounding in a chunk's net
+input lifts a backlog by more, which only services far above the load do;
+there the tagger takes m's running maximum.  Bit c therefore departs in
+frame tau(c), the number of frames with m < c, which is the running sum of
+a histogram of m.  The backlogs are fed in as the scan makes them, one
 chunk at a time, each counted in one pass in numpy's native integer, over
 the short range of m it spans.  Since m never falls, every bit below the
-last m fed has its delay fixed, so each chunk hands those delays on and
-the tagger keeps two counts, the frames fed and the delays handed on, not
-a frame-length array.  Tagging costs O(n) time and no frame-length memory
-beyond its output, and its output equals a binary search of the running
-maximum of m for each bit's index, bit for bit (tests/test_qsim.py keeps
-that binary search as the reference).  The tandem's backlog Q1(t-1) + Q2(t)
-rounds to no less than Q1(t-1), so the e2e tagger never runs ahead of hop
-1's, and the producer holds a hop-1 delay only until its bit's e2e delay
-is fixed, and then yields it with hop 2's delay, e2e minus hop 1 minus the
-forwarding frame.  The consumer writes each piece's three delays and
-counts each hop's piece into its histogram (one ``np.bincount`` per piece)
-while it is in cache, so the run returns both hops' histograms whether or
-not it keeps their arrays, equal to ``np.bincount`` of those arrays.
+last m fed has its delay fixed, so each chunk hands those delays on and the
+tagger keeps one count, the delays handed on, not a frame-length array; the
+producer keeps the run's one frame count.  Tagging costs O(n) time and no
+frame-length memory beyond its output, and its output equals a binary
+search of the running maximum of m for each bit's index, bit for bit
+(tests/test_qsim.py keeps that binary search as the reference).  The
+tandem's backlog B(t) = Q1(t-1) + Q2(t) rounds to no less than Q1(t-1), so
+in every frame the e2e tagger's m is no more than the relay's, and the
+producer holds a relay wait only until its bit's e2e delay is fixed.  The
+consumer writes each piece's three delays and counts each hop's piece into
+its histogram (one ``np.bincount`` per piece) while it is in cache, so the
+run returns both hops' histograms whether or not it keeps their arrays,
+equal to ``np.bincount`` of those arrays.
 
 Tail statistics in O(max delay).  Delays are whole frames, so a hop's
 histogram holds one count per delay 0..max.  :func:`suggest_fit_window` and
@@ -285,23 +287,22 @@ class _TandemScan:
     follows Lindley's recursion, Q(t) = max(Q(t-1) + a(t) - s(t), 0),
     evaluated per chunk by :func:`_reflect`.  Over a chunk from frame t0
     hop 2's arrivals telescope, so its net input is
-    c + cumsum(1 - s2) - Q1(t-1) with c = Q2(t0-1) + Q1(t0-2), and no
-    arrival is differenced.  The scan carries Q1 and c from chunk to chunk,
-    two floats that do not grow with the horizon; c starts at -1, so frame
-    0 brings hop 2 nothing.
+    c + cumsum(1 - s2) - Q1(t-1), with c the tandem's backlog B(t0-1), and
+    no arrival is differenced.  The scan carries Q1 and c, two floats that
+    do not grow with the horizon; c starts at -1, so frame 0 brings hop 2
+    nothing.
     """
 
     def __init__(self, size: int):
-        self.frames = 0
         self.q1 = 0.0  # hop 1's backlog at the last frame scanned
-        self.carry = -1.0  # Q2 at the last frame scanned plus Q1 one frame before it
+        self.carry = -1.0  # the tandem's backlog B at the last frame scanned
         # hop 1's backlogs after a leading slot for the previous chunk's last,
-        # so Q1(t-1) and Q1(t) are two views of one buffer
+        # so Q1(t-1) is a view of the buffer
         self._q1 = np.empty(size + 1)
-        self._q2 = np.empty(size)
+        self._b = np.empty(size)
 
     def step(self, s1: np.ndarray, s2: np.ndarray):
-        """Backlogs (Q1(t-1), Q1(t), Q2(t)) of the next ``s1.size`` frames t.
+        """Backlogs (Q1(t-1), B(t) = Q1(t-1) + Q2(t)) of the next ``s1.size`` frames t.
 
         ``s1`` and ``s2`` are the per-frame services in frames of load,
         overwritten as scratch.  The backlogs are views of buffers the next
@@ -313,41 +314,36 @@ class _TandemScan:
         x1 = np.subtract(1.0, s1, out=s1)
         x1[0] += self.q1
         _reflect(np.cumsum(x1, out=x1), q1[1:])
+        relay_in = q1[:-1]
         x2 = np.subtract(1.0, s2, out=s2)
         x2[0] += self.carry
-        np.cumsum(x2, out=x2)
-        q2 = _reflect(np.subtract(x2, q1[:-1], out=x2), self._q2[:k])
-        self.q1, self.carry = float(q1[-1]), float(q2[-1] + q1[-2])
-        self.frames += k
-        return q1[:-1], q1[1:], q2
+        b = _reflect(np.subtract(np.cumsum(x2, out=x2), relay_in, out=x2), self._b[:k])
+        b += relay_in
+        self.q1, self.carry = float(q1[-1]), float(b[-1])
+        return relay_in, b
 
 
 class _Tagger:
-    """Whole frames the bits tagged in frames first..last-1 wait to leave a queue.
+    """Whole frames the bits tagged in frames first..last-1 wait to pass a point.
 
-    The queue's backlog B, in frames of load, is fed piece by piece as the
-    scan makes it, one value per frame.  In frame t the queue has let out
-    the bits up to index m(t) = t + 1 - lag - ceil(B(t) - _INDEX_SLACK),
-    the frames of load arrived, less ``lag`` frames of them not yet at the
-    queue, less the bits queued.  Entry k of the whole result is
-    tau_k - (first + k), where tau_k is the number of frames whose m falls
-    short of bit k's index, c = first + k + 1 (see the module docstring).
-    The frame count enters m only as an integer, so no float depends on how
-    far into the run a piece lies.  m never falls, so the delays of the bits
-    below the last m fed are final, and each one-pass :meth:`feed` returns
-    them; the tagger keeps two counts, the frames fed and the delays
-    returned, not a frame-length array.
+    B(t), the load arrived before frame t still short of the point, in
+    frames of load, is fed piece by piece as the scan makes it, with the
+    piece's first frame.  In frame t the point has let through the bits up
+    to index m(t) = t - ceil(B(t) - _INDEX_SLACK).  Entry k of the whole
+    result is tau_k - (first + k), where tau_k is the number of frames
+    whose m falls short of bit k's index, c = first + k + 1 (see the module
+    docstring).  m never falls, so the delays of the bits below the last m
+    fed are final, and each one-pass :meth:`feed` returns them; the tagger
+    keeps one count, the delays returned, and no frame count.
     """
 
-    def __init__(self, first: int, last: int, lag: int):
+    def __init__(self, first: int, last: int):
         self.first = first
         self.n_tagged = last - first
-        self.lag = lag
-        self.fed = 0  # frames fed so far
         self.finished = 0  # tagged bits whose delays have been returned
 
-    def feed(self, backlog: np.ndarray) -> np.ndarray:
-        """Count the next piece of backlogs in one pass; the delays it finalised, intp.
+    def feed(self, backlog: np.ndarray, fed: int) -> np.ndarray:
+        """Count the backlogs of frames fed.. in one pass; the delays it finalised, intp.
 
         Each frame's bit index m, counted from the first bit not yet
         finalised, takes its running maximum only on a piece where it
@@ -357,14 +353,13 @@ class _Tagger:
         outside: m never falls, so its two ends bound it and a clip
         elsewhere would change nothing.
         """
-        lo, fed, k = self.finished, self.fed, backlog.size
-        self.fed += k
-        # the bits queued, ceil(B - slack), taken from the frames of load
-        # arrived less the lag, counted from bit first + lo: integer-valued
-        # floats well below 2**53, so the subtraction is exact
+        lo, k = self.finished, backlog.size
+        # the bits held, ceil(B - slack), taken from the frames of load
+        # arrived, counted from bit first + lo: integer-valued floats well
+        # below 2**53, so the subtraction is exact
         queued = np.subtract(backlog, _INDEX_SLACK)
         np.ceil(queued, out=queued)
-        start = fed + 1 - self.lag - self.first - lo
+        start = fed - self.first - lo
         m = np.subtract(np.arange(float(start), float(start + k)), queued, out=queued)
         m = m.astype(np.int64)
         if np.less(m[1:], m[:-1]).any():
@@ -375,7 +370,7 @@ class _Tagger:
         new = int(m[-1]) if k else 0
         if new == 0:
             return np.empty(0, dtype=np.intp)
-        # m never falls: tagged bit lo + t leaves at frame fed + #(m <= t) of this piece
+        # m never falls: tagged bit lo + t passes at frame fed + #(m <= t) of this piece
         waits = np.bincount(m)[:new]
         waits -= 1
         waits[0] += fed - self.first - lo + 1
@@ -397,10 +392,12 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     of the tagged bits (those arriving in frames warmup..n-1) whose e2e
     delay the step fixed.  Over the run the pieces cover the
     ``cfg.tagged_frames`` tagged bits once each, in order, and
-    e2e = hop1 + hop2 + 1.  Each hop-1 delay is held until the e2e tagger
-    finalises its bit, which it never does before hop 1's: the tandem's
-    backlog Q1(t-1) + Q2(t) rounds to no less than Q1(t-1), Q2 being
-    nonnegative, so its bit index never passes hop 1's a frame before.
+    e2e = hop1 + hop2 + 1.  One tagger reads the relay's input, Q1(t-1),
+    and one the tandem's backlog, B(t); a relay wait is hop 1's delay and
+    the forwarding frame, and hop 2's delay is e2e less it.  Each relay
+    wait is held until the e2e tagger finalises its bit, which it never
+    does before the relay's: B(t) rounds to no less than Q1(t-1), so in
+    every frame its bit index is no more than the relay's.
 
     Hop 1 reads the Philox(seed) stream and hop 2 that key's stream jumped
     by 2**128, frame t taking draw t of each, so a run is the prefix of any
@@ -411,28 +408,24 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     step is _SIM_CHUNK frames, cut only _MAX_RUN_ON_FRAMES frames past the
     horizon.  The services come out in frames of load, scaled by B*T/load
     once as they are made (see :func:`_to_service`), so nothing in a step
-    multiplies or divides by the load.  The scale and stability checks run
-    before the first step, before any piece is yielded.
+    multiplies or divides by the load.  The stability and overflow checks
+    run before the first step, before any piece is yielded.
 
     Raises
     ------
-    ValueError
-        If B*T/load overflows to infinity, so no service is finite in frames
-        of load.
     StabilityError
         If either hop's mean service rate is at or below its mean arrival
         rate; tail statistics of an unstable queue are meaningless.
+    ValueError
+        If a chunk of the largest services the gains can give, in frames of
+        load, B*T/load * log1p(SNR * 53 ln 2) each for the larger SNR,
+        overflows to infinity, so a chunk's net input could.
     RuntimeError
         If a tagged bit is still queued _MAX_RUN_ON_FRAMES frames past the
         horizon; the queues are then effectively unstable.
     """
     load = scenario.traffic_load
     bt = scenario.bt_product
-    scale = bt / load  # turns services from nats into frames of load
-    if not math.isfinite(scale):
-        raise ValueError(
-            f"traffic_load {load!r} nats/frame is too far below bt_product {bt!r}: "
-            "bt_product / traffic_load overflows")
     links = (LinkModel(allocation.kappa1, scenario.hop1_mean_gain, bt),
              LinkModel(allocation.kappa2, scenario.hop2_mean_gain, bt))
     for hop, link in enumerate(links, 1):
@@ -441,36 +434,42 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
             raise StabilityError(
                 f"hop {hop} unstable: mean service {mean:.6g} <= arrival {load:.6g} nats/frame")
     snr1, snr2 = (link.effective_snr for link in links)
+    scale = bt / load  # turns services from nats into frames of load
+    chunk = _SIM_CHUNK
+    # a gain -log1p(-U) is at most 53 ln 2, as U <= 1 - 2**-53; the chunk
+    # comes last, as chunk * scale alone overflows where tiny powers do not
+    if not math.isfinite(scale * math.log1p(max(snr1, snr2) * 53 * math.log(2)) * chunk):
+        raise ValueError(
+            f"traffic_load {load!r} nats/frame is too far below bt_product {bt!r}: "
+            "a chunk's service in frames of load overflows")
 
     n, first = cfg.n_frames, cfg.warmup_frames
-    chunk = _SIM_CHUNK
     bits = np.random.Philox(key=cfg.seed)
     rng1, rng2 = np.random.Generator(bits), np.random.Generator(bits.jumped())
     scan = _TandemScan(chunk)
     draws = np.empty((2, chunk))
-    # hop 1 holds the load arrived; hop 2 gets it a frame later, so the e2e
-    # tagger reads the tandem's backlog against the load arrived a frame back
-    tag1, tag2 = _Tagger(first, n, 0), _Tagger(first, n, 1)
-    held = np.empty(0, dtype=np.intp)  # hop-1 delays of bits e2e has yet to finalise
-    # e2e finalises after hop 1, and at least a frame after its bit arrives,
-    # so its tagger ends the run, past the horizon
-    while tag2.finished < tag2.n_tagged:
-        k = min(chunk, n + _MAX_RUN_ON_FRAMES - scan.frames)
+    relay, tandem = _Tagger(first, n), _Tagger(first, n)
+    held = np.empty(0, dtype=np.intp)  # relay waits of bits e2e has yet to finalise
+    fed = 0  # frames scanned, the run's one frame count
+    # e2e finalises after the relay, and at least a frame after its bit
+    # arrives, so its tagger ends the run, past the horizon
+    while tandem.finished < tandem.n_tagged:
+        k = min(chunk, n + _MAX_RUN_ON_FRAMES - fed)
         if k == 0:
             raise RuntimeError(
                 f"tagged bits still queued {_MAX_RUN_ON_FRAMES} frames past "
                 "the horizon; queues are effectively unstable")
         u1, u2 = rng1.random(out=draws[0, :k]), rng2.random(out=draws[1, :k])
-        before, q1, q2 = scan.step(_to_service(u1, scale, snr1), _to_service(u2, scale, snr2))
-        # e2e never runs ahead of hop 1 (its backlog Q1(t-1) + Q2(t) rounds to
-        # no less than Q1(t-1), exactly), so the hop-1 delays of the bits it
-        # finalised are held already
-        held = np.concatenate((held, tag1.feed(q1)))
-        e2e = tag2.feed(np.add(before, q2, out=q2))
-        hop1, held = held[:e2e.size], held[e2e.size:]
-        hop2 = e2e - hop1
-        hop2 -= 1  # the frame the relay holds each bit before forwarding it
-        yield hop1, hop2, e2e
+        relay_in, backlog = scan.step(_to_service(u1, scale, snr1), _to_service(u2, scale, snr2))
+        # e2e never runs ahead of the relay, so the relay waits of the bits
+        # it finalised are held already
+        held = np.concatenate((held, relay.feed(relay_in, fed)))
+        e2e = tandem.feed(backlog, fed)
+        fed += k
+        relayed, held = held[:e2e.size], held[e2e.size:]
+        hop2 = e2e - relayed
+        relayed -= 1  # the frame the relay holds each bit before forwarding it
+        yield relayed, hop2, e2e
 
 
 def simulate_tandem(scenario: Scenario, allocation: Allocation,
@@ -481,24 +480,24 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     tagged, and the scan runs on past the horizon until each has left both
     hops); this stores and counts the delay pieces it yields.  The delay
     arrays are allocated as uint8, 1 B per tagged frame each, once the
-    first step has passed the stability check, and widened together to
-    uint16 or uint32 only if an e2e delay needs it (e2e bounds both hops);
-    being unsigned, they are cast before subtracting.  Each piece is
-    written just past the last one and counted into the hop histograms in
-    one place.  With ``hop_arrays=False`` only the e2e array is allocated.
+    first step has passed the stability and overflow checks, and widened
+    together to uint16 or uint32 only if an e2e delay needs it (e2e bounds
+    both hops); being unsigned, they are cast before subtracting.  Each
+    piece is written just past the last one and counted into the hop
+    histograms in one place.  With ``hop_arrays=False`` only the e2e array is allocated.
 
     Raises
     ------
-    ValueError, StabilityError, RuntimeError
-        As :func:`_pieces`: a load so far below B*T that B*T/load overflows,
-        a hop whose mean service rate does not exceed its mean arrival rate,
-        or a tagged bit still queued _MAX_RUN_ON_FRAMES frames past the
-        horizon.
+    StabilityError, ValueError, RuntimeError
+        As :func:`_pieces`: a hop whose mean service rate does not exceed
+        its mean arrival rate, a load so far below B*T that a chunk of the
+        largest services could overflow in frames of load, or a tagged bit
+        still queued _MAX_RUN_ON_FRAMES frames past the horizon.
     """
     arrays, counts = [], [np.zeros(1, dtype=np.int64)] * 2  # delay arrays, hop histograms
     start = 0  # tagged bits stored so far; the pieces come in bit order
     for hop1, hop2, e2e in _pieces(scenario, allocation, cfg):
-        if not arrays:  # the first step has passed the stability check
+        if not arrays:  # the first step has passed both checks
             # the narrowest unsigned type, widened once a finalised delay needs
             # it; e2e bounds both hops, so hop1 + hop2 + 1 never wraps
             arrays = [np.empty(cfg.tagged_frames, np.uint8) for _ in range(3 if hop_arrays else 1)]

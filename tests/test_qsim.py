@@ -142,44 +142,51 @@ def reference_delays(scenario, allocation, cfg):
     return np.asarray(out1), np.asarray(out2), np.asarray(oute)
 
 
-def bit_indices(backlog, lag, fed=0):
-    """Bit index each frame's backlog lets out: t + 1 - lag - ceil(B - 1e-6).
+def bit_indices(backlog, fed=0):
+    """Bit index each frame's backlog lets through: t - ceil(B - 1e-6).
 
-    Frame t counts from ``fed``, the frames fed before the backlog's first.
+    Frame t counts from ``fed``, the frame of the backlog's first value.
     """
     frames = np.arange(fed, fed + backlog.size, dtype=np.int64)
-    return frames + 1 - lag - np.ceil(backlog - 1e-6).astype(np.int64)
+    return frames - np.ceil(backlog - 1e-6).astype(np.int64)
 
 
-def drained(backlog, last, lag):
-    """The backlog's pieces, then an empty queue until bit ``last`` has left."""
+def drained(backlog, last):
+    """The backlog's pieces, then an empty queue until bit ``last`` has passed.
+
+    ``last`` counts from the backlog's first frame.
+    """
     fed = sum(part.size for part in backlog)
-    return (*backlog, np.zeros(max(last + lag - fed, 1)))
+    return (*backlog, np.zeros(max(last + 1 - fed, 1)))
 
 
-def tagger_waits(backlog, first, last, lag=0):
+def tagger_waits(backlog, first, last, fed=0):
     """Frames waited per tagged bit, by the O(n) tagger fed piece by piece.
 
-    The backlog, in frames of load, is fed in its pieces, then the queue
-    drains: with nothing queued each frame lets out the load that arrived,
-    so every tagged bit leaves.  The tagger returns each bit's delay once
-    it is final.
+    The backlog, in frames of load, is fed in its pieces from frame
+    ``fed``, then the queue drains: with nothing held each frame lets
+    through the load arrived before it, so every tagged bit passes.  The
+    tagger returns each bit's delay once it is final.
     """
-    tagger = _Tagger(first, last, lag)
-    parts = [tagger.feed(part) for part in drained(backlog, last, lag)]
+    tagger = _Tagger(first, last)
+    parts = []
+    for part in drained(backlog, last - fed):
+        parts.append(tagger.feed(part, fed))
+        fed += part.size
     assert tagger.finished == tagger.n_tagged
     return np.concatenate(parts)
 
 
-def searchsorted_waits(backlog, first, last, lag=0):
+def searchsorted_waits(backlog, first, last, fed=0):
     """Frames waited per tagged bit, by binary search of each bit's index.
 
-    Bit c leaves in the first frame whose bit index reaches it, so the
-    search runs over the indices' running maximum.
+    Bit c passes in the first frame whose bit index reaches it, so the
+    search runs over the indices' running maximum, from frame ``fed``.
     """
-    reached = np.maximum.accumulate(bit_indices(np.concatenate(drained(backlog, last, lag)), lag))
+    reached = np.maximum.accumulate(
+        bit_indices(np.concatenate(drained(backlog, last - fed)), fed))
     tagged = np.arange(first, last, dtype=np.int64)
-    return np.searchsorted(reached, tagged + 1, side="left") - tagged
+    return fed + np.searchsorted(reached, tagged + 1, side="left") - tagged
 
 
 def backlog_boundaries(qs):
@@ -219,17 +226,17 @@ def headline_services(allocation, rng, n):
 
 
 def scanned(s1, s2, chunk):
-    """Backlogs (Q1(t-1), Q1(t), Q2(t)) of a _TandemScan stepped chunk by chunk."""
+    """Backlogs (Q1(t-1), B(t)) of a _TandemScan stepped chunk by chunk."""
     scan = _TandemScan(chunk)
     parts = [[c.copy() for c in scan.step(s1[i:i + chunk].copy(), s2[i:i + chunk].copy())]
              for i in range(0, s1.size, chunk)]
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
-def scan_waits(before, q1, q2):
-    """Hop-1 and e2e waits of every bit of a scan's backlogs, the queues then drained."""
-    n = q1.size
-    return tagger_waits((q1,), 0, n, 0), tagger_waits((before + q2,), 0, n, 1)
+def scan_waits(relay_in, backlog):
+    """Relay and e2e waits of every bit of a scan's backlogs, the queues then drained."""
+    n = backlog.size
+    return tagger_waits((relay_in,), 0, n), tagger_waits((backlog,), 0, n)
 
 
 def least_squares_slope(xs, ys):
@@ -299,21 +306,22 @@ def tail_samples(draw):
 def tagging_cases(draw):
     last = draw(st.integers(1, 60))
     first = draw(st.sampled_from([0, last - 1]) | st.integers(0, last - 1))
-    lag = draw(st.sampled_from([0, 1]))
+    fed = draw(st.sampled_from([0, 2**32]) | st.integers(0, 100))
     points = sorted(draw(st.lists(
         st.tuples(st.integers(0, last + 2),
                   st.sampled_from(["at", "below", "above", "mid"]),
                   st.integers(1, 4)),  # repeats make flat runs
         min_size=1, max_size=120)))
     # frame t reaches bit c, or one short of it "above", and a queue holds
-    # no less than nothing, so c never passes the load arrived, t + 1 - lag
+    # no less than nothing, so c never passes the load arrived before it, t
     wheres = [where for _, where, k in points for _ in range(k)]
     reach = np.repeat([c for c, _, _ in points], [k for _, _, k in points])
     frames = np.arange(reach.size)
-    queued = frames + 1 - lag - np.minimum(reach, frames + 1 - lag)
+    queued = frames - np.minimum(reach, frames)
     backlog = np.array([near_boundaries(q, where) for q, where in zip(queued, wheres)])
     cut = draw(st.integers(0, backlog.size))  # one scan step | the next
-    return (backlog[:cut], backlog[cut:]), first, last, lag
+    # the same backlogs from frame fed on, the tagged bits shifted with them
+    return (backlog[:cut], backlog[cut:]), first + fed, last + fed, fed
 
 
 @pytest.fixture(scope="module")
@@ -378,90 +386,106 @@ class TestFramesWaited:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(tagging_cases())
     def test_matches_searchsorted(self, case):
-        backlog, first, last, lag = case
-        waits = tagger_waits(backlog, first, last, lag)
+        backlog, first, last, fed = case
+        waits = tagger_waits(backlog, first, last, fed)
         assert waits.dtype == np.intp
-        assert np.array_equal(waits, searchsorted_waits(backlog, first, last, lag))
+        assert np.array_equal(waits, searchsorted_waits(backlog, first, last, fed))
 
-    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("fed", [0, 1])
     @pytest.mark.parametrize("where", ["at", "below", "above"])
-    def test_values_on_and_beside_every_target(self, where, lag):
-        # a backlog on its boundary or one ulp below it keeps q bits queued,
+    def test_values_on_and_beside_every_target(self, where, fed):
+        # a backlog on its boundary or one ulp below it keeps q bits held,
         # and one ulp above keeps q + 1.  Frame t holds t // 2 bits, so the
         # boundaries run over every q up to 20,000 frames of load.  The
         # backlog is fed in two pieces of 25,001 and 14,999 frames, each
         # tagged in one pass, and its bit index reaches past the last bit.
+        # Fed from frame 1 with the same tagged bits, every bit index is one
+        # higher, so each boundary lets through one bit more than from frame 0.
         last = 20_000
         backlog = near_boundaries(np.arange(2 * last) // 2, where)
         pieces = (backlog[:25_001], backlog[25_001:])
         for first in (0, 7, last - 1):
-            assert np.array_equal(tagger_waits(pieces, first, last, lag),
-                                  searchsorted_waits(pieces, first, last, lag))
+            assert np.array_equal(tagger_waits(pieces, first, last, fed),
+                                  searchsorted_waits(pieces, first, last, fed))
 
     def test_backlog_ending_below_last_target(self):
-        # frame t keeps t // 2 + 1 bits queued, so after ten frames the
-        # queue has let out bits 1..5; it then empties, and bits 6..11 leave
-        # in its first empty frame, 10, and later bits in the frame they arrive
+        # nothing has arrived before frame 0, and frame t >= 1 holds
+        # (t - 1) // 2 + 1 bits, so after eleven frames bits 1..5 have
+        # passed; the queue then empties, and bits 6..11 pass in its first
+        # empty frame, 11, and later bits in the frame after they arrive
         last = 40
-        backlog = near_boundaries(np.arange(10) // 2, "above")
-        waits = tagger_waits((backlog[:4], backlog[4:]), 0, last)
+        backlog = np.append(0.0, near_boundaries(np.arange(10) // 2, "above"))
+        waits = tagger_waits((backlog[:5], backlog[5:]), 0, last)
         assert np.array_equal(waits, searchsorted_waits((backlog,), 0, last))
-        assert np.array_equal(waits[5:11], 10 - np.arange(5, 11))
-        assert (waits[11:] == 0).all()
+        assert np.array_equal(waits[5:11], 11 - np.arange(5, 11))
+        assert (waits[11:] == 1).all()
 
     def test_clips_only_pieces_reaching_past_the_tagged_bits(self):
-        # m = t + 1 - ceil(B - 1e-6) - first - finished never falls, so feed
+        # m = t - ceil(B - 1e-6) - first - finished never falls, so feed
         # clips a piece to [0, n_tagged - finished] only when one of its
         # ends lies outside: the first piece starts below bit first, the
         # second lies inside and the third runs past bit last.  The waits
         # equal the binary search's, which equal those of clipping every piece.
         first, last = 2, 10
         pieces = [near_boundaries(qs, "at") for qs in ([1, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0])]
-        tagger = _Tagger(first, last, 0)
-        clipped, waits = [], []
+        tagger = _Tagger(first, last)
+        clipped, waits, fed = [], [], 0
         for piece in pieces:
-            m = bit_indices(piece, 0, tagger.fed)[[0, -1]] - first - tagger.finished
+            m = bit_indices(piece, fed)[[0, -1]] - first - tagger.finished
             clipped.append(bool(m[0] < 0 or m[-1] > tagger.n_tagged - tagger.finished))
-            waits.append(tagger.feed(piece))
+            waits.append(tagger.feed(piece, fed))
+            fed += piece.size
         assert clipped == [True, False, True]
         assert tagger.finished == tagger.n_tagged
         assert np.array_equal(np.concatenate(waits),
                               searchsorted_waits(pieces, first, last))
 
     def test_single_tagged_frame(self):
-        # five frames keep the one bit queued, each by one ulp of backlog
-        backlog = near_boundaries([0, 1, 2, 3, 4, 4], "above")
-        assert list(tagger_waits((backlog,), 0, 1)) == [5]
+        # the bit arrives in frame 0 and five frames, 1..5, keep it held,
+        # each by one ulp of backlog, so it passes in frame 6
+        backlog = np.append(0.0, near_boundaries([0, 1, 2, 3, 4, 4], "above"))
+        assert list(tagger_waits((backlog,), 0, 1)) == [6]
 
-    @pytest.mark.parametrize("lag", [0, 1], ids=["hop1", "e2e"])
-    def test_empty_queue_waits_its_lag(self, lag):
-        # an empty queue lets out the load that has reached it: hop 1 each
-        # bit in the frame it arrives, and the tandem a frame later, so
-        # every tagged bit waits lag frames
+    def test_empty_queue_lets_each_bit_through_a_frame_after_it_arrives(self):
+        # an empty queue lets through the load arrived before the frame, so
+        # every tagged bit waits one frame, at the relay's input and at the
+        # tandem's exit alike
         last = 5000
         backlog = np.zeros(2 * last)
         pieces = (backlog[:3001], backlog[3001:])
         for first in (0, 7, last - 1):
-            waits = tagger_waits(pieces, first, last, lag)
-            assert (waits == lag).all()
-            assert np.array_equal(waits, searchsorted_waits(pieces, first, last, lag))
+            waits = tagger_waits(pieces, first, last)
+            assert (waits == 1).all()
+            assert np.array_equal(waits, searchsorted_waits(pieces, first, last))
+
+    @pytest.mark.parametrize("field, lag", [("hop1_delays", 0), ("e2e_delays", 1)],
+                             ids=["hop1", "e2e"])
+    def test_empty_queue_waits_its_lag(self, headline_allocation, monkeypatch, field, lag):
+        # services of three frames of load more than the channel gives keep
+        # both queues empty, so the relay decodes each bit in the frame it
+        # arrives and forwards it the next, where hop 2 lets it through at
+        # once: hop 1's delay is 0 frames, hop 2's 0 and the tandem's 1
+        to_service = qsim._to_service
+        monkeypatch.setattr(qsim, "_to_service",
+                            lambda s, bt, snr: to_service(s, bt, snr) + 3.0)
+        cfg = SimConfig(n_frames=5000, warmup_frames=100, seed=5)
+        stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
+        assert stats.e2e_delays.size == cfg.tagged_frames
+        assert (getattr(stats, field) == lag).all()
+        assert (stats.hop2_delays == 0).all()
 
     @pytest.mark.parametrize("shift", [2**32, 10**12], ids=["2**32", "1e12"])
     def test_frame_count_does_not_matter(self, headline_allocation, shift):
         # the frame count enters the bit index only as an integer, so the
         # same backlogs give the same delays however far into a run they
-        # come: the tagged bits and the frames already fed are all shifted
+        # come: the tagged bits and each piece's first frame are all shifted
         rng = np.random.default_rng(4)
         n, chunk, first, last = 3000, 700, 100, 2800
         s1, s2 = headline_services(headline_allocation, rng, n)
-        before, q1, q2 = scanned(s1, s2, chunk)
-        for backlog, lag in ((q1, 0), (before + q2, 1)):
+        for backlog in scanned(s1, s2, chunk):
             pieces = [backlog[i:i + chunk] for i in range(0, n, chunk)]
-            want = tagger_waits(pieces, first, last, lag)
-            tagger = _Tagger(first + shift, last + shift, lag)
-            tagger.fed = shift
-            got = np.concatenate([tagger.feed(piece) for piece in drained(pieces, last, lag)])
-            assert tagger.finished == tagger.n_tagged
+            want = tagger_waits(pieces, first, last)
+            got = tagger_waits(pieces, first + shift, last + shift, shift)
             assert np.array_equal(got, want)
 
 
@@ -663,29 +687,37 @@ class TestSimulateTandem:
                                          (_SIM_CHUNK, 3 * _SIM_CHUNK)])
     def test_e2e_never_finalises_past_hop1(self, headline_allocation,
                                            monkeypatch, chunk, n):
-        # hop 2's delay is formed from the hop-1 delay already in place, so
-        # after every step the e2e tagger has finalised no more bits than
-        # hop 1's (the tandem's backlog Q1(t-1) + Q2(t) never rounds below
-        # hop 1's a frame before).  Each horizon spans several chunks, so
+        # hop 2's delay is formed from the relay wait already in place.  In
+        # every frame the tandem's backlog B(t) = Q1(t-1) + Q2(t) never
+        # rounds below the relay's input Q1(t-1), so the e2e bit index is
+        # no more than the relay's, and after every step the e2e tagger has
+        # finalised no more bits.  Each horizon spans several chunks, so
         # e2e has steps at which to lag.
-        finished = []
+        calls = []
         feed = _Tagger.feed
 
-        def recording(tagger, backlog):
-            delays = feed(tagger, backlog)
-            finished.append(tagger.finished)
+        def recording(tagger, backlog, fed):
+            delays = feed(tagger, backlog, fed)
+            calls.append((tagger, backlog.copy(), fed, tagger.finished))
             return delays
 
         monkeypatch.setattr(_Tagger, "feed", recording)
         monkeypatch.setattr(qsim, "_SIM_CHUNK", chunk)
         cfg = SimConfig(n_frames=n, warmup_frames=50, seed=9)
         simulate_tandem(SCENARIO, headline_allocation, cfg)
-        hop1, e2e = finished[0::2], finished[1::2]
-        assert len(hop1) == len(e2e) > n // chunk
-        assert all(b <= a for a, b in zip(hop1, e2e))
-        assert hop1[-1] == e2e[-1] == n - 50
+        relay, e2e = calls[0::2], calls[1::2]
+        assert len(relay) == len(e2e) > n // chunk
+        assert len({r[0] for r in relay}) == len({e[0] for e in e2e}) == 1
+        assert relay[0][0] is not e2e[0][0]
+        # each step feeds both taggers its backlogs from the same first frame
+        assert [r[2] for r in relay] == [e[2] for e in e2e] == list(range(0, len(e2e) * chunk, chunk))
+        for (_, relay_in, fed, _), (_, backlog, _, _) in zip(relay, e2e):
+            assert (bit_indices(backlog, fed) <= bit_indices(relay_in, fed)).all()
+        done = [(r[3], e[3]) for r, e in zip(relay, e2e)]
+        assert all(b <= a for a, b in done)
+        assert done[-1] == (n - 50, n - 50)
         # e2e lags at some step, so the pairing is exercised
-        assert any(b < a for a, b in zip(hop1, e2e))
+        assert any(b < a for a, b in done)
 
     def test_peak_memory_per_frame(self, headline_allocation):
         # the three delay arrays returned, one byte per frame each at this
@@ -712,10 +744,13 @@ class TestSimulateTandem:
         cfg = SimConfig(n_frames=20_000, warmup_frames=500, seed=3)
         stats = simulate_tandem(SCENARIO, headline_allocation, cfg)
         # the delays are unsigned: cast before adding, or a negative hop 2
-        # would wrap and the identity would hold by construction
+        # would wrap
         hop1, hop2, e2e = (a.astype(np.int64) for a in (
             stats.hop1_delays, stats.hop2_delays, stats.e2e_delays))
-        # store-and-forward: the relay forwards one frame after it decodes
+        # store-and-forward: the relay forwards one frame after it decodes.
+        # The identity holds by construction, hop 1 being the relay wait
+        # less that frame and hop 2 e2e less the relay wait; a negative hop
+        # 2, an e2e tagger running ahead of the relay's, still fails both
         assert np.array_equal(e2e, hop1 + hop2 + 1)
         assert (e2e - hop1 - 1 >= 0).all()
 
@@ -730,21 +765,26 @@ class TestSimulateTandem:
     def test_flow_conservation(self, headline_allocation, light):
         # services and backlogs are in frames of load.  Each backlog follows
         # Lindley's recursion, hop 1 receiving a frame of load each frame and
-        # hop 2 hop 1's departures of the frame before; exactly, no backlog
-        # is negative and the tandem's, Q1(t-1) + Q2(t), is no less than
-        # hop 1's a frame before.  Light services are at least three loads,
-        # so both queues stay empty.
+        # hop 2 hop 1's departures of the frame before; exactly, the relay's
+        # input Q1(t-1) is not negative and the tandem's backlog
+        # B(t) = Q1(t-1) + Q2(t) is no less than it.  Light services are at
+        # least three loads, so both queues stay empty.
         rng = np.random.default_rng(2)
         n, chunk = 3000, 700  # five chunks, the last one short
         if light:
             s1, s2 = 3.0 + rng.exponential(1.0, (2, n))
         else:
             s1, s2 = headline_services(headline_allocation, rng, n)
-        before, q1, q2 = scanned(s1, s2, chunk)
-        assert (q1 >= 0).all() and (q2 >= 0).all()
-        assert np.array_equal(before, np.append(0.0, q1[:-1]))
-        assert (before + q2 >= before).all()
-        assert (q1 == 0).all() == (q2 == 0).all() == light
+        relay_in, backlog = scanned(s1, s2, chunk)
+        assert (relay_in >= 0).all() and (backlog >= relay_in).all()
+        assert relay_in[0] == 0.0  # nothing has arrived before frame 0
+        assert (relay_in == 0).all() == (backlog == 0).all() == light
+        # hop 2's carry into the next chunk is the tandem's last backlog,
+        # the sum the e2e tagger reads, not a second one
+        scan = _TandemScan(chunk)
+        for i in range(0, n, chunk):
+            _, last = scan.step(s1[i:i + chunk].copy(), s2[i:i + chunk].copy())
+            assert scan.carry == last[-1] == backlog[min(i + chunk, n) - 1]
         # the per-frame recursion, to the rounding of one chunk's net input:
         # 1e-12 frames of load is some hundreds of ulps of these backlogs
         want1, want2 = np.empty(n), np.empty(n)
@@ -754,8 +794,8 @@ class TestSimulateTandem:
             queued2 = max(queued2 + departed - s2[t], 0.0)
             departed, queued1 = queued1 + 1.0 - after1, after1
             want1[t], want2[t] = queued1, queued2
-        assert np.allclose(q1, want1, rtol=0.0, atol=1e-12)
-        assert np.allclose(q2, want2, rtol=0.0, atol=1e-12)
+        assert np.allclose(relay_in, np.append(0.0, want1[:-1]), rtol=0.0, atol=1e-12)
+        assert np.allclose(backlog, relay_in + want2, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_chunk_step_matches_whole_scan(self, chunk):
@@ -770,7 +810,7 @@ class TestSimulateTandem:
         n = 4000
         s1, s2 = rng.exponential(1.05, n), rng.exponential(1.2, n)
         whole, chunked = scanned(s1, s2, n), scanned(s1, s2, chunk)
-        assert whole[1].max() > 30
+        assert whole[0].max() > 30
         for got, want in zip(chunked, whole):
             assert np.allclose(got, want, rtol=0.0, atol=1e-11)
         for got, want in zip(scan_waits(*chunked), scan_waits(*whole)):
@@ -793,7 +833,7 @@ class TestSimulateTandem:
     def test_bit_index_takes_its_running_maximum(self, queued):
         # a load below the ulp of a chunk's net input lets rounding raise a
         # backlog by more than the frame of load that arrived, so a bit
-        # index, t + 1 - lag - ceil(B - 1e-6), falls inside some pieces, and
+        # index, t - ceil(B - 1e-6), falls inside some pieces, and
         # the tagger then counts its running maximum; service that always
         # outruns the load keeps both queues empty, and no index falls.
         # Either way the waits equal a binary search of the running maximum.
@@ -803,22 +843,23 @@ class TestSimulateTandem:
             s1, s2 = tiny_load_services(rng, n), tiny_load_services(rng, n)
         else:
             s1, s2 = 1.0 + rng.exponential(2.5, (2, n))
-        before, q1, q2 = scanned(s1, s2, chunk)
-        for backlog, lag in ((q1, 0), (before + q2, 1)):
-            falls = np.flatnonzero(np.diff(bit_indices(backlog, lag)) < 0) + 1
+        for backlog in scanned(s1, s2, chunk):
+            falls = np.flatnonzero(np.diff(bit_indices(backlog)) < 0) + 1
             assert (falls % chunk != 0).any() == queued  # a fall inside a piece
             pieces = [backlog[i:i + chunk] for i in range(0, n, chunk)]
-            assert np.array_equal(tagger_waits(pieces, 0, n, lag),
-                                  searchsorted_waits(pieces, 0, n, lag))
+            assert np.array_equal(tagger_waits(pieces, 0, n),
+                                  searchsorted_waits(pieces, 0, n))
 
-    def test_rejects_a_load_whose_scale_overflows(self):
+    @pytest.mark.parametrize("load, kappa", [(1e-307, 1e-298), (1e-303, 1.0), (1e-305, 1.0)])
+    def test_rejects_a_load_whose_scale_overflows(self, load, kappa):
         # the scan counts in frames of load, so each service is scaled by
-        # bt_product / traffic_load, which overflows to infinity here; the
-        # run refuses the load before its first step instead of scanning
-        # NaN backlogs
-        scenario = Scenario(traffic_load=1e-307, delay_bound=50.0,
+        # bt_product / traffic_load.  At 1e-307 that scale overflows to
+        # infinity; at 1e-303 a chunk's sum of services can, the largest
+        # gain being 53 ln 2, and at 1e-305 both.  The run refuses the load
+        # before its first step instead of scanning NaN backlogs
+        scenario = Scenario(traffic_load=load, delay_bound=50.0,
                             violation_prob=1e-2, bt_product=200.0)
-        allocation = Allocation(kappa1=1e-298, kappa2=1e-298, theta1=1e-3, theta2=1e-3,
+        allocation = Allocation(kappa1=kappa, kappa2=kappa, theta1=1e-3, theta2=1e-3,
                                 delay_rate=0.1, residuals={})
         with pytest.raises(ValueError, match="^traffic_load .* bt_product .* overflows"):
             simulate_tandem(scenario, allocation, SimConfig(n_frames=100, seed=0))
@@ -826,7 +867,8 @@ class TestSimulateTandem:
     def test_runs_at_a_load_just_above_the_overflow(self):
         # bt_product / traffic_load is 1e308 here, finite, where 1e-306 would
         # overflow; services of about 1e10 frames of load keep the tandem
-        # empty, so the guard refuses only an infinite scale
+        # empty, and a chunk of the largest of them is finite, so the guard
+        # lets the run through
         assert (no_queueing_e2e(2e-306, 1e-298) == 1).all()
 
     def test_overwhelming_power_means_no_queueing(self):
