@@ -1,4 +1,5 @@
-"""numpy, imported on first use: the allocator's path never loads it."""
+"""numpy, imported on first use: only the simulator needs it, so only
+``validate`` loads it."""
 
 
 class _LazyNumpy:

@@ -194,11 +194,13 @@ def _gamma1p_frac(a: float) -> float:
 
 
 def _powm1_frac(log_z: float, a: float) -> float:
-    """(z^a - 1) / a, finite and accurate through a = 0."""
+    """(z^a - 1) / a, finite and accurate through a = 0.
+
+    Where |a ln z| <= _FPMIN (a = 0 among them) the value is ln z to
+    the last bit; dividing a subnormal expm1 by a would lose digits.
+    """
     t = a * log_z
-    if abs(t) < 1e-3:
-        return log_z * (1.0 + t * (0.5 + t * (1.0 / 6.0 + t / 24.0)))
-    return math.expm1(t) / a
+    return math.expm1(t) / a if abs(t) > _FPMIN else log_z
 
 
 def _small_a_series(a: float, z: float) -> float:

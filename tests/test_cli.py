@@ -240,6 +240,29 @@ class TestLinspace:
                 assert got.tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
 
 
+class TestLogGrid:
+    def test_decades_are_exact(self):
+        assert cli._parse_grid("1e-6:1e-1:6:log") == [1e-06, 1e-05, 1e-04, 1e-03, 1e-02, 0.1]
+
+    def test_within_one_ulp_of_numpy(self):
+        # a log grid is the linear grid of the log10 ends raised to powers of
+        # ten, as np.geomspace builds it; the ends are the given values
+        rng = np.random.default_rng(38)
+        grids = [(float(lo), float(hi), int(n)) for lo, hi, n in zip(
+            10.0 ** rng.uniform(-300.0, 300.0, 2000), 10.0 ** rng.uniform(-300.0, 300.0, 2000),
+            rng.integers(1, 300, 2000))]
+        grids += [(5e-324, 1.7976931348623157e308, 9), (1e308, 1.7976931348623157e308, 3),
+                  (2.0, 2.0, 4), (3.0, 0.5, 1), (1e-6, 1e-1, 6)]
+        for lo, hi, n in grids:
+            got = cli._parse_grid(f"{lo!r}:{hi!r}:{n}:log")
+            assert len(got) == n and got[0] == lo, (lo, hi, n)
+            assert got[-1] == (hi if n > 1 else lo), (lo, hi, n)
+            with np.errstate(over="ignore"):  # numpy's power of the pinned top end
+                expected = np.geomspace(lo, hi, n).tolist()
+            for point, ref in zip(got, expected):
+                assert abs(point - ref) <= math.ulp(ref), (lo, hi, n, point, ref)
+
+
 class TestCcdfTable:
     def test_monotone_and_anchored(self):
         rows = ccdf_table(FAST, [0.0, 10.0, 25.0, 50.0])
@@ -287,8 +310,8 @@ class TestMain:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         values = [float(r["axis_value"]) for r in rows]
-        assert values[0] == pytest.approx(1e-6, rel=1e-6, abs=0.0)
-        assert values[-1] == pytest.approx(1e-1, rel=1e-6, abs=0.0)
+        assert values[0] == 1e-6
+        assert values[-1] == 1e-1
 
     def test_validate_command_byte_identical(self, tmp_path):
         args = ["validate", "--delay_bound", "0.1", "--violation_prob", "1e-2",
@@ -609,20 +632,24 @@ class TestRuntimeImports:
                        if not hasattr(module, name)]
             assert missing == [], module.__name__
 
-    def test_allocator_path_leaves_numpy_unloaded(self):
-        # numpy loads on first use: sweep and the allocate, ccdf and linear
-        # sweep commands run without it
+    def test_only_validate_loads_numpy(self):
+        # numpy loads on first use, by the simulator alone: sweep and the
+        # allocate, ccdf and sweep commands, on linear and log grids, run
+        # without it
         src = str(Path(relayqos.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import contextlib, io, relayqos, relayqos.cli as cli, sys\n"
                 "cli.sweep(cli.RadioProfile(), 'd1', [30.0, 60.0])\n"
                 "for argv in (['allocate'], ['ccdf'], ['ccdf', '--grid', '0:10:3'],\n"
-                "             ['sweep', '--axis', 'd1', '--grid', '30:60:3']):\n"
+                "             ['ccdf', '--grid', '1:100:5:log'],\n"
+                "             ['sweep', '--axis', 'd1', '--grid', '30:60:3'],\n"
+                "             ['sweep', '--axis', 'violation_prob', '--grid',\n"
+                "              '1e-6:1e-1:6:log', '--delay_bound', '0.14']):\n"
                 "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
                 "        rc = cli.main(argv)\n"
                 "    print(rc, bool(out.getvalue()), end=' ')\n"
                 "print('numpy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "0 True 0 True 0 True 0 True False"
+        assert out.stdout.strip() == "0 True 0 True 0 True 0 True 0 True 0 True False"

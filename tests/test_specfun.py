@@ -16,6 +16,7 @@ import pytest
 from relayqos import specfun
 from relayqos.specfun import (
     _gamma1p_frac,
+    _powm1_frac,
     lambert_w,
     log_upper_incomplete_gamma,
     qos_rate_target,
@@ -302,6 +303,38 @@ class TestGamma1pFrac:
                 with mpmath.workdps(40):
                     ref = float((mpmath.gamma(1 + mpmath.mpf(a)) - 1) / a)
                 assert _gamma1p_frac(a) == pytest.approx(ref, rel=1e-14, abs=0.0), a
+
+
+class TestPowm1Frac:
+    @staticmethod
+    def reference(log_z, a):
+        with mpmath.workdps(40):
+            return float(mpmath.expm1(mpmath.mpf(a) * log_z) / a) if a else log_z
+
+    def test_matches_mpmath_where_the_product_is_small(self):
+        # |a ln z| < 1e-3, where a truncated series of expm1 loses digits;
+        # ln z and a span the z < 1.5, |a| <= 0.5 of the small-a expansion
+        rng = np.random.default_rng(17)
+        points = 0
+        for log_z, log_a, sign in zip(rng.uniform(-8.0, math.log(1.5), 4000),
+                                      rng.uniform(-20.0, math.log10(0.5), 4000),
+                                      rng.choice([-1.0, 1.0], 4000)):
+            a = float(sign * 10.0 ** log_a)
+            if abs(a * log_z) >= 1e-3:
+                continue
+            points += 1
+            assert _powm1_frac(float(log_z), a) == pytest.approx(
+                self.reference(float(log_z), a), rel=1e-15, abs=0.0), (log_z, a)
+        assert points > 2000
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, 5e-324, -1e-320, 1e-310, 1e-300])
+    def test_exact_where_the_product_underflows(self, a):
+        # a subnormal a*ln z keeps too few digits to be divided by a again
+        log_z = math.log(0.5)
+        assert _powm1_frac(log_z, a) == pytest.approx(
+            self.reference(log_z, a), rel=1e-15, abs=0.0)
+        assert upper_incomplete_gamma(a, 0.5) == pytest.approx(
+            float(mpmath.gammainc(a, 0.5, mpmath.inf)), rel=1e-14, abs=0.0)
 
 
 class TestQosRateTarget:
