@@ -5,7 +5,11 @@ with ``h`` exponentially distributed (Rayleigh power gain), i.i.d. across
 frames.  For a QoS exponent theta > 0 the log-moment generating function of
 that rate has a closed form in the upper incomplete gamma function, and so
 do the effective capacity, the effective bandwidth and the ergodic rate this
-module computes; they need nothing beyond the standard library.
+module computes; they need nothing beyond the standard library.  The two
+rate statistics are one log-moment read at opposite signs: the capacity
+kernel ``_capacity_at_snr``, -(1/theta) * log E[exp(-theta * R)], gives the
+effective bandwidth when called at -theta, so both share one formula and
+one finiteness check.
 
 The mean gain is absorbed into an effective SNR ``kappa * mean_gain``: for an
 exponential gain this substitution is exact, so all formulas below are
@@ -53,12 +57,9 @@ class LinkModel:
     bt_product: float
 
     def __post_init__(self):
-        if not self.tx_power > 0.0:
-            raise ValueError(f"tx_power must be > 0, got {self.tx_power!r}")
-        if not self.mean_gain > 0.0:
-            raise ValueError(f"mean_gain must be > 0, got {self.mean_gain!r}")
-        if not self.bt_product > 0.0:
-            raise ValueError(f"bt_product must be > 0, got {self.bt_product!r}")
+        for name in ("tx_power", "mean_gain", "bt_product"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
     @property
     def effective_snr(self) -> float:
@@ -106,11 +107,14 @@ def _capacity_at_snr(theta: float, snr: float, bt: float) -> float:
     The closed form behind :func:`effective_capacity_rayleigh`, with no
     LinkModel and no check of theta: the allocator's power solve calls it
     once per Newton iterate, with a theta its callers have already checked.
+    At theta < 0 the same expression, (1/|theta|) * log E[exp(|theta| * R)],
+    is the effective bandwidth at -theta, and the overflow names it so.
     """
     value = -_log_rate_moment(-bt * theta, 1.0 / snr) / theta
     if not math.isfinite(value):
+        name = "effective capacity" if theta > 0.0 else "effective bandwidth"
         raise OverflowError(
-            f"effective capacity not representable at theta={theta!r}, snr={snr!r}, "
+            f"{name} not representable at theta={abs(theta)!r}, snr={snr!r}, "
             f"bt_product={bt!r}")
     return value
 
@@ -149,9 +153,4 @@ def effective_bandwidth_service_rayleigh(theta: float, link: LinkModel) -> float
     the ergodic rate.
     """
     _require_positive_theta(theta)
-    beta = link.bt_product * theta
-    value = _log_rate_moment(beta, 1.0 / link.effective_snr) / theta
-    if not math.isfinite(value):
-        raise OverflowError(
-            f"effective bandwidth not representable at theta={theta!r}, link={link!r}")
-    return value
+    return _capacity_at_snr(-theta, link.effective_snr, link.bt_product)

@@ -419,7 +419,9 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     ValueError
         If a chunk of the largest services the gains can give, in frames of
         load, B*T/load * log1p(SNR * 53 ln 2) each for the larger SNR,
-        overflows to infinity, so a chunk's net input could.
+        overflows to infinity, so a chunk's net input could.  A small load
+        or a large SNR can cause it, so the message names the load, B*T and
+        that SNR.
     RuntimeError
         If a tagged bit is still queued _MAX_RUN_ON_FRAMES frames past the
         horizon; the queues are then effectively unstable.
@@ -438,10 +440,11 @@ def _pieces(scenario: Scenario, allocation: Allocation, cfg: SimConfig):
     chunk = _SIM_CHUNK
     # a gain -log1p(-U) is at most 53 ln 2, as U <= 1 - 2**-53; the chunk
     # comes last, as chunk * scale alone overflows where tiny powers do not
-    if not math.isfinite(scale * math.log1p(max(snr1, snr2) * 53 * math.log(2)) * chunk):
+    snr = max(snr1, snr2)
+    if not math.isfinite(scale * math.log1p(snr * 53 * math.log(2)) * chunk):
         raise ValueError(
-            f"traffic_load {load!r} nats/frame is too far below bt_product {bt!r}: "
-            "a chunk's service in frames of load overflows")
+            f"traffic_load {load!r} nats/frame is too far below bt_product {bt!r} "
+            f"for the larger SNR {snr!r}: a chunk's service in frames of load overflows")
 
     n, first = cfg.n_frames, cfg.warmup_frames
     bits = np.random.Philox(key=cfg.seed)
@@ -490,9 +493,10 @@ def simulate_tandem(scenario: Scenario, allocation: Allocation,
     ------
     StabilityError, ValueError, RuntimeError
         As :func:`_pieces`: a hop whose mean service rate does not exceed
-        its mean arrival rate, a load so far below B*T that a chunk of the
-        largest services could overflow in frames of load, or a tagged bit
-        still queued _MAX_RUN_ON_FRAMES frames past the horizon.
+        its mean arrival rate, a load so far below B*T or an SNR so large
+        that a chunk of the largest services could overflow in frames of
+        load, or a tagged bit still queued _MAX_RUN_ON_FRAMES frames past
+        the horizon.
     """
     arrays, counts = [], [np.zeros(1, dtype=np.int64)] * 2  # delay arrays, hop histograms
     start = 0  # tagged bits stored so far; the pieces come in bit order

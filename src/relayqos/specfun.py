@@ -34,30 +34,24 @@ _MAX_ITER = 500
 # Lambert W
 # ---------------------------------------------------------------------------
 
-def _w_initial_guess(x: float, branch: int, t: float) -> float:
+def _w_initial_guess(x: float, side: float, t: float) -> float:
     """Starting point for the Halley iteration.
 
     ``t = 1 + e*x`` is the (clipped, non-negative) distance from the branch
-    point at x = -1/e.  Near the branch point both branches use the series in
-    p = sqrt(2t); elsewhere the principal branch uses a rational/log seed and
-    the minus-one branch the asymptotic log(-x) - log(-log(-x)) expansion.
+    point at x = -1/e, and ``side`` the side of w = -1 the branch lies on:
+    +1 for branch 0, -1 for branch -1.  Near the branch point (x < -0.3 on
+    branch 0, x < -0.27 on branch -1) both branches use the series in
+    p = side*sqrt(2t).  Elsewhere branch 0 takes a rational seed below
+    x = e, and branch -1 and branch 0 at x >= e the asymptotic
+    log|x| - log|log|x|| expansion.
     """
-    if branch == 0:
-        if x < -0.3:
-            p = math.sqrt(2.0 * t)
-            return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
-        if x < 0.0:
-            return x / (1.0 + x)
-        if x < math.e:
-            return x / math.e
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        return l1 - l2 + l2 / l1
-    if x < -0.27:
-        p = math.sqrt(2.0 * t)
-        return -1.0 - p - p * p / 3.0 - (11.0 / 72.0) * p ** 3
-    l1 = math.log(-x)
-    l2 = math.log(-l1)
+    if x < (-0.3 if side > 0.0 else -0.27):
+        p = side * math.sqrt(2.0 * t)
+        return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+    if side > 0.0 and x < math.e:
+        return x / (1.0 + x) if x < 0.0 else x / math.e
+    l1 = math.log(abs(x))
+    l2 = math.log(abs(l1))
     return l1 - l2 + l2 / l1
 
 
@@ -98,7 +92,8 @@ def lambert_w(x: float, branch: int = 0) -> float:
     if t == 0.0:
         return -1.0
 
-    w = _w_initial_guess(x, branch, t)
+    side = 1.0 + 2.0 * branch  # the side of w = -1 the branch lies on
+    w = _w_initial_guess(x, side, t)
     scale = max(abs(x), 1e-290)
     for _ in range(100):
         ew = math.exp(w)
@@ -107,15 +102,13 @@ def lambert_w(x: float, branch: int = 0) -> float:
             return w
         wp1 = w + 1.0
         if wp1 == 0.0:
-            wp1 = 1e-12 if branch == 0 else -1e-12
+            wp1 = side * 1e-12
         # Halley step; the w+1 factors blow up at the branch point, where the
         # initial series is already at full accuracy
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         w -= f / denom
-        if branch == 0 and w < -1.0:
-            w = -1.0 + 1e-12
-        elif branch == -1 and w > -1.0:
-            w = -1.0 - 1e-12
+        if side * (w + 1.0) < 0.0:  # stepped across the branch point
+            w = -1.0 + side * 1e-12
     raise ValueError(f"lambert_w failed to converge for x={x!r}, branch={branch}")
 
 

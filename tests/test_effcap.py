@@ -263,6 +263,21 @@ class TestCapacityLogSlope:
         assert got == pytest.approx(central, rel=1e-6, abs=0.0)
 
 
+def _spy_branch_cores(monkeypatch):
+    """Record, in order, each incomplete-gamma core the closed forms run."""
+    calls = []
+
+    def spy(name, core):
+        def wrapped(*args):
+            calls.append(name)
+            return core(*args)
+        return wrapped
+
+    for name in set(_BRANCH_CORES.values()):
+        monkeypatch.setattr(specfun, name, spy(name, getattr(specfun, name)))
+    return calls
+
+
 class TestCapacityKernel:
     # a = 1 - BT*theta and z = 1/snr: the capacity's points among the gamma
     # branch map's, a < 1 so that theta > 0
@@ -270,15 +285,21 @@ class TestCapacityKernel:
     def test_matches_public_capacity(self, branch, a, z, monkeypatch):
         theta, snr = (1.0 - a) / BT, 1.0 / z
         public = effective_capacity_rayleigh(theta, LinkModel(snr, 1.0, BT))
-        calls = []
-
-        def spy(name, core):
-            def wrapped(*args):
-                calls.append(name)
-                return core(*args)
-            return wrapped
-
-        for name in set(_BRANCH_CORES.values()):
-            monkeypatch.setattr(specfun, name, spy(name, getattr(specfun, name)))
+        calls = _spy_branch_cores(monkeypatch)
         assert _capacity_at_snr(theta, snr, BT) == public  # bit for bit
         assert calls == [_BRANCH_CORES[branch]]
+
+    # the bandwidth is the kernel at -theta, so a = 1 + BT*theta > 1
+    @pytest.mark.parametrize("branch, a, z", [p for p in _branch_points() if p[1] > 1.0])
+    def test_bandwidth_is_the_kernel_at_minus_theta(self, branch, a, z, monkeypatch):
+        theta, snr = (a - 1.0) / BT, 1.0 / z
+        public = effective_bandwidth_service_rayleigh(theta, LinkModel(snr, 1.0, BT))
+        calls = _spy_branch_cores(monkeypatch)
+        assert _capacity_at_snr(-theta, snr, BT) == public  # bit for bit
+        assert calls == [_BRANCH_CORES[branch]]
+
+    def test_bandwidth_overflow_names_the_bandwidth(self):
+        # the kernel's one finiteness check serves both statistics; called
+        # at -theta it reports the statistic and the theta the caller gave
+        with pytest.raises(OverflowError, match=r"^effective bandwidth .* theta=2e\+303,"):
+            effective_bandwidth_service_rayleigh(2e303, LinkModel(1e300, 1.0, 100.0))

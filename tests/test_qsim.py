@@ -850,19 +850,23 @@ class TestSimulateTandem:
             assert np.array_equal(tagger_waits(pieces, 0, n),
                                   searchsorted_waits(pieces, 0, n))
 
-    @pytest.mark.parametrize("load, kappa", [(1e-307, 1e-298), (1e-303, 1.0), (1e-305, 1.0)])
+    @pytest.mark.parametrize("load, kappa", [(1e-307, 1e-298), (1e-303, 1.0), (1e-305, 1.0),
+                                             (138.6, 1e307)])
     def test_rejects_a_load_whose_scale_overflows(self, load, kappa):
         # the scan counts in frames of load, so each service is scaled by
         # bt_product / traffic_load.  At 1e-307 that scale overflows to
         # infinity; at 1e-303 a chunk's sum of services can, the largest
-        # gain being 53 ln 2, and at 1e-305 both.  The run refuses the load
-        # before its first step instead of scanning NaN backlogs
+        # gain being 53 ln 2, and at 1e-305 both.  At the default load an
+        # SNR of 1e307 does it alone, so the message names the SNR too.
+        # The run refuses before its first step instead of scanning NaN
+        # backlogs
         scenario = Scenario(traffic_load=load, delay_bound=50.0,
                             violation_prob=1e-2, bt_product=200.0)
         allocation = Allocation(kappa1=kappa, kappa2=kappa, theta1=1e-3, theta2=1e-3,
                                 delay_rate=0.1, residuals={})
-        with pytest.raises(ValueError, match="^traffic_load .* bt_product .* overflows"):
+        with pytest.raises(ValueError, match="^traffic_load .* bt_product .* overflows") as info:
             simulate_tandem(scenario, allocation, SimConfig(n_frames=100, seed=0))
+        assert f"SNR {kappa!r}: " in str(info.value)
 
     def test_runs_at_a_load_just_above_the_overflow(self):
         # bt_product / traffic_load is 1e308 here, finite, where 1e-306 would

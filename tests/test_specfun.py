@@ -45,6 +45,14 @@ class TestLambertW:
         assert lambert_w(-INV_E, 0) == -1.0
         assert lambert_w(-INV_E, -1) == -1.0
 
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_branch_point_clamp(self, branch):
+        # x rounded just below -1/e is taken as -1/e up to 1 + e*x >= -1e-9
+        assert lambert_w(math.nextafter(-INV_E, -math.inf), branch) == -1.0
+        assert lambert_w(-INV_E * (1.0 + 1e-10), branch) == -1.0
+        with pytest.raises(ValueError, match="x >= -1/e"):
+            lambert_w(-INV_E * (1.0 + 2e-9), branch)
+
     def test_minus_one_branch_small_argument(self):
         w = lambert_w(-1e-6 / math.e, branch=-1)
         assert w == pytest.approx(W_M1_AT_MINUS_1E6_OVER_E, rel=1e-12, abs=0.0)
